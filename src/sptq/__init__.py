@@ -38,7 +38,6 @@ from .partitions import (
     spt_o_minus,
     spt_o_plus,
     t4,
-    triangular_partition,
 )
 from .identities import (
     BaileyPair,
@@ -61,7 +60,7 @@ __all__ = [
     "Partition", "PartitionPair", "SequenceTable", "crank",
     "enumerate_partitions", "m2", "n2", "odd_condition", "p",
     "partition_pairs", "rank", "sequence", "sigma", "spt", "spt_o",
-    "spt_o_minus", "spt_o_plus", "t4", "triangular_partition",
+    "spt_o_minus", "spt_o_plus", "t4",
     "BaileyPair", "IdentityCheck", "IdentityReport", "Mismatch", "REGISTRY",
     "bailey_pair", "check_bailey_relation", "check_congruence", "check_eq12",
     "verify", "verify_all",

@@ -28,38 +28,35 @@ def _cache_path(cache_dir: Path, name: str) -> Path:
     return cache_dir / f"{name}.json"
 
 
-def _cache_load(cache_dir: Path, name: str, lo: int, hi: int):
-    """Return cached values for lo..hi, or None.  Reuse requires the same
-    sequence name and version and a cached range covering the request."""
+def _cache_entry(cache_dir: Path, name: str):
+    """The cached table for ``name`` as a SequenceTable, or None when it is
+    missing, unreadable, of another name or version, or holds a value count
+    that does not match its range."""
     try:
         with open(_cache_path(cache_dir, name)) as fh:
             entry = json.load(fh)
         if entry["name"] != name or entry["version"] != __version__:
             return None
-        clo, chi = int(entry["lo"]), int(entry["hi"])
-        if clo <= lo and hi <= chi:
-            vals = [int(v) for v in entry["values"]]
-            return vals[lo - clo : hi - clo + 1]
-    except (OSError, ValueError, KeyError, json.JSONDecodeError):
+        values = tuple(int(v) for v in entry["values"])
+        return partitions.SequenceTable(name, int(entry["lo"]), int(entry["hi"]), values)
+    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError):
         return None
-    return None
+
+
+def _cache_load(cache_dir: Path, name: str, lo: int, hi: int):
+    """Return cached values for lo..hi, or None.  Reuse requires a valid
+    entry whose range covers the request."""
+    table = _cache_entry(cache_dir, name)
+    if table is None or not (table.lo <= lo and hi <= table.hi):
+        return None
+    return list(table.values[lo - table.lo : hi - table.lo + 1])
 
 
 def _cache_store(cache_dir: Path, name: str, lo: int, hi: int, values):
-    """Best effort; never fatal.  An existing wider entry is kept."""
+    """Best effort; never fatal.  An existing valid wider entry is kept."""
     try:
-        existing = None
-        try:
-            with open(_cache_path(cache_dir, name)) as fh:
-                existing = json.load(fh)
-        except (OSError, ValueError, json.JSONDecodeError):
-            existing = None
-        if (
-            existing is not None
-            and existing.get("version") == __version__
-            and existing.get("name") == name
-            and not (lo <= int(existing["lo"]) and int(existing["hi"]) <= hi)
-        ):
+        existing = _cache_entry(cache_dir, name)
+        if existing is not None and not (lo <= existing.lo and existing.hi <= hi):
             return
         cache_dir.mkdir(parents=True, exist_ok=True)
         payload = {

@@ -16,7 +16,7 @@ order is the one actually used.
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import partitions
 from .series import (
@@ -80,6 +80,21 @@ def _series_mismatches(lhs: TruncatedSeries, rhs: TruncatedSeries) -> list[Misma
     ]
 
 
+def _sequence_mismatches(indices: Iterable[int], lhs, rhs) -> list[Mismatch]:
+    """One Mismatch per index n where the ints lhs(n) and rhs(n) differ."""
+    values = ((n, lhs(n), rhs(n)) for n in indices)
+    return [Mismatch(n, a, b) for n, a, b in values if a != b]
+
+
+def _first_difference(index: int, lhs, rhs) -> list[Mismatch]:
+    """[] when the two series agree; otherwise one Mismatch at ``index``
+    holding the first differing coefficient of each side."""
+    for a, b in zip(lhs.coeffs, rhs.coeffs):
+        if a != b:
+            return [Mismatch(index, a, b)]
+    return []
+
+
 # ----------------------------------------------------------------------
 # left-hand sides: sums of q-Pochhammer quotients
 # ----------------------------------------------------------------------
@@ -102,19 +117,18 @@ def eq3_summand(n: int, order: int) -> TruncatedSeries:
 def _smallest_part_summands(order: int) -> Iterator[tuple[int, TruncatedSeries]]:
     """Yield (n, eq2_summand(n)) for n = 1..order, sharing work between n.
 
-    Stepping n -> n+1 divides (1 - q^(2n+1)) out of the odd tail product
-    and multiplies (1 - q^(n+1)) into the inverted tail, both O(order);
-    tests pin equality with the direct construction.
+    The quotient (q^(2n+1);q^2)_inf / (q^(n+1);q)_inf steps to n+1 by
+    dividing out (1 - q^(2n+1)) and multiplying in (1 - q^(n+1)), both
+    O(order); each summand is then the sparse geom_sq(n) times it.  Tests
+    pin equality with the direct construction.
     """
     if order < 1:
         return
-    odd_tail = qpoch_inf(3, 2, order)
-    inv_tail = qpoch_inf(2, 1, order).invert()
+    quotient = qpoch_inf(3, 2, order) * qpoch_inf(2, 1, order).invert()
     for n in range(1, order + 1):
         if n > 1:
-            odd_tail = odd_tail.divided_by_one_minus(2 * n - 1)
-            inv_tail = inv_tail.times_one_minus(n)
-        yield n, geom_sq(n, order) * odd_tail * inv_tail
+            quotient = quotient.divided_by_one_minus(2 * n - 1).times_one_minus(n)
+        yield n, geom_sq(n, order) * quotient
 
 
 @lru_cache(maxsize=None)
@@ -168,8 +182,7 @@ def lhs_eq1(order: int) -> TruncatedSeries:
     for n in range(1, order + 1):
         if n > 1:
             inv_tail = inv_tail.times_one_minus(n - 1)  # now 1/(q^n;q)_inf
-        term = monomial(n, 1, order) * qpoch_fin(n, 1, 1, order).invert() * inv_tail
-        total = total + term
+        total = total + monomial(n, 1, order) * inv_tail.divided_by_one_minus(n)
     return total
 
 
@@ -191,7 +204,6 @@ def _moment_even_series(order: int, moment: Callable[[int], int]) -> TruncatedSe
     return TruncatedSeries(tuple(c))
 
 
-@lru_cache(maxsize=None)
 def rhs_eq2_doubled(order: int) -> TruncatedSeries:
     """2 * Lambert/(q^2;q^2)_inf minus the rank moments N2(n) at q^(2n)."""
     if order < 1:
@@ -200,7 +212,6 @@ def rhs_eq2_doubled(order: int) -> TruncatedSeries:
     return main - _moment_even_series(order, partitions.n2)
 
 
-@lru_cache(maxsize=None)
 def rhs_eq3_doubled(order: int) -> TruncatedSeries:
     """Same with the crank moments M2(n)."""
     if order < 1:
@@ -209,7 +220,6 @@ def rhs_eq3_doubled(order: int) -> TruncatedSeries:
     return main - _moment_even_series(order, partitions.m2)
 
 
-@lru_cache(maxsize=None)
 def _theta_correction(order: int) -> TruncatedSeries:
     """sum_{n>=1} (-1)^n q^(n(3n+1)/2) (1 + q^n) / (1 - q^n)^2."""
     total = zero(order)
@@ -222,7 +232,6 @@ def _theta_correction(order: int) -> TruncatedSeries:
     return total
 
 
-@lru_cache(maxsize=None)
 def rhs_eq1_doubled(order: int) -> TruncatedSeries:
     """2 sum n p(n) q^n + 2 * theta correction / (q;q)_inf."""
     if order < 1:
@@ -234,7 +243,6 @@ def rhs_eq1_doubled(order: int) -> TruncatedSeries:
     return 2 * np_series + 2 * corr
 
 
-@lru_cache(maxsize=None)
 def rhs_eq23(order: int) -> TruncatedSeries:
     """q (q^4;q^4)_inf^3 / (q^2;q^4)_inf^5, the odd-part product form."""
     if order < 1:
@@ -253,69 +261,46 @@ def rhs_eq23(order: int) -> TruncatedSeries:
 
 @dataclass(frozen=True)
 class BaileyPair:
-    """Sequences (alpha_n, beta_n) realized as truncated series.
+    """A Bailey pair relative to a = 1, given by two exponents:
 
-    ``alpha(n, order)`` and ``beta(n, order)`` build the n-th entries;
-    the valuation callables give the lowest exponent of alpha_{2m} and
-    beta_n without building them, so sums can stop early.
+    alpha_0 = 1, odd-index alphas vanish,
+    alpha_{2m} = (-1)^m q^(alpha_exponent(m)) (1 + q^(2m)),
+    beta_n = q^(beta_exponent(n)) / ((q;q)_n (q;q^2)_n).
+
+    Each exponent is also the lowest one present, so sums over a pair can
+    stop as soon as it passes the truncation order.
     """
 
     label: str
-    alpha: Callable[[int, int], TruncatedSeries]
-    beta: Callable[[int, int], TruncatedSeries]
-    alpha_even_valuation: Callable[[int], int]
-    beta_valuation: Callable[[int], int]
+    alpha_exponent: Callable[[int], int]
+    beta_exponent: Callable[[int], int]
+
+    def alpha(self, n: int, order: int) -> TruncatedSeries:
+        if n == 0:
+            return one(order)
+        if n % 2:
+            return zero(order)
+        m = n // 2
+        e = self.alpha_exponent(m)
+        sign = -1 if m % 2 else 1
+        return monomial(e, sign, order) + monomial(e + 2 * m, sign, order)
+
+    def beta(self, n: int, order: int) -> TruncatedSeries:
+        base = (qpoch_fin(1, 1, n, order) * qpoch_fin(1, 2, n, order)).invert()
+        return monomial(self.beta_exponent(n), 1, order) * base
 
 
-def _beta_base(n: int, order: int) -> TruncatedSeries:
-    """1 / ((q;q)_n (q;q^2)_n)."""
-    return (qpoch_fin(1, 1, n, order) * qpoch_fin(1, 2, n, order)).invert()
-
-
-def _alpha_from_exponent(m: int, e: int, order: int) -> TruncatedSeries:
-    """(-1)^m q^e (1 + q^(2m))."""
-    sign = -1 if m % 2 else 1
-    return monomial(e, sign, order) + monomial(e + 2 * m, sign, order)
+_BAILEY_PAIRS = {
+    "C1": BaileyPair("C1", lambda m: m * (3 * m - 1), lambda n: 0),
+    "C5": BaileyPair("C5", lambda m: m * (m - 1), lambda n: n * (n - 1) // 2),
+}
 
 
 def bailey_pair(label: str) -> BaileyPair:
-    """The two classical pairs used here, labelled C1 and C5.
-
-    C1: alpha_{2m} = (-1)^m q^(m(3m-1)) (1 + q^(2m)), beta_n = 1/((q)_n (q;q^2)_n).
-    C5: alpha_{2m} = (-1)^m q^(m(m-1)) (1 + q^(2m)),
-        beta_n = q^(n(n-1)/2)/((q)_n (q;q^2)_n).
-    Odd-index alphas vanish and alpha_0 = 1 in both.
-    """
-    if label == "C1":
-
-        def alpha(n, order):
-            if n == 0:
-                return one(order)
-            if n % 2:
-                return zero(order)
-            m = n // 2
-            return _alpha_from_exponent(m, m * (3 * m - 1), order)
-
-        return BaileyPair("C1", alpha, _beta_base, lambda m: m * (3 * m - 1), lambda n: 0)
-
-    if label == "C5":
-
-        def alpha(n, order):
-            if n == 0:
-                return one(order)
-            if n % 2:
-                return zero(order)
-            m = n // 2
-            return _alpha_from_exponent(m, m * (m - 1), order)
-
-        def beta(n, order):
-            return monomial(n * (n - 1) // 2, 1, order) * _beta_base(n, order)
-
-        return BaileyPair(
-            "C5", alpha, beta, lambda m: m * (m - 1), lambda n: n * (n - 1) // 2
-        )
-
-    raise ValueError(f"unknown Bailey pair label {label!r}; known: C1, C5")
+    """The two classical pairs used here, labelled C1 and C5."""
+    if label not in _BAILEY_PAIRS:
+        raise ValueError(f"unknown Bailey pair label {label!r}; known: C1, C5")
+    return _BAILEY_PAIRS[label]
 
 
 def check_bailey_relation(pair: BaileyPair, n_max: int, order: int) -> list[Mismatch]:
@@ -326,30 +311,33 @@ def check_bailey_relation(pair: BaileyPair, n_max: int, order: int) -> list[Mism
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    inv_fin = [one(order)]  # inv_fin[k] = 1/(q;q)_k
+    for k in range(1, 2 * n_max + 1):
+        inv_fin.append(inv_fin[-1].divided_by_one_minus(k))
     out = []
     for n in range(n_max + 1):
-        lhs = pair.beta(n, order)
         acc = zero(order)
         for r in range(n + 1):
-            a = pair.alpha(r, order)
-            acc = acc + (
-                a
-                * qpoch_fin(1, 1, n + r, order).invert()
-                * qpoch_fin(1, 1, n - r, order).invert()
-            )
-        if lhs != acc:
-            k = next(i for i in range(order + 1) if lhs.coeffs[i] != acc.coeffs[i])
-            out.append(Mismatch(n, lhs.coeffs[k], acc.coeffs[k]))
+            acc = acc + pair.alpha(r, order) * inv_fin[n + r] * inv_fin[n - r]
+        out += _first_difference(n, pair.beta(n, order), acc)
     return out
 
 
 def eq12_lhs(pair: BaileyPair, order: int) -> TruncatedSeries:
-    """sum_{n>=1} (q;q)_{n-1}^2 beta_n q^n."""
+    """sum_{n>=1} (q;q)_{n-1}^2 beta_n q^n.
+
+    With beta_n written out, the n-th summand is q^(n + beta_exponent(n))
+    times T_n = (q;q)_{n-1} / ((1-q^n) (q;q^2)_n), and T_{n+1} is T_n times
+    (1-q^n)^2 / ((1-q^(n+1)) (1-q^(2n+1))): four O(order) updates per step.
+    """
     total = zero(order)
+    quotient = one(order).divided_by_one_minus(1).divided_by_one_minus(1)  # T_1
     n = 1
-    while n + pair.beta_valuation(n) <= order:
-        fin = qpoch_fin(1, 1, n - 1, order)
-        total = total + fin * fin * pair.beta(n, order) * monomial(n, 1, order)
+    while n + pair.beta_exponent(n) <= order:
+        if n > 1:
+            quotient = quotient.times_one_minus(n - 1).times_one_minus(n - 1)
+            quotient = quotient.divided_by_one_minus(n).divided_by_one_minus(2 * n - 1)
+        total = total + monomial(n + pair.beta_exponent(n), 1, order) * quotient
         n += 1
     return total
 
@@ -358,7 +346,7 @@ def eq12_rhs(pair: BaileyPair, order: int) -> TruncatedSeries:
     """alpha_0 * Lambert + sum_{n>=1} alpha_n q^n/(1-q^n)^2 (even n only)."""
     total = lambert_sigma(order)
     m = 1
-    while pair.alpha_even_valuation(m) + 2 * m <= order:
+    while pair.alpha_exponent(m) + 2 * m <= order:
         total = total + pair.alpha(2 * m, order) * geom_sq(2 * m, order)
         m += 1
     return total
@@ -379,12 +367,7 @@ def _termwise_mismatches(order: int, n_max: int = 12) -> list[Mismatch]:
         for n in range(1, n_max + 1):
             fin = qpoch_fin(1, 1, n - 1, order)
             lhs = fin * fin * pair.beta(n, order) * monomial(n, 1, order) * inv_even
-            rhs = direct(n, order)
-            if lhs != rhs:
-                k = next(
-                    i for i in range(order + 1) if lhs.coeffs[i] != rhs.coeffs[i]
-                )
-                out.append(Mismatch(n, lhs.coeffs[k], rhs.coeffs[k]))
+            out += _first_difference(n, lhs, direct(n, order))
     return out
 
 
@@ -411,11 +394,6 @@ def check_congruence(
         if v % modulus != 0:
             out.append(Mismatch(arg, v % modulus, 0))
     return out
-
-
-def spt_o_series(order: int) -> TruncatedSeries:
-    """The spt_o generating series, by the series route (no enumeration)."""
-    return lhs_gf_note(order)
 
 
 def even_parity_report(order: int) -> tuple[int, int]:
@@ -463,12 +441,11 @@ def _run_gf_note(order):
 
 
 def _run_thm2(order):
-    mm = []
-    for n in range(1, min(15, order // 2) + 1):
-        lhs = partitions.spt_o(2 * n)
-        rhs = partitions.spt(n)
-        if lhs != rhs:
-            mm.append(Mismatch(n, lhs, rhs))
+    mm = _sequence_mismatches(
+        range(1, min(15, order // 2) + 1),
+        lambda n: partitions.spt_o(2 * n),
+        partitions.spt,
+    )
     even = (lhs_eq2(order) - lhs_eq3(order)).extract(0, 2)
     mm += _series_mismatches(even, lhs_eq1(order).truncate(even.order))
     return order, mm
@@ -521,16 +498,16 @@ def _run_eq13(order):
 
 def _run_eq14(order):
     bound = min(order, ENUM_CAP // 2)  # spt_o_plus(2n) is enumerated
-    mm = []
-    for n in range(1, bound + 1):
-        lhs = 2 * partitions.spt_o_plus(2 * n)
+
+    def rhs(n):
         conv = sum(
             partitions.p(k) * partitions.sigma(2 * (n - k)) for k in range(n + 1)
         )
-        rhs = 2 * conv - partitions.n2(n)
-        if lhs != rhs:
-            mm.append(Mismatch(n, lhs, rhs))
-    return bound, mm
+        return 2 * conv - partitions.n2(n)
+
+    return bound, _sequence_mismatches(
+        range(1, bound + 1), lambda n: 2 * partitions.spt_o_plus(2 * n), rhs
+    )
 
 
 def _run_eq23(order):
@@ -541,46 +518,33 @@ def _run_eq23(order):
 
 def _run_m2_is_2np(order):
     used = min(order, ENUM_CAP)
-    mm = []
-    for n in range(1, used + 1):
-        lhs = partitions.m2(n)
-        rhs = 2 * n * partitions.p(n)
-        if lhs != rhs:
-            mm.append(Mismatch(n, lhs, rhs))
-    return used, mm
+    return used, _sequence_mismatches(
+        range(1, used + 1), partitions.m2, lambda n: 2 * n * partitions.p(n)
+    )
 
 
 def _run_spt_half_diff(order):
     used = min(order, ENUM_CAP)
-    mm = []
-    for n in range(1, used + 1):
-        lhs = 2 * partitions.spt(n)
-        rhs = partitions.m2(n) - partitions.n2(n)
-        if lhs != rhs:
-            mm.append(Mismatch(n, lhs, rhs))
-    return used, mm
+    return used, _sequence_mismatches(
+        range(1, used + 1),
+        lambda n: 2 * partitions.spt(n),
+        lambda n: partitions.m2(n) - partitions.n2(n),
+    )
 
 
 def _run_sigma_doubling(order):
-    mm = []
-    for n in range(1, order + 1):
-        lhs = partitions.sigma(2 * n)
-        rhs = 3 * partitions.sigma(n)
-        if n % 2 == 0:
-            rhs -= 2 * partitions.sigma(n // 2)
-        if lhs != rhs:
-            mm.append(Mismatch(n, lhs, rhs))
-    return order, mm
+    def rhs(n):
+        return 3 * partitions.sigma(n) - (0 if n % 2 else 2 * partitions.sigma(n // 2))
+
+    return order, _sequence_mismatches(
+        range(1, order + 1), lambda n: partitions.sigma(2 * n), rhs
+    )
 
 
 def _run_legendre_t4(order):
-    mm = []
-    for n in range(order + 1):
-        lhs = partitions.sigma(2 * n + 1)
-        rhs = partitions.t4(n)
-        if lhs != rhs:
-            mm.append(Mismatch(n, lhs, rhs))
-    return order, mm
+    return order, _sequence_mismatches(
+        range(order + 1), lambda n: partitions.sigma(2 * n + 1), partitions.t4
+    )
 
 
 def _run_bailey(label):
@@ -599,7 +563,7 @@ def _run_eq12(label):
 
 def _run_cong(step, offset, modulus):
     def run(order):
-        series = spt_o_series(order)
+        series = lhs_gf_note(order)
         k_max = (order // 2 - offset) // step
         mm = check_congruence(
             series.coeff, step, offset, lambda x: 2 * x, modulus, k_max

@@ -32,17 +32,6 @@ class PartitionPair(NamedTuple):
     pi: Partition
     delta_index: int
 
-    @property
-    def total(self) -> int:
-        return sum(self.pi) + self.delta_index * (self.delta_index - 1) // 2
-
-
-def triangular_partition(l: int) -> Partition:
-    """The staircase partition (l-1, l-2, ..., 1); l = 1 gives the empty one."""
-    if l < 1:
-        raise ValueError("index must be >= 1")
-    return tuple(range(l - 1, 0, -1))
-
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """Yield every partition of n exactly once, lexicographically decreasing."""
@@ -225,7 +214,6 @@ def spt_o(n: int) -> int:
     return spt_o_plus(n) - spt_o_minus(n)
 
 
-@lru_cache(maxsize=None)
 def t4(n: int) -> int:
     """Ordered quadruples of triangular numbers (zero allowed) summing to n."""
     if n < 0:

@@ -139,30 +139,6 @@ class TruncatedSeries:
     # exponent surgery
     # ------------------------------------------------------------------
 
-    def dilate(self, m: int, order: int | None = None) -> "TruncatedSeries":
-        """Substitute q -> q^m.
-
-        The result keeps the input's order unless ``order`` asks for more;
-        the dilated series is known exactly up to m*(order+1)-1, and asking
-        beyond that is an error because those coefficients would depend on
-        unknown input coefficients.
-        """
-        if m < 1:
-            raise ValueError("dilation factor must be >= 1")
-        if order is None:
-            order = self.order
-        if order < 0 or order > m * (self.order + 1) - 1:
-            raise ValueError(
-                f"dilated series by {m} is only known to order "
-                f"{m * (self.order + 1) - 1}, not {order}"
-            )
-        out = [0] * (order + 1)
-        for e, c in enumerate(self.coeffs):
-            if e * m > order:
-                break
-            out[e * m] = c
-        return TruncatedSeries(tuple(out))
-
     def extract(self, residue: int, modulus: int) -> "TruncatedSeries":
         """Arithmetic-progression slice: coefficient k of the result is the
         coefficient of q^(modulus*k + residue) here."""

@@ -27,8 +27,6 @@ def _cold_start():
     I._eq2_eq3_lhs.cache_clear()
     I.lhs_gf_note.cache_clear()
     I.lhs_eq1.cache_clear()
-    I.rhs_eq2_doubled.cache_clear()
-    I.rhs_eq3_doubled.cache_clear()
     P.n2.cache_clear()
     P.m2.cache_clear()
 
@@ -109,7 +107,7 @@ def test_c08_congruences_to_240():
     reports = [I.verify(c, 240) for c in ("cong5", "cong7", "cong13")]
     elapsed = time.perf_counter() - t0
     # every progression member with argument <= 240 is covered
-    s = I.spt_o_series(240)
+    s = I.lhs_gf_note(240)
     spot = (
         s.coeff(238) % 5 == 0  # k = 23 for the mod-5 progression
         and s.coeff(234) % 7 == 0  # k = 16 for mod 7

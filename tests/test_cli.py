@@ -104,11 +104,30 @@ def test_compute_cache_subrange_reuse(cache_dir):
 
 def test_compute_corrupt_cache_is_recomputed(cache_dir):
     cache_dir.mkdir(parents=True)
-    (cache_dir / "spt.json").write_text("{not json")
-    r = run_cli("compute", "--sequence", "spt", "--lo", "1", "--hi", "3",
-                "--cache-dir", str(cache_dir))
+    for corrupt in ("{not json", "[]"):
+        (cache_dir / "spt.json").write_text(corrupt)
+        r = run_cli("compute", "--sequence", "spt", "--lo", "1", "--hi", "3",
+                    "--cache-dir", str(cache_dir))
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["values"] == ["1", "3", "5"]
+
+
+def test_compute_short_cache_entry_is_recomputed(cache_dir):
+    from sptq import __version__
+
+    cache_dir.mkdir(parents=True)
+    entry = {"name": "spt", "lo": 1, "hi": 10, "values": ["1", "3", "5"],
+             "version": __version__}
+    (cache_dir / "spt.json").write_text(json.dumps(entry))
+    r = run_cli("compute", "--sequence", "spt", "--lo", "1", "--hi", "10",
+                "--format", "csv", "--cache-dir", str(cache_dir))
     assert r.returncode == 0
-    assert json.loads(r.stdout)["values"] == ["1", "3", "5"]
+    assert r.stdout.splitlines() == [
+        "n,value", "1,1", "2,3", "3,5", "4,10", "5,14", "6,26", "7,35",
+        "8,57", "9,80", "10,119",
+    ]
+    # the bad entry is replaced, so the next run reads a full table
+    assert len(json.loads((cache_dir / "spt.json").read_text())["values"]) == 10
 
 
 def test_cache_dir_env_var(tmp_path):

@@ -8,7 +8,15 @@ import pytest
 
 from sptq import partitions as P
 from sptq import identities as I
-from sptq.series import TruncatedSeries, lambert_sigma, monomial, one, qpoch_inf, zero
+from sptq.series import (
+    TruncatedSeries,
+    lambert_sigma,
+    monomial,
+    one,
+    qpoch_fin,
+    qpoch_inf,
+    zero,
+)
 
 SPT_O_PLUS = [1, 3, 5, 9, 12, 21, 25, 40, 50, 72, 86, 128, 145, 205]
 SPT_O_MINUS = [1, 2, 5, 6, 12, 16, 25, 30, 50, 58, 86, 102, 145, 170]
@@ -58,6 +66,16 @@ def test_incremental_summands_match_direct_construction():
         got = dict(I._smallest_part_summands(order))
         for n in range(1, 8):
             assert got[n] == I.eq2_summand(n, order)
+
+
+def test_lhs_eq1_matches_direct_construction():
+    # sum_n q^n / ((1-q^n) (q^n;q)_inf), every factor built and inverted anew
+    for order in (1, 2, 9, 20):
+        direct = zero(order)
+        for n in range(1, order + 1):
+            denominator = qpoch_fin(n, 1, 1, order) * qpoch_inf(n, 1, order)
+            direct = direct + monomial(n, 1, order) * denominator.invert()
+        assert I.lhs_eq1(order) == direct
 
 
 def test_eq3_summand_is_shifted_eq2_summand():
@@ -149,6 +167,25 @@ def test_eq12_holds_for_both_pairs():
     assert I.check_eq12(I.bailey_pair("C5"), 40) == []
 
 
+@pytest.mark.parametrize("label", ["C1", "C5"])
+@pytest.mark.parametrize("order", [1, 2, 17, 40])
+def test_eq12_lhs_matches_direct_construction(label, order):
+    pair = I.bailey_pair(label)
+    direct = zero(order)
+    for n in range(1, order + 1):
+        fin = qpoch_fin(1, 1, n - 1, order)
+        direct = direct + fin * fin * pair.beta(n, order) * monomial(n, 1, order)
+    assert I.eq12_lhs(pair, order) == direct
+
+
+def test_bailey_checks_catch_a_perturbed_alpha():
+    bad = I.BaileyPair("C1+1", lambda m: m * (3 * m - 1) + 1, lambda n: 0)
+    relation = I.check_bailey_relation(bad, 4, 20)
+    assert relation and all(m.lhs != m.rhs for m in relation)
+    assert relation[0].index == 2  # beta_n first sees alpha_2 at n = 2
+    assert I.check_eq12(bad, 20)
+
+
 def test_eq12_lowest_term():
     lhs = I.eq12_lhs(I.bailey_pair("C1"), 10)
     rhs = I.eq12_rhs(I.bailey_pair("C1"), 10)
@@ -191,7 +228,7 @@ def test_check_congruence_empty_range():
 
 
 def test_congruence_first_cases():
-    s = I.spt_o_series(24)
+    s = I.lhs_gf_note(24)
     assert s.coeff(8) == 10 and 10 % 5 == 0  # spt_o(8) = spt(4)
     assert s.coeff(10) == 14 and 14 % 7 == 0  # spt_o(10) = spt(5)
     assert s.coeff(12) == 26 and 26 % 13 == 0  # spt_o(12) = spt(6)

@@ -76,18 +76,9 @@ def test_partition_pairs_of_three():
 def test_partition_pair_invariants():
     for n in range(1, 13):
         for pair in P.partition_pairs(n):
-            assert pair.delta_index == pair.pi[-1]
-            assert pair.total == n
-            delta = P.triangular_partition(pair.delta_index)
-            assert sum(delta) == pair.delta_index * (pair.delta_index - 1) // 2
-            assert all(part < pair.pi[-1] for part in delta)
-
-
-def test_triangular_partition():
-    assert P.triangular_partition(1) == ()
-    assert P.triangular_partition(4) == (3, 2, 1)
-    with pytest.raises(ValueError):
-        P.triangular_partition(0)
+            s = pair.delta_index
+            assert s == pair.pi[-1]
+            assert sum(pair.pi) + s * (s - 1) // 2 == n
 
 
 # ----------------------------------------------------------------------

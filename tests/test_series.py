@@ -225,26 +225,8 @@ def test_geom_sq_is_shifted_inverse_square():
 
 
 # ----------------------------------------------------------------------
-# dilate / extract
+# extract
 # ----------------------------------------------------------------------
-
-
-def test_dilate_identity():
-    assert ts(1, 2, 3).dilate(1) == ts(1, 2, 3)
-
-
-def test_dilate_reinterprets_at_higher_order():
-    assert ts(1, 2, 3).dilate(2, order=5).coeffs == (1, 0, 2, 0, 3, 0)
-
-
-def test_dilate_lambert():
-    got = lambert_sigma(3).dilate(2, order=6)
-    assert got.coeffs == (0, 0, 1, 0, 3, 0, 4)
-
-
-def test_dilate_beyond_knowledge_is_an_error():
-    with pytest.raises(ValueError):
-        ts(1, 2, 3).dilate(2, order=6)  # q^6 would need the unknown c_3
 
 
 def test_extract():
@@ -259,13 +241,6 @@ def test_extract_bad_args():
         ts(1, 2).extract(2, 2)
     with pytest.raises(ValueError):
         ts(1).extract(1, 2)  # no exponent == 1 within order 0
-
-
-def test_extract_undoes_dilate():
-    s = ts(4, -1, 0, 9)
-    for m in (1, 2, 3):
-        assert s.dilate(m).extract(0, m) == s.truncate(s.order // m)
-        assert s.dilate(m, order=m * s.order).extract(0, m) == s
 
 
 # ----------------------------------------------------------------------
