@@ -21,7 +21,6 @@ from .series import (
 )
 from .partitions import (
     Partition,
-    PartitionPair,
     SequenceTable,
     crank,
     enumerate_partitions,
@@ -29,7 +28,6 @@ from .partitions import (
     n2,
     odd_condition,
     p,
-    partition_pairs,
     rank,
     sequence,
     sigma,
@@ -57,9 +55,8 @@ __all__ = [
     "__version__",
     "TruncatedSeries", "geom_sq", "lambert_sigma", "monomial", "one",
     "qpoch_fin", "qpoch_inf", "zero",
-    "Partition", "PartitionPair", "SequenceTable", "crank",
-    "enumerate_partitions", "m2", "n2", "odd_condition", "p",
-    "partition_pairs", "rank", "sequence", "sigma", "spt", "spt_o",
+    "Partition", "SequenceTable", "crank", "enumerate_partitions", "m2",
+    "n2", "odd_condition", "p", "rank", "sequence", "sigma", "spt", "spt_o",
     "spt_o_minus", "spt_o_plus", "t4",
     "BaileyPair", "IdentityCheck", "IdentityReport", "Mismatch", "REGISTRY",
     "bailey_pair", "check_bailey_relation", "check_congruence", "check_eq12",

@@ -1,7 +1,8 @@
 """Command-line front end: compute sequences, verify identities, print the
 worked-example table.
 
-Exit codes: 0 all good, 1 at least one verification failed, 2 usage error.
+Exit codes: 0 all good, 1 at least one verification failed, 2 usage error
+or an output file that cannot be written.
 Big integers are serialized as decimal strings in JSON output.
 """
 
@@ -74,6 +75,20 @@ def _cache_store(cache_dir: Path, name: str, lo: int, hi: int, values):
         pass
 
 
+def _emit(text: str, path, code: int) -> int:
+    """Write ``text`` to the file ``path``, or print it when there is none,
+    and return ``code``; a file that cannot be written is exit 2."""
+    if not path:
+        print(text)
+        return code
+    try:
+        Path(path).write_text(text + "\n")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return code
+
+
 def _cmd_compute(args) -> int:
     cache_dir = Path(args.cache_dir) if args.cache_dir else _default_cache_dir()
     try:
@@ -106,11 +121,7 @@ def _cmd_compute(args) -> int:
                  for n, v in zip(range(args.lo, args.hi + 1), values)]
         text = "\n".join(lines)
 
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
-    return 0
+    return _emit(text, args.out, 0)
 
 
 def _report_payload(report: identities.IdentityReport) -> dict:
@@ -152,11 +163,8 @@ def _cmd_verify(args) -> int:
               f"(order {report.order}, {report.elapsed:.3f} s)", file=sys.stderr)
 
     text = json.dumps([_report_payload(r) for r in reports], indent=2)
-    if args.report:
-        Path(args.report).write_text(text + "\n")
-    else:
-        print(text)
-    return 0 if all(r.status == "pass" for r in reports) else 1
+    passed = all(r.status == "pass" for r in reports)
+    return _emit(text, args.report, 0 if passed else 1)
 
 
 # quantities quoted alongside these identities in the worked examples;

@@ -132,44 +132,42 @@ def _smallest_part_summands(order: int) -> Iterator[tuple[int, TruncatedSeries]]
 
 
 @lru_cache(maxsize=None)
-def _eq2_eq3_lhs(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-    total2 = zero(order)
-    total3 = zero(order)
+def _smallest_part_lhs(order: int) -> tuple[TruncatedSeries, ...]:
+    """lhs_eq2, lhs_eq3 and lhs_gf_note, summed in one pass over the summands.
+
+    The spt_o sum accumulates each summand times (1 - q^(n(n-1)/2)) on its
+    own rather than being taken as the eq2 sum minus the eq3 sum, so the
+    gf_note check compares two different constructions.
+    """
+    total2 = total3 = total_o = zero(order)
     for n, summand in _smallest_part_summands(order):
         total2 = total2 + summand
         if n * (n + 1) // 2 <= order:
             total3 = total3 + monomial(n * (n - 1) // 2, 1, order) * summand
-    return total2, total3
+        if n > 1:  # the n = 1 factor is 1 - q^0 = 0
+            total_o = total_o + summand.times_one_minus(n * (n - 1) // 2)
+    return total2, total3, total_o
 
 
 def lhs_eq2(order: int) -> TruncatedSeries:
     """Generating series of spt_o_plus as a sum of Pochhammer quotients."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return _eq2_eq3_lhs(order)[0]
+    return _smallest_part_lhs(order)[0]
 
 
 def lhs_eq3(order: int) -> TruncatedSeries:
     """Generating series of spt_o_minus (triangular-companion weights)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return _eq2_eq3_lhs(order)[1]
+    return _smallest_part_lhs(order)[1]
 
 
-@lru_cache(maxsize=None)
 def lhs_gf_note(order: int) -> TruncatedSeries:
-    """Generating series of spt_o: each summand carries (1 - q^(n(n-1)/2)).
-
-    Built as its own sum rather than as lhs_eq2 - lhs_eq3; the gf_note
-    check confirms the two constructions agree.
-    """
+    """Generating series of spt_o: each summand carries (1 - q^(n(n-1)/2))."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    total = zero(order)
-    for n, summand in _smallest_part_summands(order):
-        factor = one(order) - monomial(n * (n - 1) // 2, 1, order)
-        total = total + summand * factor
-    return total
+    return _smallest_part_lhs(order)[2]
 
 
 @lru_cache(maxsize=None)

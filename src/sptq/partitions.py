@@ -7,6 +7,13 @@ cross-check.  Only p(n) (pentagonal-number recurrence) and sigma(n)
 (divisor sums) use closed forms, so that series work can run far past
 enumeration scale.
 
+The two odd-condition counts share one walk per size.  A pair counted by
+spt_o_minus(n) is a partition pi with smallest part s plus the staircase
+(s-1, ..., 1), which s fixes, so spt_o_minus(n) sums over s the
+odd-condition count of the partitions of n - s(s-1)/2 whose smallest part
+is s.  ``_odd_smallest_parts(m)`` records that count for every s in one
+walk over the partitions of m; spt_o_plus(n) is its total at m = n.
+
 Partitions are plain weakly decreasing tuples of positive ints; n = 0 has
 exactly the empty partition.  Enumeration order is lexicographically
 decreasing, e.g. (4), (3,1), (2,2), (2,1,1), (1,1,1,1).
@@ -16,21 +23,9 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 Partition = tuple[int, ...]
-
-
-class PartitionPair(NamedTuple):
-    """A non-empty partition together with its forced triangular companion.
-
-    ``delta_index`` always equals the smallest part s of ``pi``; the
-    companion is the staircase (s-1, s-2, ..., 1), which adds s(s-1)/2 to
-    the total size and contains every part below s exactly once.
-    """
-
-    pi: Partition
-    delta_index: int
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
@@ -49,24 +44,6 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
             prefix.pop()
 
     yield from rec(n, n)
-
-
-def partition_pairs(n: int) -> Iterator[PartitionPair]:
-    """Yield every PartitionPair of total size n.
-
-    The smallest part s of pi determines the companion, so the pairs of
-    size n are exactly: for each s with s + s(s-1)/2 <= n, the partitions
-    of n - s(s-1)/2 whose smallest part is s.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    s = 1
-    while s + s * (s - 1) // 2 <= n:
-        rest = n - s * (s - 1) // 2
-        for pi in enumerate_partitions(rest):
-            if pi and pi[-1] == s:
-                yield PartitionPair(pi, s)
-        s += 1
 
 
 # ----------------------------------------------------------------------
@@ -185,28 +162,35 @@ def m2(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _odd_smallest_parts(m: int) -> tuple[int, ...]:
+    """Entry s: smallest-part count over the partitions of m that satisfy
+    the odd condition and have smallest part s (entry 0 stays 0)."""
+    counts = [0] * (m + 1)
+    for pi in enumerate_partitions(m):
+        if odd_condition(pi):
+            counts[pi[-1]] += pi.count(pi[-1])
+    return tuple(counts)
+
+
 def spt_o_plus(n: int) -> int:
     """Smallest-part count over partitions of n satisfying the odd condition."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return sum(
-        pi.count(pi[-1])
-        for pi in enumerate_partitions(n)
-        if odd_condition(pi)
-    )
+    return sum(_odd_smallest_parts(n))
 
 
-@lru_cache(maxsize=None)
 def spt_o_minus(n: int) -> int:
-    """Smallest-part count over partition pairs of total size n whose
-    partition component satisfies the odd condition."""
+    """Smallest-part count over pairs (pi, delta_s) of total size n, where
+    pi satisfies the odd condition, s is its smallest part and delta_s is
+    the staircase (s-1, ..., 1) of size s(s-1)/2."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return sum(
-        pair.pi.count(pair.delta_index)
-        for pair in partition_pairs(n)
-        if odd_condition(pair.pi)
-    )
+    total = 0
+    s = 1
+    while s + s * (s - 1) // 2 <= n:
+        total += _odd_smallest_parts(n - s * (s - 1) // 2)[s]
+        s += 1
+    return total
 
 
 def spt_o(n: int) -> int:

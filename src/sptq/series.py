@@ -210,15 +210,9 @@ def qpoch_inf(start: int, step: int, order: int) -> TruncatedSeries:
     ones are congruent to 1 modulo q^(order+1), so the result equals the
     infinite product at this truncation.
     """
-    _check_order(order)
     if start < 1 or step < 1:
         raise ValueError("start and step must be >= 1")
-    c = [0] * (order + 1)
-    c[0] = 1
-    for e in range(start, order + 1, step):
-        for k in range(order, e - 1, -1):
-            c[k] -= c[k - e]
-    return TruncatedSeries(tuple(c))
+    return qpoch_fin(start, step, max(0, (order - start) // step + 1), order)
 
 
 def qpoch_fin(start: int, step: int, count: int, order: int) -> TruncatedSeries:
@@ -230,10 +224,7 @@ def qpoch_fin(start: int, step: int, count: int, order: int) -> TruncatedSeries:
         raise ValueError("factor count must be >= 0")
     c = [0] * (order + 1)
     c[0] = 1
-    for j in range(count):
-        e = start + j * step
-        if e > order:
-            continue
+    for e in range(start, min(start + count * step, order + 1), step):
         for k in range(order, e - 1, -1):
             c[k] -= c[k - e]
     return TruncatedSeries(tuple(c))

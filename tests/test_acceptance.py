@@ -24,8 +24,7 @@ def _announce(num, label, ok, extra=""):
 
 
 def _cold_start():
-    I._eq2_eq3_lhs.cache_clear()
-    I.lhs_gf_note.cache_clear()
+    I._smallest_part_lhs.cache_clear()
     I.lhs_eq1.cache_clear()
     P.n2.cache_clear()
     P.m2.cache_clear()
@@ -102,7 +101,7 @@ def test_c07_odd_coefficients_agree_and_match_product():
 
 
 def test_c08_congruences_to_240():
-    I.lhs_gf_note.cache_clear()
+    I._smallest_part_lhs.cache_clear()
     t0 = time.perf_counter()
     reports = [I.verify(c, 240) for c in ("cong5", "cong7", "cong13")]
     elapsed = time.perf_counter() - t0

@@ -79,6 +79,15 @@ def test_compute_out_file(cache_dir, tmp_path):
     assert out.read_text().splitlines() == ["n,value", "1,1", "2,3", "3,4"]
 
 
+def test_compute_unwritable_out_is_exit_two(cache_dir, tmp_path):
+    out = tmp_path / "missing" / "table.csv"
+    r = run_cli("compute", "--sequence", "sigma", "--lo", "1", "--hi", "3",
+                "--out", str(out), "--cache-dir", str(cache_dir))
+    assert r.returncode == 2
+    assert f"error: cannot write {out}" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_compute_cold_and_warm_cache_are_byte_identical(cache_dir):
     args = ("compute", "--sequence", "p", "--lo", "0", "--hi", "20",
             "--cache-dir", str(cache_dir))
@@ -191,6 +200,16 @@ def test_verify_report_file(tmp_path):
                 "--report", str(out))
     assert r.returncode == 0
     assert json.loads(out.read_text())[0]["status"] == "pass"
+
+
+def test_verify_unwritable_report_is_exit_two(tmp_path):
+    # exit 1 would claim a failed check; every check here passes
+    out = tmp_path / "missing" / "report.json"
+    r = run_cli("verify", "--identity", "sigma_doubling", "--order", "50",
+                "--report", str(out))
+    assert r.returncode == 2
+    assert f"error: cannot write {out}" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_verify_exit_code_one_on_failed_check(monkeypatch, capsys):

@@ -64,23 +64,6 @@ def test_enumeration_count_matches_series():
         assert sum(1 for _ in P.enumerate_partitions(n)) == inv.coeff(n)
 
 
-def test_partition_pairs_of_three():
-    pairs = list(P.partition_pairs(3))
-    assert pairs == [
-        P.PartitionPair((2, 1), 1),
-        P.PartitionPair((1, 1, 1), 1),
-        P.PartitionPair((2,), 2),
-    ]
-
-
-def test_partition_pair_invariants():
-    for n in range(1, 13):
-        for pair in P.partition_pairs(n):
-            s = pair.delta_index
-            assert s == pair.pi[-1]
-            assert sum(pair.pi) + s * (s - 1) // 2 == n
-
-
 # ----------------------------------------------------------------------
 # p and sigma
 # ----------------------------------------------------------------------
@@ -194,6 +177,23 @@ def test_frozen_tables():
     assert [P.spt_o(n) for n in range(1, 15)] == SPT_O
     assert [P.n2(n) for n in range(1, 15)] == N2
     assert [P.m2(n) for n in range(1, 15)] == M2
+
+
+def test_spt_o_plus_and_minus_walk_each_size_once(monkeypatch):
+    walked = Counter()
+    enumerate_partitions = P.enumerate_partitions
+
+    def counting(n):
+        walked[n] += 1
+        return enumerate_partitions(n)
+
+    P._odd_smallest_parts.cache_clear()
+    monkeypatch.setattr(P, "enumerate_partitions", counting)
+    for n in range(1, 21):
+        P.spt_o_plus(n)
+        P.spt_o_minus(n)
+    assert sorted(walked) == list(range(1, 21))
+    assert set(walked.values()) == {1}
 
 
 def test_t4():
