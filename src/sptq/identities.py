@@ -230,15 +230,23 @@ def _theta_correction(order: int) -> TruncatedSeries:
     return total
 
 
+def _n2_series(order: int) -> TruncatedSeries:
+    """-2 * theta correction / (q;q)_inf, whose q^n coefficient is the rank
+    moment N2(n)."""
+    return -2 * (qpoch_inf(1, 1, order).invert() * _theta_correction(order))
+
+
+def _m2_series(order: int) -> TruncatedSeries:
+    """sum 2 n p(n) q^n, whose q^n coefficient is the crank moment M2(n)."""
+    return TruncatedSeries(tuple(2 * n * partitions.p(n) for n in range(order + 1)))
+
+
 def rhs_eq1_doubled(order: int) -> TruncatedSeries:
-    """2 sum n p(n) q^n + 2 * theta correction / (q;q)_inf."""
+    """2 sum n p(n) q^n + 2 * theta correction / (q;q)_inf, that is the M2
+    series minus the N2 series."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    np_series = TruncatedSeries(
-        tuple(n * partitions.p(n) for n in range(order + 1))
-    )
-    corr = qpoch_inf(1, 1, order).invert() * _theta_correction(order)
-    return 2 * np_series + 2 * corr
+    return _m2_series(order) - _n2_series(order)
 
 
 def rhs_eq23(order: int) -> TruncatedSeries:
@@ -412,13 +420,12 @@ def even_parity_report(order: int) -> tuple[int, int]:
 def _run_eq1(order):
     mm = _series_mismatches(2 * lhs_eq1(order), rhs_eq1_doubled(order))
     # the theta correction over (q;q)_inf carries exactly -1/2 the rank
-    # moments; checked doubled, at desk scale
+    # moments; checked against enumeration, at desk scale
     sub = min(order, ENUM_CAP)
-    got = 2 * (qpoch_inf(1, 1, sub).invert() * _theta_correction(sub))
     want = TruncatedSeries(
-        tuple(0 if n == 0 else -partitions.n2(n) for n in range(sub + 1))
+        tuple(0 if n == 0 else partitions.n2(n) for n in range(sub + 1))
     )
-    mm += _series_mismatches(got, want)
+    mm += _series_mismatches(_n2_series(sub), want)
     return order, mm
 
 

@@ -1,11 +1,15 @@
 """Integer partition enumeration and exact counting functions.
 
-Enumeration is the ground truth here: rank/crank second moments and all
-smallest-part counts are literal sums over every partition of n, so they
-stay independent of the generating-function machinery they are used to
-cross-check.  Only p(n) (pentagonal-number recurrence) and sigma(n)
-(divisor sums) use closed forms, so that series work can run far past
-enumeration scale.
+The per-n counting functions are the ground truth here: rank/crank second
+moments and all smallest-part counts are literal sums over every partition
+of n, so they stay independent of the generating-function machinery they
+are used to cross-check.  Only p(n) (pentagonal-number recurrence),
+sigma(n) (divisor sums) and t4(n) use closed forms, so that series work
+can run far past enumeration scale.
+
+Tables are another matter: ``sequence`` reads spt, spt_o_plus,
+spt_o_minus, spt_o, n2 and m2 off their generating series, built once at
+order hi, and leaves enumeration to the checks that pin those series.
 
 The two odd-condition counts share one walk per size.  A pair counted by
 spt_o_minus(n) is a partition pi with smallest part s plus the staircase
@@ -257,8 +261,26 @@ def sequence_domain_min(name: str) -> int:
     return _SEQUENCES[name][1]
 
 
+# sequences whose tables are read off a generating series: name -> the
+# ``identities`` builder of that series, looked up when a table is built
+_SERIES_ROUTES = {
+    "spt": "lhs_eq1",
+    "spt_o_plus": "lhs_eq2",
+    "spt_o_minus": "lhs_eq3",
+    "spt_o": "lhs_gf_note",
+    "n2": "_n2_series",
+    "m2": "_m2_series",
+}
+
+
 def sequence(name: str, lo: int, hi: int) -> SequenceTable:
-    """Table of values of a registered sequence on the inclusive range lo..hi."""
+    """Table of values of a registered sequence on the inclusive range lo..hi.
+
+    The sequences in ``_SERIES_ROUTES`` take coefficients lo..hi of one
+    generating series built at order hi; p, sigma and t4 evaluate their
+    closed forms at each k.  Tests pin every series route to the per-n
+    enumeration function registered in ``_SEQUENCES``.
+    """
     if name not in _SEQUENCES:
         raise ValueError(f"unknown sequence {name!r}; known: {', '.join(_SEQUENCES)}")
     fn, lo_min = _SEQUENCES[name]
@@ -266,4 +288,9 @@ def sequence(name: str, lo: int, hi: int) -> SequenceTable:
         raise ValueError(f"empty range {lo}..{hi}")
     if lo < lo_min:
         raise ValueError(f"sequence {name!r} is defined for n >= {lo_min}")
+    if name in _SERIES_ROUTES:
+        from . import identities  # imported here: identities imports this module
+
+        series = getattr(identities, _SERIES_ROUTES[name])(hi)
+        return SequenceTable(name, lo, hi, series.coeffs[lo : hi + 1])
     return SequenceTable(name, lo, hi, tuple(fn(k) for k in range(lo, hi + 1)))

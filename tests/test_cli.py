@@ -89,14 +89,37 @@ def test_compute_unwritable_out_is_exit_two(cache_dir, tmp_path):
 
 
 def test_compute_cold_and_warm_cache_are_byte_identical(cache_dir):
-    args = ("compute", "--sequence", "p", "--lo", "0", "--hi", "20",
-            "--cache-dir", str(cache_dir))
-    cold = run_cli(*args)
-    assert cold.returncode == 0
-    assert (cache_dir / "p.json").exists()
-    warm = run_cli(*args)
-    assert warm.returncode == 0
-    assert warm.stdout == cold.stdout
+    # spt_o is read off its generating series on a miss, p off its closed form
+    cases = [("p", "0", "json")] + [("spt_o", "1", fmt) for fmt in ("json", "csv", "text")]
+    for name, lo, fmt in cases:
+        case_dir = cache_dir / f"{name}-{fmt}"
+        args = ("compute", "--sequence", name, "--lo", lo, "--hi", "20",
+                "--format", fmt, "--cache-dir", str(case_dir))
+        cold = run_cli(*args)
+        assert cold.returncode == 0
+        assert (case_dir / f"{name}.json").exists()
+        warm = run_cli(*args)
+        assert warm.returncode == 0
+        assert warm.stdout == cold.stdout
+
+
+@pytest.mark.parametrize(
+    "name", ["spt", "spt_o_plus", "spt_o_minus", "spt_o", "n2", "m2"])
+def test_compute_reads_tables_off_series_without_enumerating(
+        name, tmp_path, monkeypatch, capsys):
+    from sptq import cli, partitions
+
+    def refuse(n):
+        raise AssertionError(f"compute enumerated the partitions of {n}")
+
+    monkeypatch.setattr(partitions, "enumerate_partitions", refuse)
+    code = cli.main(["compute", "--sequence", name, "--lo", "1", "--hi", "60",
+                     "--format", "csv", "--cache-dir", str(tmp_path)])
+    assert code == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 61
+    if name == "spt":
+        assert rows[-1] == "60,6144561"
 
 
 def test_compute_cache_subrange_reuse(cache_dir):

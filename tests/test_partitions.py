@@ -275,6 +275,15 @@ def test_sequence_tables():
     assert P.sequence("t4", 0, 2).values == (1, 4, 6)
 
 
+@pytest.mark.parametrize(
+    "name", ["spt", "spt_o_plus", "spt_o_minus", "spt_o", "n2", "m2"])
+def test_series_routed_table_matches_enumeration(name):
+    # the table is read off a generating series; the per-n function of the
+    # same name enumerates partitions, so the two constructions pin each other
+    oracle = getattr(P, name)
+    assert P.sequence(name, 1, 30).values == tuple(oracle(n) for n in range(1, 31))
+
+
 def test_sequence_errors():
     with pytest.raises(ValueError):
         P.sequence("unknown", 1, 2)
