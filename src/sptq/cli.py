@@ -31,15 +31,20 @@ def _cache_path(cache_dir: Path, name: str) -> Path:
 
 def _cache_entry(cache_dir: Path, name: str):
     """The cached table for ``name`` as a SequenceTable, or None when it is
-    missing, unreadable, of another name or version, or holds a value count
-    that does not match its range."""
+    missing, unreadable, of another name or version, or not exactly what
+    ``_cache_store`` writes: integer bounds and a list of decimal strings
+    whose count matches the range."""
     try:
         with open(_cache_path(cache_dir, name)) as fh:
             entry = json.load(fh)
         if entry["name"] != name or entry["version"] != __version__:
             return None
-        values = tuple(int(v) for v in entry["values"])
-        return partitions.SequenceTable(name, int(entry["lo"]), int(entry["hi"]), values)
+        lo, hi, values = entry["lo"], entry["hi"], entry["values"]
+        if type(lo) is not int or type(hi) is not int or type(values) is not list:
+            return None
+        if not all(type(v) is str and str(int(v)) == v for v in values):
+            return None
+        return partitions.SequenceTable(name, lo, hi, tuple(int(v) for v in values))
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError):
         return None
 

@@ -189,9 +189,9 @@ def lhs_eq1(order: int) -> TruncatedSeries:
 # ----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _even_part_inverse(order: int) -> TruncatedSeries:
-    return qpoch_inf(2, 2, order).invert()  # 1/(q^2;q^2)_inf
+def _lambert_over_even_doubled(order: int) -> TruncatedSeries:
+    """2 * Lambert/(q^2;q^2)_inf, the main term of both doubled right sides."""
+    return 2 * (qpoch_inf(2, 2, order).invert() * lambert_sigma(order))
 
 
 def _moment_even_series(order: int, moment: Callable[[int], int]) -> TruncatedSeries:
@@ -206,16 +206,14 @@ def rhs_eq2_doubled(order: int) -> TruncatedSeries:
     """2 * Lambert/(q^2;q^2)_inf minus the rank moments N2(n) at q^(2n)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    main = 2 * (_even_part_inverse(order) * lambert_sigma(order))
-    return main - _moment_even_series(order, partitions.n2)
+    return _lambert_over_even_doubled(order) - _moment_even_series(order, partitions.n2)
 
 
 def rhs_eq3_doubled(order: int) -> TruncatedSeries:
     """Same with the crank moments M2(n)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    main = 2 * (_even_part_inverse(order) * lambert_sigma(order))
-    return main - _moment_even_series(order, partitions.m2)
+    return _lambert_over_even_doubled(order) - _moment_even_series(order, partitions.m2)
 
 
 def _theta_correction(order: int) -> TruncatedSeries:
@@ -366,7 +364,7 @@ def check_eq12(pair: BaileyPair, order: int) -> list[Mismatch]:
 def _termwise_mismatches(order: int, n_max: int = 12) -> list[Mismatch]:
     """Each differentiated-lemma summand over (q^2;q^2)_inf equals the
     matching Pochhammer-quotient summand: C1 pairs with eq2, C5 with eq3."""
-    inv_even = _even_part_inverse(order)
+    inv_even = qpoch_inf(2, 2, order).invert()  # 1/(q^2;q^2)_inf
     out = []
     for label, direct in (("C1", eq2_summand), ("C5", eq3_summand)):
         pair = bailey_pair(label)
@@ -495,7 +493,7 @@ def _run_eq13(order):
     sigma_series = TruncatedSeries(
         tuple(partitions.sigma(n) for n in range(used + 1))
     )
-    rhs = 2 * (_even_part_inverse(used) * sigma_series) - _moment_even_series(
+    rhs = 2 * (qpoch_inf(2, 2, used).invert() * sigma_series) - _moment_even_series(
         used, partitions.n2
     )
     return used, _series_mismatches(lhs, rhs)

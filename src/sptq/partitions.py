@@ -11,12 +11,12 @@ Tables are another matter: ``sequence`` reads spt, spt_o_plus,
 spt_o_minus, spt_o, n2 and m2 off their generating series, built once at
 order hi, and leaves enumeration to the checks that pin those series.
 
-The two odd-condition counts share one walk per size.  A pair counted by
-spt_o_minus(n) is a partition pi with smallest part s plus the staircase
-(s-1, ..., 1), which s fixes, so spt_o_minus(n) sums over s the
-odd-condition count of the partitions of n - s(s-1)/2 whose smallest part
-is s.  ``_odd_smallest_parts(m)`` records that count for every s in one
-walk over the partitions of m; spt_o_plus(n) is its total at m = n.
+One walk per size gives all five enumerated statistics: ``_statistics(m)``
+returns spt(m), N2(m), the bare crank moment and, per smallest part s, the
+odd-condition smallest-part count over the partitions of m.  spt_o_plus(n)
+totals those counts at m = n.  A pair counted by spt_o_minus(n) is a
+partition pi with smallest part s plus the staircase (s-1, ..., 1), which s
+fixes, so spt_o_minus(n) sums over s the count at s of m = n - s(s-1)/2.
 
 Partitions are plain weakly decreasing tuples of positive ints; n = 0 has
 exactly the empty partition.  Enumeration order is lexicographically
@@ -135,22 +135,33 @@ def sigma(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _statistics(n: int) -> tuple[int, int, int, tuple[int, ...]]:
+    """spt(n), N2(n), the bare crank moment of n (1 at n = 1) and, indexed by
+    smallest part, the odd-condition smallest-part counts, in one walk."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    smallest = rank_sq = crank_sq = 0
+    odd = [0] * (n + 1)
+    for pi in enumerate_partitions(n):
+        count = pi.count(pi[-1])
+        smallest += count
+        rank_sq += rank(pi) ** 2
+        crank_sq += crank(pi) ** 2
+        if odd_condition(pi):
+            odd[pi[-1]] += count
+    return smallest, rank_sq, crank_sq, tuple(odd)
+
+
 def spt(n: int) -> int:
     """Total number of smallest parts over all partitions of n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return sum(pi.count(pi[-1]) for pi in enumerate_partitions(n))
+    return _statistics(n)[0]
 
 
-@lru_cache(maxsize=None)
 def n2(n: int) -> int:
     """Second rank moment: sum of rank(pi)^2 over partitions of n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return sum(rank(pi) ** 2 for pi in enumerate_partitions(n))
+    return _statistics(n)[1]
 
 
-@lru_cache(maxsize=None)
 def m2(n: int) -> int:
     """Second crank moment: sum of crank(pi)^2 over partitions of n.
 
@@ -158,29 +169,12 @@ def m2(n: int) -> int:
     the moment relation M2(n) = 2 n p(n) is only an identity with the
     standard adjusted crank counts at n = 1.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return 2
-    return sum(crank(pi) ** 2 for pi in enumerate_partitions(n))
-
-
-@lru_cache(maxsize=None)
-def _odd_smallest_parts(m: int) -> tuple[int, ...]:
-    """Entry s: smallest-part count over the partitions of m that satisfy
-    the odd condition and have smallest part s (entry 0 stays 0)."""
-    counts = [0] * (m + 1)
-    for pi in enumerate_partitions(m):
-        if odd_condition(pi):
-            counts[pi[-1]] += pi.count(pi[-1])
-    return tuple(counts)
+    return 2 if n == 1 else _statistics(n)[2]
 
 
 def spt_o_plus(n: int) -> int:
     """Smallest-part count over partitions of n satisfying the odd condition."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return sum(_odd_smallest_parts(n))
+    return sum(_statistics(n)[3])
 
 
 def spt_o_minus(n: int) -> int:
@@ -192,7 +186,7 @@ def spt_o_minus(n: int) -> int:
     total = 0
     s = 1
     while s + s * (s - 1) // 2 <= n:
-        total += _odd_smallest_parts(n - s * (s - 1) // 2)[s]
+        total += _statistics(n - s * (s - 1) // 2)[3][s]
         s += 1
     return total
 

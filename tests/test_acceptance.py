@@ -23,15 +23,7 @@ def _announce(num, label, ok, extra=""):
     assert ok, f"criterion {num} failed: {label}"
 
 
-def _cold_start():
-    I._smallest_part_lhs.cache_clear()
-    I.lhs_eq1.cache_clear()
-    P.n2.cache_clear()
-    P.m2.cache_clear()
-
-
-def test_c01_identity_eq2_doubled_at_60():
-    _cold_start()
+def test_c01_identity_eq2_doubled_at_60(cold_memos):
     t0 = time.perf_counter()
     report = I.verify("eq2", 60)
     elapsed = time.perf_counter() - t0
@@ -100,8 +92,7 @@ def test_c07_odd_coefficients_agree_and_match_product():
                  "product form (5 at q^3, 12 at q^5)", ok)
 
 
-def test_c08_congruences_to_240():
-    I._smallest_part_lhs.cache_clear()
+def test_c08_congruences_to_240(cold_memos):
     t0 = time.perf_counter()
     reports = [I.verify(c, 240) for c in ("cong5", "cong7", "cong13")]
     elapsed = time.perf_counter() - t0

@@ -135,13 +135,25 @@ def test_compute_cache_subrange_reuse(cache_dir):
 
 
 def test_compute_corrupt_cache_is_recomputed(cache_dir):
+    from sptq import __version__
+
     cache_dir.mkdir(parents=True)
-    for corrupt in ("{not json", "[]"):
+    # entries that parse but are not what the cache writes: a string in
+    # place of the value list, and floats in place of decimal strings
+    malformed = [
+        json.dumps({"name": "spt", "lo": 1, "hi": 3, "values": values,
+                    "version": __version__})
+        for values in ("999", [1.7, 1, 2])
+    ]
+    for corrupt in ("{not json", "[]", *malformed):
         (cache_dir / "spt.json").write_text(corrupt)
         r = run_cli("compute", "--sequence", "spt", "--lo", "1", "--hi", "3",
                     "--cache-dir", str(cache_dir))
         assert r.returncode == 0
         assert json.loads(r.stdout)["values"] == ["1", "3", "5"]
+        # the bad entry is replaced by the recomputed table
+        assert json.loads((cache_dir / "spt.json").read_text())["values"] == [
+            "1", "3", "5"]
 
 
 def test_compute_short_cache_entry_is_recomputed(cache_dir):

@@ -4,6 +4,8 @@ Coefficient prefixes are frozen from the enumeration oracles; the builders
 being tested never see those oracles while computing.
 """
 
+from collections import Counter
+
 import pytest
 
 from sptq import partitions as P
@@ -285,6 +287,34 @@ def test_verify_all_runs_everything_in_order():
     reports = I.verify_all(12)
     assert [r.id for r in reports] == list(I.REGISTRY)
     assert all(r.status == "pass" for r in reports)
+
+
+def test_verify_all_walks_each_enumerated_size_once(cold_memos, monkeypatch):
+    walked, listed = Counter(), Counter()
+    enumerate_partitions = P.enumerate_partitions
+
+    def counting(n):
+        walked[n] += 1
+        for pi in enumerate_partitions(n):
+            listed[n] += 1
+            yield pi
+
+    monkeypatch.setattr(P, "enumerate_partitions", counting)
+    assert all(r.status == "pass" for r in I.verify_all(80))
+    assert walked == Counter(range(1, I.ENUM_CAP + 1))
+    assert sum(listed.values()) == sum(P.p(n) for n in range(1, I.ENUM_CAP + 1)) == 28628
+
+
+def test_memo_reuse_across_orders_keeps_reports(cold_memos):
+    def outcome(reports):
+        return [(r.id, r.order, r.status, r.mismatch_total, r.mismatches)
+                for r in reports]
+
+    cold = outcome(I.verify_all(40))
+    for memo in cold_memos:
+        memo.cache_clear()
+    I.verify_all(80)
+    assert outcome(I.verify_all(40)) == cold
 
 
 def test_gf_note_even_part_is_spt_and_odd_part_vanishes():

@@ -146,6 +146,8 @@ def test_m2_examples():
     assert P.m2(3) == 2 * 3 * P.p(3)
     with pytest.raises(ValueError):
         P.m2(-1)
+    with pytest.raises(ValueError):
+        P.m2(0)
 
 
 def test_spt_o_plus_examples():
@@ -154,6 +156,8 @@ def test_spt_o_plus_examples():
     # enumeration over (4),(2,2),(2,1,1),(1,1,1,1) with weights 1,2,2,4;
     # quoted worked value 7 misses (2,1,1), see README
     assert P.spt_o_plus(4) == 9
+    with pytest.raises(ValueError):
+        P.spt_o_plus(0)
 
 
 def test_spt_o_minus_examples():
@@ -162,12 +166,16 @@ def test_spt_o_minus_examples():
     # quoted worked value 18 admits odd parts above twice the smallest;
     # the stated condition gives 16, see README
     assert P.spt_o_minus(6) == 16
+    with pytest.raises(ValueError):
+        P.spt_o_minus(0)
 
 
 def test_spt_o_examples():
     assert P.spt_o(4) == 3
     assert P.spt_o(6) == 5
     assert P.spt_o(1) == 0
+    with pytest.raises(ValueError):
+        P.spt_o(-1)
 
 
 def test_frozen_tables():
@@ -179,7 +187,7 @@ def test_frozen_tables():
     assert [P.m2(n) for n in range(1, 15)] == M2
 
 
-def test_spt_o_plus_and_minus_walk_each_size_once(monkeypatch):
+def test_enumerated_statistics_walk_each_size_once(cold_memos, monkeypatch):
     walked = Counter()
     enumerate_partitions = P.enumerate_partitions
 
@@ -187,13 +195,11 @@ def test_spt_o_plus_and_minus_walk_each_size_once(monkeypatch):
         walked[n] += 1
         return enumerate_partitions(n)
 
-    P._odd_smallest_parts.cache_clear()
     monkeypatch.setattr(P, "enumerate_partitions", counting)
     for n in range(1, 21):
-        P.spt_o_plus(n)
-        P.spt_o_minus(n)
-    assert sorted(walked) == list(range(1, 21))
-    assert set(walked.values()) == {1}
+        for statistic in (P.spt, P.n2, P.m2, P.spt_o_plus, P.spt_o_minus):
+            statistic(n)
+    assert walked == Counter(range(1, 21))
 
 
 def test_t4():
