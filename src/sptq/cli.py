@@ -97,8 +97,7 @@ def _emit(text: str, path, code: int) -> int:
 def _cmd_compute(args) -> int:
     cache_dir = Path(args.cache_dir) if args.cache_dir else _default_cache_dir()
     try:
-        if args.lo > args.hi:
-            raise ValueError(f"empty range {args.lo}..{args.hi}")
+        partitions.check_range(args.sequence, args.lo, args.hi)  # before the cache
         values = _cache_load(cache_dir, args.sequence, args.lo, args.hi)
         if values is None:
             table = partitions.sequence(args.sequence, args.lo, args.hi)

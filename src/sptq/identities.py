@@ -16,6 +16,7 @@ order is the one actually used.
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from . import partitions
@@ -25,12 +26,12 @@ from .series import (
     lambert_sigma,
     monomial,
     one,
-    qpoch_fin,
     qpoch_inf,
     zero,
 )
 
 ENUM_CAP = 30  # largest n any enumeration-backed table is asked for
+TERMWISE_N = 12  # termwise_eq2 compares the summands n = 1..TERMWISE_N
 
 
 # ----------------------------------------------------------------------
@@ -100,27 +101,13 @@ def _first_difference(index: int, lhs, rhs) -> list[Mismatch]:
 # ----------------------------------------------------------------------
 
 
-def eq2_summand(n: int, order: int) -> TruncatedSeries:
-    """q^n (q^(2n+1);q^2)_inf / ((1-q^n)^2 (q^(n+1);q)_inf), directly."""
-    return (
-        geom_sq(n, order)
-        * qpoch_inf(2 * n + 1, 2, order)
-        * qpoch_inf(n + 1, 1, order).invert()
-    )
-
-
-def eq3_summand(n: int, order: int) -> TruncatedSeries:
-    """Same quotient with numerator q^(n(n+1)/2) instead of q^n."""
-    return monomial(n * (n - 1) // 2, 1, order) * eq2_summand(n, order)
-
-
 def _smallest_part_summands(order: int) -> Iterator[tuple[int, TruncatedSeries]]:
-    """Yield (n, eq2_summand(n)) for n = 1..order, sharing work between n.
+    """Yield (n, q^n Q_n / (1-q^n)^2) for n = 1..order, the eq. (2) summands,
+    where Q_n = (q^(2n+1);q^2)_inf / (q^(n+1);q)_inf.
 
-    The quotient (q^(2n+1);q^2)_inf / (q^(n+1);q)_inf steps to n+1 by
-    dividing out (1 - q^(2n+1)) and multiplying in (1 - q^(n+1)), both
-    O(order); each summand is then the sparse geom_sq(n) times it.  Tests
-    pin equality with the direct construction.
+    Q_n steps to Q_(n+1) by dividing out (1 - q^(2n+1)) and multiplying in
+    (1 - q^(n+1)); the summand is Q_n divided twice by (1 - q^n), shifted
+    by n.  All O(order).  Tests pin it to the direct dense construction.
     """
     if order < 1:
         return
@@ -128,7 +115,8 @@ def _smallest_part_summands(order: int) -> Iterator[tuple[int, TruncatedSeries]]
     for n in range(1, order + 1):
         if n > 1:
             quotient = quotient.divided_by_one_minus(2 * n - 1).times_one_minus(n)
-        yield n, geom_sq(n, order) * quotient
+        summand = quotient.divided_by_one_minus(n).divided_by_one_minus(n)
+        yield n, monomial(n, 1, order) * summand
 
 
 @lru_cache(maxsize=None)
@@ -290,8 +278,10 @@ class BaileyPair:
         return monomial(e, sign, order) + monomial(e + 2 * m, sign, order)
 
     def beta(self, n: int, order: int) -> TruncatedSeries:
-        base = (qpoch_fin(1, 1, n, order) * qpoch_fin(1, 2, n, order)).invert()
-        return monomial(self.beta_exponent(n), 1, order) * base
+        out = monomial(self.beta_exponent(n), 1, order)
+        for k in range(1, n + 1):
+            out = out.divided_by_one_minus(k).divided_by_one_minus(2 * k - 1)
+        return out
 
 
 _BAILEY_PAIRS = {
@@ -322,28 +312,37 @@ def check_bailey_relation(pair: BaileyPair, n_max: int, order: int) -> list[Mism
     for n in range(n_max + 1):
         acc = zero(order)
         for r in range(n + 1):
-            acc = acc + pair.alpha(r, order) * inv_fin[n + r] * inv_fin[n - r]
+            denominator_inverse = inv_fin[n + r]
+            for k in range(1, n - r + 1):
+                denominator_inverse = denominator_inverse.divided_by_one_minus(k)
+            acc = acc + pair.alpha(r, order) * denominator_inverse
         out += _first_difference(n, pair.beta(n, order), acc)
     return out
 
 
-def eq12_lhs(pair: BaileyPair, order: int) -> TruncatedSeries:
-    """sum_{n>=1} (q;q)_{n-1}^2 beta_n q^n.
+def _eq12_summands(
+    pair: BaileyPair, order: int
+) -> Iterator[tuple[int, TruncatedSeries]]:
+    """Yield (n, (q;q)_{n-1}^2 beta_n q^n) for each n whose summand is not
+    zero at this order.
 
     With beta_n written out, the n-th summand is q^(n + beta_exponent(n))
     times T_n = (q;q)_{n-1} / ((1-q^n) (q;q^2)_n), and T_{n+1} is T_n times
     (1-q^n)^2 / ((1-q^(n+1)) (1-q^(2n+1))): four O(order) updates per step.
     """
-    total = zero(order)
     quotient = one(order).divided_by_one_minus(1).divided_by_one_minus(1)  # T_1
     n = 1
     while n + pair.beta_exponent(n) <= order:
         if n > 1:
             quotient = quotient.times_one_minus(n - 1).times_one_minus(n - 1)
             quotient = quotient.divided_by_one_minus(n).divided_by_one_minus(2 * n - 1)
-        total = total + monomial(n + pair.beta_exponent(n), 1, order) * quotient
+        yield n, monomial(n + pair.beta_exponent(n), 1, order) * quotient
         n += 1
-    return total
+
+
+def eq12_lhs(pair: BaileyPair, order: int) -> TruncatedSeries:
+    """sum_{n>=1} (q;q)_{n-1}^2 beta_n q^n."""
+    return sum((term for _, term in _eq12_summands(pair, order)), zero(order))
 
 
 def eq12_rhs(pair: BaileyPair, order: int) -> TruncatedSeries:
@@ -361,17 +360,20 @@ def check_eq12(pair: BaileyPair, order: int) -> list[Mismatch]:
     return _series_mismatches(eq12_lhs(pair, order), eq12_rhs(pair, order))
 
 
-def _termwise_mismatches(order: int, n_max: int = 12) -> list[Mismatch]:
-    """Each differentiated-lemma summand over (q^2;q^2)_inf equals the
-    matching Pochhammer-quotient summand: C1 pairs with eq2, C5 with eq3."""
-    inv_even = qpoch_inf(2, 2, order).invert()  # 1/(q^2;q^2)_inf
+def _termwise_mismatches(order: int) -> list[Mismatch]:
+    """Each differentiated-lemma summand equals (q^2;q^2)_inf times the
+    matching quotient summand: C1 pairs with eq2, C5 with eq3, whose extra
+    q^(n(n-1)/2) is stated here, not read off the pair, so that a wrong
+    beta_exponent shows.  (q^2;q^2)_inf is pentagonal-sparse, so each
+    product is O(order^1.5)."""
+    even = qpoch_inf(2, 2, order)
+    quotients = list(islice(_smallest_part_summands(order), TERMWISE_N))
     out = []
-    for label, direct in (("C1", eq2_summand), ("C5", eq3_summand)):
-        pair = bailey_pair(label)
-        for n in range(1, n_max + 1):
-            fin = qpoch_fin(1, 1, n - 1, order)
-            lhs = fin * fin * pair.beta(n, order) * monomial(n, 1, order) * inv_even
-            out += _first_difference(n, lhs, direct(n, order))
+    for label, shift in (("C1", lambda n: 0), ("C5", lambda n: n * (n - 1) // 2)):
+        terms = dict(islice(_eq12_summands(bailey_pair(label), order), TERMWISE_N))
+        for n, quotient in quotients:
+            rhs = even * monomial(shift(n), 1, order) * quotient
+            out += _first_difference(n, terms.get(n, zero(order)), rhs)
     return out
 
 
@@ -490,13 +492,7 @@ def _run_eq13(order):
     lhs = TruncatedSeries(
         tuple(0 if n == 0 else 2 * partitions.spt_o_plus(n) for n in range(used + 1))
     )
-    sigma_series = TruncatedSeries(
-        tuple(partitions.sigma(n) for n in range(used + 1))
-    )
-    rhs = 2 * (qpoch_inf(2, 2, used).invert() * sigma_series) - _moment_even_series(
-        used, partitions.n2
-    )
-    return used, _series_mismatches(lhs, rhs)
+    return used, _series_mismatches(lhs, rhs_eq2_doubled(used))
 
 
 def _run_eq14(order):

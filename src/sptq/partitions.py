@@ -251,8 +251,17 @@ def sequence_ids() -> tuple[str, ...]:
 
 def sequence_domain_min(name: str) -> int:
     if name not in _SEQUENCES:
-        raise ValueError(f"unknown sequence {name!r}")
+        raise ValueError(f"unknown sequence {name!r}; known: {', '.join(_SEQUENCES)}")
     return _SEQUENCES[name][1]
+
+
+def check_range(name: str, lo: int, hi: int) -> None:
+    """ValueError unless lo..hi is non-empty and inside the domain of ``name``."""
+    if lo > hi:
+        raise ValueError(f"empty range {lo}..{hi}")
+    lo_min = sequence_domain_min(name)
+    if lo < lo_min:
+        raise ValueError(f"sequence {name!r} is defined for n >= {lo_min}")
 
 
 # sequences whose tables are read off a generating series: name -> the
@@ -275,16 +284,11 @@ def sequence(name: str, lo: int, hi: int) -> SequenceTable:
     closed forms at each k.  Tests pin every series route to the per-n
     enumeration function registered in ``_SEQUENCES``.
     """
-    if name not in _SEQUENCES:
-        raise ValueError(f"unknown sequence {name!r}; known: {', '.join(_SEQUENCES)}")
-    fn, lo_min = _SEQUENCES[name]
-    if lo > hi:
-        raise ValueError(f"empty range {lo}..{hi}")
-    if lo < lo_min:
-        raise ValueError(f"sequence {name!r} is defined for n >= {lo_min}")
+    check_range(name, lo, hi)
     if name in _SERIES_ROUTES:
         from . import identities  # imported here: identities imports this module
 
         series = getattr(identities, _SERIES_ROUTES[name])(hi)
         return SequenceTable(name, lo, hi, series.coeffs[lo : hi + 1])
+    fn = _SEQUENCES[name][0]
     return SequenceTable(name, lo, hi, tuple(fn(k) for k in range(lo, hi + 1)))

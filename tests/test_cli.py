@@ -174,6 +174,36 @@ def test_compute_short_cache_entry_is_recomputed(cache_dir):
     assert len(json.loads((cache_dir / "spt.json").read_text())["values"]) == 10
 
 
+def test_compute_checks_the_domain_before_reading_the_cache(cache_dir, tmp_path):
+    from sptq import __version__
+
+    args = ("compute", "--sequence", "spt", "--lo", "0", "--hi", "3")
+    empty = run_cli(*args, "--cache-dir", str(tmp_path / "empty"))
+    assert empty.returncode == 2
+    assert "defined for n >= 1" in empty.stderr
+    cache_dir.mkdir(parents=True)
+    entry = {"name": "spt", "lo": 0, "hi": 3, "values": ["0", "1", "3", "5"],
+             "version": __version__}
+    (cache_dir / "spt.json").write_text(json.dumps(entry))
+    r = run_cli(*args, "--cache-dir", str(cache_dir))
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", empty.stderr)
+
+
+def test_compute_unknown_name_never_reaches_the_cache(cache_dir, tmp_path):
+    from sptq import __version__
+
+    args = ("compute", "--sequence", "../evil", "--lo", "1", "--hi", "1")
+    empty = run_cli(*args, "--cache-dir", str(tmp_path / "empty" / "cache"))
+    assert empty.returncode == 2
+    assert "unknown sequence" in empty.stderr
+    cache_dir.mkdir(parents=True)
+    entry = {"name": "../evil", "lo": 1, "hi": 1, "values": ["7"],
+             "version": __version__}
+    (tmp_path / "evil.json").write_text(json.dumps(entry))
+    r = run_cli(*args, "--cache-dir", str(cache_dir))
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", empty.stderr)
+
+
 def test_cache_dir_env_var(tmp_path):
     env_cache = tmp_path / "envcache"
     r = run_cli("compute", "--sequence", "p", "--lo", "0", "--hi", "3",

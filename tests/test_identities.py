@@ -12,6 +12,7 @@ from sptq import partitions as P
 from sptq import identities as I
 from sptq.series import (
     TruncatedSeries,
+    geom_sq,
     lambert_sigma,
     monomial,
     one,
@@ -63,11 +64,25 @@ def test_lhs_gf_note_prefix():
     assert all(s.coeff(2 * n + 1) == 0 for n in range(7))
 
 
+def dense_beta(pair, n, order):
+    """q^beta_exponent(n) / ((q;q)_n (q;q^2)_n) by inverting the product."""
+    denominator = qpoch_fin(1, 1, n, order) * qpoch_fin(1, 2, n, order)
+    return monomial(pair.beta_exponent(n), 1, order) * denominator.invert()
+
+
 def test_incremental_summands_match_direct_construction():
-    for order in (10, 25):
+    # q^n (q^(2n+1);q^2)_inf / ((1-q^n)^2 (q^(n+1);q)_inf), dense products
+    # and a dense inverse built anew for each n
+    for order in (1, 2, 25, 60):
         got = dict(I._smallest_part_summands(order))
-        for n in range(1, 8):
-            assert got[n] == I.eq2_summand(n, order)
+        assert list(got) == list(range(1, order + 1))
+        for n in range(1, 13):
+            direct = (
+                geom_sq(n, order)
+                * qpoch_inf(2 * n + 1, 2, order)
+                * qpoch_inf(n + 1, 1, order).invert()
+            )
+            assert got.get(n, zero(order)) == direct
 
 
 def test_lhs_eq1_matches_direct_construction():
@@ -78,13 +93,6 @@ def test_lhs_eq1_matches_direct_construction():
             denominator = qpoch_fin(n, 1, 1, order) * qpoch_inf(n, 1, order)
             direct = direct + monomial(n, 1, order) * denominator.invert()
         assert I.lhs_eq1(order) == direct
-
-
-def test_eq3_summand_is_shifted_eq2_summand():
-    for n in range(1, 6):
-        lhs = I.eq3_summand(n, 20)
-        rhs = monomial(n * (n - 1) // 2, 1, 20) * I.eq2_summand(n, 20)
-        assert lhs == rhs
 
 
 def test_series_coefficients_match_enumeration():
@@ -150,6 +158,13 @@ def test_bailey_pair_beta_basics():
     assert c5.beta(1, 6).coeffs == (1, 2, 3, 4, 5, 6, 7)
 
 
+@pytest.mark.parametrize("label", ["C1", "C5"])
+def test_bailey_pair_beta_matches_dense_inverse(label):
+    pair = I.bailey_pair(label)
+    for n in range(9):
+        assert pair.beta(n, 40) == dense_beta(pair, n, 40)
+
+
 def test_bailey_pair_unknown_label():
     with pytest.raises(ValueError):
         I.bailey_pair("C9")
@@ -176,7 +191,8 @@ def test_eq12_lhs_matches_direct_construction(label, order):
     direct = zero(order)
     for n in range(1, order + 1):
         fin = qpoch_fin(1, 1, n - 1, order)
-        direct = direct + fin * fin * pair.beta(n, order) * monomial(n, 1, order)
+        beta = dense_beta(pair, n, order)
+        direct = direct + fin * fin * beta * monomial(n, 1, order)
     assert I.eq12_lhs(pair, order) == direct
 
 
@@ -211,6 +227,29 @@ def test_alpha_sum_is_the_moment_component():
 
 def test_termwise_identity():
     assert I._termwise_mismatches(30) == []
+
+
+def test_termwise_catches_a_wrong_beta_exponent(monkeypatch):
+    bad = I.BaileyPair("C5", lambda m: m * (m - 1), lambda n: n * (n - 1) // 2 + 1)
+    monkeypatch.setitem(I._BAILEY_PAIRS, "C5", bad)
+    mismatches = I._termwise_mismatches(40)
+    assert mismatches and mismatches[0].index == 1
+
+
+def test_finite_pochhammer_checks_invert_no_dense_product(monkeypatch):
+    calls = Counter()
+    invert = TruncatedSeries.invert
+
+    def counting(self):
+        calls[check_id] += 1
+        return invert(self)
+
+    monkeypatch.setattr(TruncatedSeries, "invert", counting)
+    for check_id in ("bailey_c1", "bailey_c5", "eq12_c1", "eq12_c5", "termwise_eq2"):
+        assert I.verify(check_id, 200).status == "pass"
+    # termwise_eq2 inverts only the (q^2;q)_inf that seeds its quotients
+    assert calls["termwise_eq2"] <= 1
+    assert sum(calls.values()) == calls["termwise_eq2"]
 
 
 # ----------------------------------------------------------------------
