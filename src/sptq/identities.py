@@ -102,21 +102,19 @@ def _first_difference(index: int, lhs, rhs) -> list[Mismatch]:
 
 
 def _smallest_part_summands(order: int) -> Iterator[tuple[int, TruncatedSeries]]:
-    """Yield (n, q^n Q_n / (1-q^n)^2) for n = 1..order, the eq. (2) summands,
-    where Q_n = (q^(2n+1);q^2)_inf / (q^(n+1);q)_inf.
+    """Yield (n, q^n Q_n / (1-q^n)^2) for n = order down to 1, the eq. (2)
+    summands, where Q_n = (q^(2n+1);q^2)_inf / (q^(n+1);q)_inf.
 
-    Q_n steps to Q_(n+1) by dividing out (1 - q^(2n+1)) and multiplying in
-    (1 - q^(n+1)); the summand is Q_n divided twice by (1 - q^n), shifted
-    by n.  All O(order).  Tests pin it to the direct dense construction.
+    Q_order is 1 modulo q^(order+1), so the walk starts from 1 and steps
+    down by Q_(n-1) = Q_n (1 - q^(2n-1)) / (1 - q^n), sharing the division
+    by (1 - q^n) with the summand: three O(order) updates and a shift per n.
+    Tests pin it to the direct dense construction.
     """
-    if order < 1:
-        return
-    quotient = qpoch_inf(3, 2, order) * qpoch_inf(2, 1, order).invert()
-    for n in range(1, order + 1):
-        if n > 1:
-            quotient = quotient.divided_by_one_minus(2 * n - 1).times_one_minus(n)
-        summand = quotient.divided_by_one_minus(n).divided_by_one_minus(n)
-        yield n, monomial(n, 1, order) * summand
+    quotient = one(order)  # Q_order
+    for n in range(order, 0, -1):
+        half = quotient.divided_by_one_minus(n)
+        yield n, half.divided_by_one_minus(n).shifted(n)
+        quotient = half.times_one_minus(2 * n - 1)
 
 
 @lru_cache(maxsize=None)
@@ -131,7 +129,7 @@ def _smallest_part_lhs(order: int) -> tuple[TruncatedSeries, ...]:
     for n, summand in _smallest_part_summands(order):
         total2 = total2 + summand
         if n * (n + 1) // 2 <= order:
-            total3 = total3 + monomial(n * (n - 1) // 2, 1, order) * summand
+            total3 = total3 + summand.shifted(n * (n - 1) // 2)
         if n > 1:  # the n = 1 factor is 1 - q^0 = 0
             total_o = total_o + summand.times_one_minus(n * (n - 1) // 2)
     return total2, total3, total_o
@@ -160,15 +158,15 @@ def lhs_gf_note(order: int) -> TruncatedSeries:
 
 @lru_cache(maxsize=None)
 def lhs_eq1(order: int) -> TruncatedSeries:
-    """Generating series of spt: sum_n q^n / ((1-q^n) (q^n;q)_inf)."""
+    """Generating series of spt: sum_n q^n / ((1-q^n) (q^n;q)_inf), walked
+    down from n = order, where the tail 1/(q^(n+1);q)_inf is 1 mod q^(order+1)."""
     if order < 1:
         raise ValueError("order must be >= 1")
     total = zero(order)
-    inv_tail = qpoch_inf(1, 1, order).invert()
-    for n in range(1, order + 1):
-        if n > 1:
-            inv_tail = inv_tail.times_one_minus(n - 1)  # now 1/(q^n;q)_inf
-        total = total + monomial(n, 1, order) * inv_tail.divided_by_one_minus(n)
+    inv_tail = one(order)
+    for n in range(order, 0, -1):
+        inv_tail = inv_tail.divided_by_one_minus(n)  # now 1/(q^n;q)_inf
+        total = total + inv_tail.divided_by_one_minus(n).shifted(n)
     return total
 
 
@@ -209,8 +207,8 @@ def _theta_correction(order: int) -> TruncatedSeries:
     total = zero(order)
     n = 1
     while n * (3 * n + 1) // 2 <= order:
-        base = monomial(n * (3 * n - 1) // 2, 1, order) * geom_sq(n, order)
-        term = base + monomial(n, 1, order) * base
+        base = geom_sq(n, order).shifted(n * (3 * n - 1) // 2)
+        term = base + base.shifted(n)
         total = total + (term if n % 2 == 0 else -term)
         n += 1
     return total
@@ -239,11 +237,8 @@ def rhs_eq23(order: int) -> TruncatedSeries:
     """q (q^4;q^4)_inf^3 / (q^2;q^4)_inf^5, the odd-part product form."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return (
-        monomial(1, 1, order)
-        * qpoch_inf(4, 4, order) ** 3
-        * qpoch_inf(2, 4, order).invert() ** 5
-    )
+    cube = qpoch_inf(4, 4, order) ** 3
+    return (cube * qpoch_inf(2, 4, order).invert() ** 5).shifted(1)
 
 
 # ----------------------------------------------------------------------
@@ -336,7 +331,7 @@ def _eq12_summands(
         if n > 1:
             quotient = quotient.times_one_minus(n - 1).times_one_minus(n - 1)
             quotient = quotient.divided_by_one_minus(n).divided_by_one_minus(2 * n - 1)
-        yield n, monomial(n + pair.beta_exponent(n), 1, order) * quotient
+        yield n, quotient.shifted(n + pair.beta_exponent(n))
         n += 1
 
 
@@ -365,14 +360,16 @@ def _termwise_mismatches(order: int) -> list[Mismatch]:
     matching quotient summand: C1 pairs with eq2, C5 with eq3, whose extra
     q^(n(n-1)/2) is stated here, not read off the pair, so that a wrong
     beta_exponent shows.  (q^2;q^2)_inf is pentagonal-sparse, so each
-    product is O(order^1.5)."""
+    product is O(order^1.5).  The quotient walk descends from n = order;
+    its last TERMWISE_N summands are compared in ascending n."""
     even = qpoch_inf(2, 2, order)
-    quotients = list(islice(_smallest_part_summands(order), TERMWISE_N))
+    walk = _smallest_part_summands(order)
+    quotients = [(n, s) for n, s in walk if n <= TERMWISE_N][::-1]
     out = []
     for label, shift in (("C1", lambda n: 0), ("C5", lambda n: n * (n - 1) // 2)):
         terms = dict(islice(_eq12_summands(bailey_pair(label), order), TERMWISE_N))
         for n, quotient in quotients:
-            rhs = even * monomial(shift(n), 1, order) * quotient
+            rhs = even * quotient.shifted(shift(n))
             out += _first_difference(n, terms.get(n, zero(order)), rhs)
     return out
 

@@ -7,6 +7,7 @@ operations between series of different orders return the smaller order,
 which is the largest truncation both operands actually know.
 """
 
+import operator
 from dataclasses import dataclass
 
 
@@ -63,35 +64,30 @@ class TruncatedSeries:
     # ring arithmetic (min-order truncation on binary ops)
     # ------------------------------------------------------------------
 
+    # map stops at the shorter operand, which is the min-order contract
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1))
-        )
+        return TruncatedSeries(tuple(map(operator.add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1))
-        )
+        return TruncatedSeries(tuple(map(operator.sub, self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return TruncatedSeries(tuple(-c for c in self.coeffs))
+        return TruncatedSeries(tuple(map(operator.neg, self.coeffs)))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return TruncatedSeries(tuple(c * other for c in self.coeffs))
+            return TruncatedSeries(tuple(map(other.__mul__, self.coeffs)))
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        # schoolbook convolution, walking the sparser factor on the outside;
+        # schoolbook convolution, walking the sparser factor (more zeros) outside;
         # the strided series this library lives on make the skip worthwhile
-        if sum(1 for c in b[: n + 1] if c) < sum(1 for c in a[: n + 1] if c):
+        if b[: n + 1].count(0) > a[: n + 1].count(0):
             a, b = b, a
         out = [0] * (n + 1)
         for i in range(n + 1):
@@ -151,17 +147,22 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(self.coeffs[residue :: modulus]))
 
     # ------------------------------------------------------------------
-    # cheap single-factor updates, both O(order)
+    # cheap single-factor updates, all O(order)
     # ------------------------------------------------------------------
+
+    def shifted(self, exp: int) -> "TruncatedSeries":
+        """Multiply by q^exp: exp leading zeros, then the prefix that still fits."""
+        if exp < 0:
+            raise ValueError("exponent must be >= 0")
+        zeros = min(exp, self.order + 1)
+        return TruncatedSeries((0,) * zeros + self.coeffs[: self.order + 1 - zeros])
 
     def times_one_minus(self, exp: int) -> "TruncatedSeries":
         """Multiply by (1 - q^exp)."""
         if exp < 1:
             raise ValueError("exponent must be >= 1")
-        c = list(self.coeffs)
-        for k in range(self.order, exp - 1, -1):
-            c[k] -= c[k - exp]
-        return TruncatedSeries(tuple(c))
+        c = self.coeffs
+        return TruncatedSeries(c[:exp] + tuple(map(operator.sub, c[exp:], c)))
 
     def divided_by_one_minus(self, exp: int) -> "TruncatedSeries":
         """Divide by (1 - q^exp), i.e. multiply by 1 + q^exp + q^(2 exp) + ..."""
@@ -222,12 +223,10 @@ def qpoch_fin(start: int, step: int, count: int, order: int) -> TruncatedSeries:
         raise ValueError("start and step must be >= 1")
     if count < 0:
         raise ValueError("factor count must be >= 0")
-    c = [0] * (order + 1)
-    c[0] = 1
+    out = one(order)
     for e in range(start, min(start + count * step, order + 1), step):
-        for k in range(order, e - 1, -1):
-            c[k] -= c[k - e]
-    return TruncatedSeries(tuple(c))
+        out = out.times_one_minus(e)
+    return out
 
 
 def lambert_sigma(order: int) -> TruncatedSeries:

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, cache behaviour, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -293,6 +294,53 @@ def test_verify_exit_code_one_on_failed_check(monkeypatch, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload[0]["status"] == "fail"
     assert payload[0]["mismatches"] == [{"k": 1, "lhs": "2", "rhs": "3"}]
+
+
+# ----------------------------------------------------------------------
+# output digests: sha256 of the stdout of fixed requests, so that a change
+# in how a series is built cannot move an output byte unnoticed
+# ----------------------------------------------------------------------
+
+VERIFY_ALL_DIGESTS = {  # JSON with every elapsed_ms removed, indent 2
+    1: "3302bab5ffb5494fa9c949eb3bfda9bccd73a44c28aec4ef90b52b0841d92754",
+    12: "8b094d737e0449b4b4e214d16b30b0c56ea2c37a81e82533337add2c86c37002",
+    61: "92ad4f09ce03fe12509f4b427e516baa4805842b6755810bbc3b2b8d8071db75",
+    200: "db95d4b165af282bcb7d1c75afdf23753e011755280bbef0953a107c0ec44e8e",
+    480: "a785c3d2770ecf10572c7199a97b8a58fe01e0a56c00013aca5bb118aa6ffae3",
+}
+COMPUTE_DIGESTS = {  # --lo 1 --hi 400 --format csv
+    "spt": "2ecaaf765ad45f141cc8ccd478418796dd61c2a6298082c225f0101a380c8c15",
+    "spt_o_plus": "13c54e181d899a4771ee8fc8c398e0c06ca94a2bd26741180fa12f70b8cf960a",
+    "spt_o_minus": "03e17c688b0361cf40825db35dcf467fd2ff13f476c19c75fa852fffa3bd0ef8",
+    "spt_o": "150ffdba50e9c40b312581eee2e92f4c634a84e08839a9d65f0e6607c2d56071",
+    "n2": "da5c1c1e8c51c7f3a471a5c7003797132b895b7519e3e32f9b12e06a246e2b7e",
+    "m2": "1a0b2483d80afb1bf28f644c5be21bd2e253a6369b874cf489872bc808672b3c",
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("order", sorted(VERIFY_ALL_DIGESTS))
+def test_verify_all_output_digest(order, capsys):
+    from sptq import cli
+
+    assert cli.main(["verify", "--all", "--order", str(order)]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    for report in reports:
+        del report["elapsed_ms"]
+    assert sha256(json.dumps(reports, indent=2)) == VERIFY_ALL_DIGESTS[order]
+
+
+@pytest.mark.parametrize("name", sorted(COMPUTE_DIGESTS))
+def test_compute_output_digest(name, tmp_path, capsys):
+    from sptq import cli
+
+    code = cli.main(["compute", "--sequence", name, "--lo", "1", "--hi", "400",
+                     "--format", "csv", "--cache-dir", str(tmp_path / "cache")])
+    assert code == 0
+    assert sha256(capsys.readouterr().out) == COMPUTE_DIGESTS[name]
 
 
 # ----------------------------------------------------------------------

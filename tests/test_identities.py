@@ -75,24 +75,35 @@ def test_incremental_summands_match_direct_construction():
     # and a dense inverse built anew for each n
     for order in (1, 2, 25, 60):
         got = dict(I._smallest_part_summands(order))
-        assert list(got) == list(range(1, order + 1))
-        for n in range(1, 13):
+        assert list(got) == list(range(order, 0, -1))
+        for n in range(1, order + 1):
             direct = (
                 geom_sq(n, order)
                 * qpoch_inf(2 * n + 1, 2, order)
                 * qpoch_inf(n + 1, 1, order).invert()
             )
-            assert got.get(n, zero(order)) == direct
+            assert got[n] == direct
 
 
 def test_lhs_eq1_matches_direct_construction():
     # sum_n q^n / ((1-q^n) (q^n;q)_inf), every factor built and inverted anew
-    for order in (1, 2, 9, 20):
+    for order in (1, 2, 9, 20, 60):
         direct = zero(order)
         for n in range(1, order + 1):
             denominator = qpoch_fin(n, 1, 1, order) * qpoch_inf(n, 1, order)
             direct = direct + monomial(n, 1, order) * denominator.invert()
         assert I.lhs_eq1(order) == direct
+
+
+@pytest.mark.parametrize(
+    "lhs, moments", [(I.lhs_eq2, I._n2_series), (I.lhs_eq3, I._m2_series)])
+def test_quotient_sums_match_product_forms_at_scale(lhs, moments):
+    # eqs. (2)/(3) at order 400, with N2/M2 from their own series at order 200
+    order = 400
+    at_even = moments(order // 2).coeffs
+    placed = TruncatedSeries(
+        tuple(0 if k % 2 else at_even[k // 2] for k in range(order + 1)))
+    assert 2 * lhs(order) == I._lambert_over_even_doubled(order) - placed
 
 
 def test_series_coefficients_match_enumeration():
@@ -236,20 +247,44 @@ def test_termwise_catches_a_wrong_beta_exponent(monkeypatch):
     assert mismatches and mismatches[0].index == 1
 
 
-def test_finite_pochhammer_checks_invert_no_dense_product(monkeypatch):
+def is_pure_shift(x):
+    """True for a series equal to q^e with e >= 1."""
+    if not isinstance(x, TruncatedSeries):
+        return False
+    nonzero = [(k, c) for k, c in enumerate(x.coeffs) if c]
+    return len(nonzero) == 1 and nonzero[0][0] >= 1 and nonzero[0][1] == 1
+
+
+def test_finite_pochhammer_checks_invert_no_dense_product(cold_memos, monkeypatch):
+    # finite factors are single-factor steps, the quotient sums walk their
+    # infinite tails down from 1 at the truncation order, and every shift by
+    # q^e is a slice: only right sides invert, and no product has a factor q^e
     calls = Counter()
-    invert = TruncatedSeries.invert
+    invert, mul = TruncatedSeries.invert, TruncatedSeries.__mul__
 
     def counting(self):
         calls[check_id] += 1
         return invert(self)
 
+    def counting_mul(self, other):
+        calls["shift products"] += is_pure_shift(self) or is_pure_shift(other)
+        return mul(self, other)
+
     monkeypatch.setattr(TruncatedSeries, "invert", counting)
-    for check_id in ("bailey_c1", "bailey_c5", "eq12_c1", "eq12_c5", "termwise_eq2"):
+    for check_id in ("bailey_c1", "bailey_c5", "eq12_c1", "eq12_c5",
+                     "termwise_eq2", "gf_note"):
         assert I.verify(check_id, 200).status == "pass"
-    # termwise_eq2 inverts only the (q^2;q)_inf that seeds its quotients
-    assert calls["termwise_eq2"] <= 1
-    assert sum(calls.values()) == calls["termwise_eq2"]
+    check_id = "lhs_eq1"
+    assert I.lhs_eq1(200).coeffs[:15] == (0, *SPT)
+    assert sum(calls.values()) == 0
+
+    for memo in cold_memos:
+        memo.cache_clear()
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
+    check_id = "verify_all"
+    assert all(r.status == "pass" for r in I.verify_all(200))
+    assert calls["shift products"] == 0
+    assert calls["verify_all"] > 0  # eq2's right side still inverts (q^2;q^2)_inf
 
 
 # ----------------------------------------------------------------------

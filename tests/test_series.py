@@ -343,3 +343,42 @@ def test_one_is_multiplicative_identity(a):
 @given(unit_series_st)
 def test_invert_round_trip(a):
     assert a * a.invert() == monomial(0, 1, a.order)
+
+
+# ----------------------------------------------------------------------
+# kernels against their definitions (hypothesis), with wide coefficients
+# ----------------------------------------------------------------------
+
+wide_coeff_st = st.one_of(
+    st.integers(-9, 9), st.integers(2**64, 2**70), st.integers(-(2**70), -(2**64))
+)
+wide_series_st = st.lists(wide_coeff_st, min_size=1, max_size=12).map(
+    lambda c: TruncatedSeries(tuple(c))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_series_st, st.data())
+def test_shifted_is_monomial_product(x, data):
+    e = data.draw(st.integers(0, x.order + 2))
+    assert x.shifted(e) == monomial(e, 1, x.order) * x
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_series_st, wide_series_st)
+def test_add_and_sub_are_indexwise_at_the_smaller_order(a, b):
+    n = min(a.order, b.order)
+    assert (a + b).coeffs == tuple(a.coeffs[k] + b.coeffs[k] for k in range(n + 1))
+    assert (a - b).coeffs == tuple(a.coeffs[k] - b.coeffs[k] for k in range(n + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_series_st, st.data())
+def test_times_one_minus_is_a_one_factor_product(x, data):
+    e = data.draw(st.integers(1, x.order + 2))
+    assert x.times_one_minus(e) == x * qpoch_fin(e, 1, 1, x.order)
+
+
+def test_shifted_rejects_a_negative_exponent():
+    with pytest.raises(ValueError):
+        ts(1, 2, 3).shifted(-1)
