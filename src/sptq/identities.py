@@ -6,11 +6,11 @@ the rank and crank second moments are even (negation symmetry of the rank
 and crank multisets, asserted by the partition tests).
 
 The left sides are sums of q-Pochhammer quotients built purely in the
-series ring; the right sides pull N2/M2 from literal partition
-enumeration, which makes each check a genuine cross-representation test
-rather than a tautology.  Checks that need enumeration cap their range at
-desk scale (n <= 30) no matter what bound is requested; the reported
-order is the one actually used.
+series ring.  The right sides are product forms; those of eqs. (2)/(3)
+pull N2/M2 from literal partition enumeration, which makes each check a
+genuine cross-representation test rather than a tautology.  Checks that
+need enumeration cap their range at desk scale (n <= ENUM_CAP) no matter
+what bound is requested; the reported order is the one actually used.
 """
 
 import time
@@ -32,6 +32,7 @@ from .series import (
 
 ENUM_CAP = 30  # largest n any enumeration-backed table is asked for
 TERMWISE_N = 12  # termwise_eq2 compares the summands n = 1..TERMWISE_N
+BAILEY_N = 8  # bailey_c1/bailey_c5 check the relation for n = 0..BAILEY_N
 
 
 # ----------------------------------------------------------------------
@@ -118,21 +119,25 @@ def _smallest_part_summands(order: int) -> Iterator[tuple[int, TruncatedSeries]]
 
 
 @lru_cache(maxsize=None)
-def _smallest_part_lhs(order: int) -> tuple[TruncatedSeries, ...]:
-    """lhs_eq2, lhs_eq3 and lhs_gf_note, summed in one pass over the summands.
+def _smallest_part_lhs(order: int) -> tuple:
+    """lhs_eq2, lhs_eq3 and lhs_gf_note, summed in one pass over the summands,
+    and the (n, summand) pairs with n <= TERMWISE_N in ascending n.
 
     The spt_o sum accumulates each summand times (1 - q^(n(n-1)/2)) on its
     own rather than being taken as the eq2 sum minus the eq3 sum, so the
     gf_note check compares two different constructions.
     """
     total2 = total3 = total_o = zero(order)
+    kept = []
     for n, summand in _smallest_part_summands(order):
         total2 = total2 + summand
         if n * (n + 1) // 2 <= order:
             total3 = total3 + summand.shifted(n * (n - 1) // 2)
         if n > 1:  # the n = 1 factor is 1 - q^0 = 0
             total_o = total_o + summand.times_one_minus(n * (n - 1) // 2)
-    return total2, total3, total_o
+        if n <= TERMWISE_N:
+            kept.append((n, summand))
+    return total2, total3, total_o, tuple(kept[::-1])
 
 
 def lhs_eq2(order: int) -> TruncatedSeries:
@@ -214,15 +219,28 @@ def _theta_correction(order: int) -> TruncatedSeries:
     return total
 
 
+def _p_series(order: int) -> TruncatedSeries:
+    """sum p(n) q^n = 1/(q;q)_inf, from the pentagonal-number recurrence."""
+    return TruncatedSeries(tuple(partitions._partition_counts(order)))
+
+
 def _n2_series(order: int) -> TruncatedSeries:
-    """-2 * theta correction / (q;q)_inf, whose q^n coefficient is the rank
-    moment N2(n)."""
-    return -2 * (qpoch_inf(1, 1, order).invert() * _theta_correction(order))
+    """-2 * theta correction * sum p(n) q^n (that is, over (q;q)_inf), whose
+    q^n coefficient is the rank moment N2(n)."""
+    return -2 * (_p_series(order) * _theta_correction(order))
 
 
 def _m2_series(order: int) -> TruncatedSeries:
     """sum 2 n p(n) q^n, whose q^n coefficient is the crank moment M2(n)."""
-    return TruncatedSeries(tuple(2 * n * partitions.p(n) for n in range(order + 1)))
+    p = _p_series(order).coeffs
+    return TruncatedSeries(tuple(2 * n * c for n, c in enumerate(p)))
+
+
+def _t4_series(order: int) -> TruncatedSeries:
+    """psi(q)^4, psi = sum_k q^(k(k+1)/2): q^n counts the ordered quadruples of
+    triangular numbers summing to n.  ``**`` keeps the sparse psi outside."""
+    triangular = {k * (k + 1) // 2 for k in range(order + 1)}
+    return TruncatedSeries(tuple(int(e in triangular) for e in range(order + 1))) ** 4
 
 
 def rhs_eq1_doubled(order: int) -> TruncatedSeries:
@@ -360,11 +378,10 @@ def _termwise_mismatches(order: int) -> list[Mismatch]:
     matching quotient summand: C1 pairs with eq2, C5 with eq3, whose extra
     q^(n(n-1)/2) is stated here, not read off the pair, so that a wrong
     beta_exponent shows.  (q^2;q^2)_inf is pentagonal-sparse, so each
-    product is O(order^1.5).  The quotient walk descends from n = order;
-    its last TERMWISE_N summands are compared in ascending n."""
+    product is O(order^1.5).  The quotient summands are the ones the
+    eq. (2) pass keeps, n <= TERMWISE_N in ascending n."""
     even = qpoch_inf(2, 2, order)
-    walk = _smallest_part_summands(order)
-    quotients = [(n, s) for n, s in walk if n <= TERMWISE_N][::-1]
+    quotients = _smallest_part_lhs(order)[3]
     out = []
     for label, shift in (("C1", lambda n: 0), ("C5", lambda n: n * (n - 1) // 2)):
         terms = dict(islice(_eq12_summands(bailey_pair(label), order), TERMWISE_N))
@@ -444,7 +461,7 @@ def _run_gf_note(order):
 
 def _run_thm2(order):
     mm = _sequence_mismatches(
-        range(1, min(15, order // 2) + 1),
+        range(1, min(ENUM_CAP // 2, order // 2) + 1),
         lambda n: partitions.spt_o(2 * n),
         partitions.spt,
     )
@@ -471,7 +488,7 @@ def _run_thm4(order):
         for n in range(1, even.order + 1)
         if even.coeffs[n] % 2 != 0
     ]
-    for n in range(1, min(15, order // 2) + 1):
+    for n in range(1, min(ENUM_CAP // 2, order // 2) + 1):
         v = partitions.spt_o_minus(2 * n)
         if v % 2 != 0:
             mm.append(Mismatch(n, v, 0))
@@ -538,14 +555,15 @@ def _run_sigma_doubling(order):
 
 
 def _run_legendre_t4(order):
+    t4 = _t4_series(order).coeffs
     return order, _sequence_mismatches(
-        range(order + 1), lambda n: partitions.sigma(2 * n + 1), partitions.t4
+        range(order + 1), lambda n: partitions.sigma(2 * n + 1), t4.__getitem__
     )
 
 
 def _run_bailey(label):
     def run(order):
-        return order, check_bailey_relation(bailey_pair(label), 8, order)
+        return order, check_bailey_relation(bailey_pair(label), BAILEY_N, order)
 
     return run
 
@@ -587,14 +605,14 @@ def _registry() -> dict[str, IdentityCheck]:
             "eq2",
             "doubled spt_o_plus gf: 2*sum q^n (q^(2n+1);q^2)_inf/((1-q^n)^2 "
             "(q^(n+1);q)_inf) vs 2*Lambert/(q^2;q^2)_inf - sum N2(n) q^(2n) "
-            "(order capped at 60: N2 is enumerated)",
+            f"(order capped at {2 * ENUM_CAP}: N2 is enumerated)",
             "series-equality",
             _run_eq2,
         ),
         IdentityCheck(
             "eq3",
             "doubled spt_o_minus gf: numerators q^(n(n+1)/2), crank moments "
-            "M2(n) q^(2n) (order capped at 60: M2 is enumerated)",
+            f"M2(n) q^(2n) (order capped at {2 * ENUM_CAP}: M2 is enumerated)",
             "series-equality",
             _run_eq3,
         ),
@@ -607,22 +625,22 @@ def _registry() -> dict[str, IdentityCheck]:
         ),
         IdentityCheck(
             "thm2",
-            "spt_o(2n) = spt(n): by enumeration for n <= 15 and by series "
-            "(even part of lhs_eq2 - lhs_eq3 vs the spt series)",
+            f"spt_o(2n) = spt(n): by enumeration for n <= {ENUM_CAP // 2} and by "
+            "series (even part of lhs_eq2 - lhs_eq3 vs the spt series)",
             "sequence-equality",
             _run_thm2,
         ),
         IdentityCheck(
             "thm3",
             "spt_o_plus(2n) == spt(n) (mod 2): series coefficients vs "
-            "enumeration (n capped at 30)",
+            f"enumeration (n capped at {ENUM_CAP})",
             "congruence",
             _run_thm3,
         ),
         IdentityCheck(
             "thm4",
             "spt_o_minus(2n) == 0 (mod 2): series route for 2n <= order, "
-            "enumeration route for n <= 15",
+            f"enumeration route for n <= {ENUM_CAP // 2}",
             "congruence",
             _run_thm4,
         ),
@@ -642,7 +660,8 @@ def _registry() -> dict[str, IdentityCheck]:
         ),
         IdentityCheck(
             "eq14",
-            "2 spt_o_plus(2n) = 2 sum_k p(k) sigma(2(n-k)) - N2(n) for n <= 15",
+            "2 spt_o_plus(2n) = 2 sum_k p(k) sigma(2(n-k)) - N2(n) "
+            f"for n <= {ENUM_CAP // 2}",
             "sequence-equality",
             _run_eq14,
         ),
@@ -654,13 +673,13 @@ def _registry() -> dict[str, IdentityCheck]:
         ),
         IdentityCheck(
             "m2_is_2np",
-            "M2(n) = 2 n p(n) (n capped at 30)",
+            f"M2(n) = 2 n p(n) (n capped at {ENUM_CAP})",
             "sequence-equality",
             _run_m2_is_2np,
         ),
         IdentityCheck(
             "spt_half_diff",
-            "2 spt(n) = M2(n) - N2(n) (n capped at 30)",
+            f"2 spt(n) = M2(n) - N2(n) (n capped at {ENUM_CAP})",
             "sequence-equality",
             _run_spt_half_diff,
         ),
@@ -678,13 +697,14 @@ def _registry() -> dict[str, IdentityCheck]:
         ),
         IdentityCheck(
             "bailey_c1",
-            "beta_n = sum_r alpha_r/((q;q)_(n+r) (q;q)_(n-r)) for pair C1, n <= 8",
+            "beta_n = sum_r alpha_r/((q;q)_(n+r) (q;q)_(n-r)) for pair C1, "
+            f"n <= {BAILEY_N}",
             "series-equality",
             _run_bailey("C1"),
         ),
         IdentityCheck(
             "bailey_c5",
-            "same summation relation for pair C5, n <= 8",
+            f"same summation relation for pair C5, n <= {BAILEY_N}",
             "series-equality",
             _run_bailey("C5"),
         ),
@@ -722,7 +742,7 @@ def _registry() -> dict[str, IdentityCheck]:
         IdentityCheck(
             "termwise_eq2",
             "summandwise: differentiated-lemma terms over (q^2;q^2)_inf equal "
-            "the matching quotient summands (C1<->eq2, C5<->eq3), n <= 12",
+            f"the matching quotient summands (C1<->eq2, C5<->eq3), n <= {TERMWISE_N}",
             "series-equality",
             _run_termwise,
         ),

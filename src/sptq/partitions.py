@@ -4,12 +4,11 @@ The per-n counting functions are the ground truth here: rank/crank second
 moments and all smallest-part counts are literal sums over every partition
 of n, so they stay independent of the generating-function machinery they
 are used to cross-check.  Only p(n) (pentagonal-number recurrence),
-sigma(n) (divisor sums) and t4(n) use closed forms, so that series work
-can run far past enumeration scale.
+sigma(n) (divisor sums) and t4(n) use closed forms.
 
-Tables are another matter: ``sequence`` reads spt, spt_o_plus,
-spt_o_minus, spt_o, n2 and m2 off their generating series, built once at
-order hi, and leaves enumeration to the checks that pin those series.
+Tables are another matter: ``sequence`` reads every one of the nine off
+its generating series, built once at order hi, and leaves the per-n
+functions to the checks and tests that pin those series.
 
 One walk per size gives all five enumerated statistics: ``_statistics(m)``
 returns spt(m), N2(m), the bare crank moment and, per smallest part s, the
@@ -24,10 +23,9 @@ decreasing, e.g. (4), (3,1), (2,2), (2,1,1), (1,1,1,1).
 """
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 Partition = tuple[int, ...]
 
@@ -88,31 +86,28 @@ def odd_condition(parts: Partition) -> bool:
 # counting functions
 # ----------------------------------------------------------------------
 
-_p_table = [1]
-_p_lock = threading.Lock()
+
+def _partition_counts(n: int) -> list[int]:
+    """[p(0), ..., p(n)] by the pentagonal-number recurrence."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    table = [1]
+    for m in range(1, n + 1):
+        acc = 0
+        j = 1
+        while (g := j * (3 * j - 1) // 2) <= m:
+            term = table[m - g]
+            if g + j <= m:
+                term += table[m - g - j]
+            acc += term if j % 2 else -term
+            j += 1
+        table.append(acc)
+    return table
 
 
 def p(n: int) -> int:
     """Number of partitions of n, via the pentagonal-number recurrence."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n >= len(_p_table):
-        with _p_lock:
-            while len(_p_table) <= n:
-                m = len(_p_table)
-                acc = 0
-                j = 1
-                while True:
-                    g = j * (3 * j - 1) // 2
-                    if g > m:
-                        break
-                    term = _p_table[m - g]
-                    if g + j <= m:
-                        term += _p_table[m - g - j]
-                    acc += term if j % 2 else -term
-                    j += 1
-                _p_table.append(acc)
-    return _p_table[n]
+    return _partition_counts(n)[-1]
 
 
 def sigma(n: int) -> int:
@@ -232,16 +227,17 @@ class SequenceTable:
             raise ValueError("value count does not match the index range")
 
 
-_SEQUENCES: dict[str, tuple[Callable[[int], int], int]] = {
-    "p": (p, 0),
-    "sigma": (sigma, 0),
-    "spt": (spt, 1),
-    "spt_o_plus": (spt_o_plus, 1),
-    "spt_o_minus": (spt_o_minus, 1),
-    "spt_o": (spt_o, 1),
-    "n2": (n2, 1),
-    "m2": (m2, 1),
-    "t4": (t4, 0),
+# name -> (name of its generating-series builder in ``identities``, smallest n)
+_SEQUENCES: dict[str, tuple[str, int]] = {
+    "p": ("_p_series", 0),
+    "sigma": ("lambert_sigma", 0),
+    "spt": ("lhs_eq1", 1),
+    "spt_o_plus": ("lhs_eq2", 1),
+    "spt_o_minus": ("lhs_eq3", 1),
+    "spt_o": ("lhs_gf_note", 1),
+    "n2": ("_n2_series", 1),
+    "m2": ("_m2_series", 1),
+    "t4": ("_t4_series", 0),
 }
 
 
@@ -264,31 +260,14 @@ def check_range(name: str, lo: int, hi: int) -> None:
         raise ValueError(f"sequence {name!r} is defined for n >= {lo_min}")
 
 
-# sequences whose tables are read off a generating series: name -> the
-# ``identities`` builder of that series, looked up when a table is built
-_SERIES_ROUTES = {
-    "spt": "lhs_eq1",
-    "spt_o_plus": "lhs_eq2",
-    "spt_o_minus": "lhs_eq3",
-    "spt_o": "lhs_gf_note",
-    "n2": "_n2_series",
-    "m2": "_m2_series",
-}
-
-
 def sequence(name: str, lo: int, hi: int) -> SequenceTable:
-    """Table of values of a registered sequence on the inclusive range lo..hi.
+    """Table of values of a registered sequence on the inclusive range lo..hi:
+    coefficients lo..hi of its generating series, built once at order hi.
 
-    The sequences in ``_SERIES_ROUTES`` take coefficients lo..hi of one
-    generating series built at order hi; p, sigma and t4 evaluate their
-    closed forms at each k.  Tests pin every series route to the per-n
-    enumeration function registered in ``_SEQUENCES``.
+    Tests pin every series to the per-n function of the same name.
     """
     check_range(name, lo, hi)
-    if name in _SERIES_ROUTES:
-        from . import identities  # imported here: identities imports this module
+    from . import identities  # imported here: identities imports this module
 
-        series = getattr(identities, _SERIES_ROUTES[name])(hi)
-        return SequenceTable(name, lo, hi, series.coeffs[lo : hi + 1])
-    fn = _SEQUENCES[name][0]
-    return SequenceTable(name, lo, hi, tuple(fn(k) for k in range(lo, hi + 1)))
+    series = getattr(identities, _SEQUENCES[name][0])(hi)
+    return SequenceTable(name, lo, hi, series.coeffs[lo : hi + 1])

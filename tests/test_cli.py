@@ -123,6 +123,40 @@ def test_compute_reads_tables_off_series_without_enumerating(
         assert rows[-1] == "60,6144561"
 
 
+CLOSED_FORM_ROWS = {  # name -> (builder of its series, values at n = 0..10)
+    "p": ("_p_series", [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]),
+    "sigma": ("lambert_sigma", [0, 1, 3, 4, 7, 6, 12, 8, 15, 13, 18]),
+    "t4": ("_t4_series", [1, 4, 6, 8, 13, 12, 14, 24, 18, 20, 32]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_ROWS))
+def test_compute_reads_closed_form_tables_off_series(
+        name, tmp_path, monkeypatch, capsys):
+    from sptq import cli, identities, partitions
+
+    builder, values = CLOSED_FORM_ROWS[name]
+    build = getattr(identities, builder)
+    orders = []
+
+    def counting(order):
+        orders.append(order)
+        return build(order)
+
+    def refuse(n):
+        raise AssertionError(f"compute evaluated a closed form at n = {n}")
+
+    monkeypatch.setattr(identities, builder, counting)
+    for fn in ("p", "sigma", "t4"):
+        monkeypatch.setattr(partitions, fn, refuse)
+    code = cli.main(["compute", "--sequence", name, "--lo", "0", "--hi", "10",
+                     "--format", "csv", "--cache-dir", str(tmp_path)])
+    assert code == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows == ["n,value"] + [f"{n},{v}" for n, v in enumerate(values)]
+    assert orders == [10]
+
+
 def test_compute_cache_subrange_reuse(cache_dir):
     r1 = run_cli("compute", "--sequence", "spt", "--lo", "1", "--hi", "10",
                  "--cache-dir", str(cache_dir))
@@ -308,13 +342,21 @@ VERIFY_ALL_DIGESTS = {  # JSON with every elapsed_ms removed, indent 2
     200: "db95d4b165af282bcb7d1c75afdf23753e011755280bbef0953a107c0ec44e8e",
     480: "a785c3d2770ecf10572c7199a97b8a58fe01e0a56c00013aca5bb118aa6ffae3",
 }
-COMPUTE_DIGESTS = {  # --lo 1 --hi 400 --format csv
+COMPUTE_DIGESTS = {  # --format csv over COMPUTE_RANGES, else --lo 1 --hi 400
     "spt": "2ecaaf765ad45f141cc8ccd478418796dd61c2a6298082c225f0101a380c8c15",
     "spt_o_plus": "13c54e181d899a4771ee8fc8c398e0c06ca94a2bd26741180fa12f70b8cf960a",
     "spt_o_minus": "03e17c688b0361cf40825db35dcf467fd2ff13f476c19c75fa852fffa3bd0ef8",
     "spt_o": "150ffdba50e9c40b312581eee2e92f4c634a84e08839a9d65f0e6607c2d56071",
     "n2": "da5c1c1e8c51c7f3a471a5c7003797132b895b7519e3e32f9b12e06a246e2b7e",
     "m2": "1a0b2483d80afb1bf28f644c5be21bd2e253a6369b874cf489872bc808672b3c",
+    "p": "6b8fa8cc1ef853221cda6dd5f6c252b1479e4cf1517b8c6edbff7fb3722d669c",
+    "sigma": "8771991c093ed1e6de2baee42aae1eab2ead86de8c6ec60e44920da4f2281443",
+    "t4": "84b30e571eb09cae2f897c8d6afd684d027990cf28d4bfb872935230ed743a79",
+}
+COMPUTE_RANGES = {"p": (0, 1500), "sigma": (0, 5000), "t4": (0, 600)}
+LISTING_DIGESTS = {
+    "list": "a0b5d5dc7d8e86e224111bc03173166e8cd6c3fb990b7a776ec98f4c842743fb",
+    "examples": "4cdbc3374d140280c0495e13747c91fac23fe514088cae777c5761d321cf28f8",
 }
 
 
@@ -337,10 +379,19 @@ def test_verify_all_output_digest(order, capsys):
 def test_compute_output_digest(name, tmp_path, capsys):
     from sptq import cli
 
-    code = cli.main(["compute", "--sequence", name, "--lo", "1", "--hi", "400",
+    lo, hi = COMPUTE_RANGES.get(name, (1, 400))
+    code = cli.main(["compute", "--sequence", name, "--lo", str(lo), "--hi", str(hi),
                      "--format", "csv", "--cache-dir", str(tmp_path / "cache")])
     assert code == 0
     assert sha256(capsys.readouterr().out) == COMPUTE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("command", sorted(LISTING_DIGESTS))
+def test_listing_output_digest(command, capsys):
+    from sptq import cli
+
+    assert cli.main([command]) == 0
+    assert sha256(capsys.readouterr().out) == LISTING_DIGESTS[command]
 
 
 # ----------------------------------------------------------------------

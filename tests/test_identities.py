@@ -240,6 +240,20 @@ def test_termwise_identity():
     assert I._termwise_mismatches(30) == []
 
 
+def test_verify_all_walks_the_quotient_pass_once(cold_memos, monkeypatch):
+    # termwise_eq2 reads the summands the eq. (2) pass keeps, not a second walk
+    walks = Counter()
+    summands = I._smallest_part_summands
+
+    def counting(order):
+        walks[order] += 1
+        return summands(order)
+
+    monkeypatch.setattr(I, "_smallest_part_summands", counting)
+    assert all(r.status == "pass" for r in I.verify_all(200))
+    assert walks[200] == 1
+
+
 def test_termwise_catches_a_wrong_beta_exponent(monkeypatch):
     bad = I.BaileyPair("C5", lambda m: m * (m - 1), lambda n: n * (n - 1) // 2 + 1)
     monkeypatch.setitem(I._BAILEY_PAIRS, "C5", bad)
@@ -326,6 +340,20 @@ def test_registry_contents():
     for check in I.REGISTRY.values():
         assert check.kind in ("series-equality", "sequence-equality", "congruence")
         assert check.description
+
+
+def test_legendre_t4_reports_a_wrong_t4_coefficient(monkeypatch):
+    t4_series = I._t4_series
+
+    def off_at_17(order):
+        c = list(t4_series(order).coeffs)
+        c[17] += 1
+        return TruncatedSeries(tuple(c))
+
+    monkeypatch.setattr(I, "_t4_series", off_at_17)
+    report = I.verify("legendre_t4", 40)
+    assert report.mismatches == (I.Mismatch(17, P.sigma(35), P.t4(17) + 1),)
+    assert report.mismatch_total == 1
 
 
 def test_verify_unknown_id():
