@@ -2,7 +2,8 @@
 worked-example table.
 
 Exit codes: 0 all good, 1 at least one verification failed, 2 usage error
-or an output file that cannot be written.
+(``verify --order`` or ``compute --hi`` above ``MAX_ORDER`` among them) or
+an output file that cannot be written.
 Big integers are serialized as decimal strings in JSON output.
 """
 
@@ -14,6 +15,20 @@ import tempfile
 from pathlib import Path
 
 from . import __version__, identities, partitions
+
+# largest verify --order and compute --hi: every route is polynomial, but
+# grows about x4 per doubling (verify --all takes 14 s at order 4000), so
+# far past this a run takes hours
+MAX_ORDER = 10_000
+
+
+def _above_ceiling(flag: str, value: int) -> bool:
+    """Report and return True when ``value`` is past MAX_ORDER."""
+    if value <= MAX_ORDER:
+        return False
+    print(f"error: {flag} {value} is above the ceiling MAX_ORDER = {MAX_ORDER}",
+          file=sys.stderr)
+    return True
 
 
 def _default_cache_dir() -> Path:
@@ -95,6 +110,8 @@ def _emit(text: str, path, code: int) -> int:
 
 
 def _cmd_compute(args) -> int:
+    if _above_ceiling("--hi", args.hi):
+        return 2
     cache_dir = Path(args.cache_dir) if args.cache_dir else _default_cache_dir()
     try:
         partitions.check_range(args.sequence, args.lo, args.hi)  # before the cache
@@ -145,6 +162,8 @@ def _report_payload(report: identities.IdentityReport) -> dict:
 def _cmd_verify(args) -> int:
     if args.order < 1:
         print("error: --order must be >= 1", file=sys.stderr)
+        return 2
+    if _above_ceiling("--order", args.order):
         return 2
     if args.all:
         ids = list(identities.REGISTRY)

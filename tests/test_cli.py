@@ -1,5 +1,6 @@
 """Command-line interface: output formats, cache behaviour, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -279,6 +280,43 @@ def test_verify_unknown_identity():
 def test_verify_order_zero_is_usage_error():
     r = run_cli("verify", "--identity", "eq2", "--order", "0")
     assert r.returncode == 2
+
+
+CEILING_ARGS = {
+    "compute": ["compute", "--sequence", "spt", "--lo", "1", "--hi"],
+    "verify": ["verify", "--all", "--order"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CEILING_ARGS))
+def test_orders_above_the_ceiling_fail_before_any_build(
+        command, tmp_path, monkeypatch, capsys):
+    from sptq import cli, identities, partitions
+
+    assert cli.MAX_ORDER >= 5000  # compute --sequence sigma --hi 5000 is in use
+    built = []
+
+    def refuse(name):
+        def build(*args):
+            built.append(name)
+            raise AssertionError(f"{name} ran above the ceiling")
+        return build
+
+    for builder, _lo in partitions._SEQUENCES.values():
+        monkeypatch.setattr(identities, builder, refuse(builder))
+    monkeypatch.setattr(partitions, "sequence", refuse("sequence"))
+    monkeypatch.setattr(identities, "verify", refuse("verify"))
+    for check_id, check in identities.REGISTRY.items():
+        monkeypatch.setitem(identities.REGISTRY, check_id,
+                            dataclasses.replace(check, run=refuse(check_id)))
+    argv = CEILING_ARGS[command] + [str(cli.MAX_ORDER + 1)]
+    if command == "compute":
+        argv += ["--cache-dir", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert built == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"ceiling MAX_ORDER = {cli.MAX_ORDER}" in captured.err
 
 
 def test_verify_requires_selection():

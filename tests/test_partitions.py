@@ -7,15 +7,27 @@ from collections import Counter
 import pytest
 
 from sptq import partitions as P
+from sptq.identities import ENUM_CAP
 from sptq.series import qpoch_inf
 
-# frozen oracle tables, n = 1..14
-SPT = [1, 3, 5, 10, 14, 26, 35, 57, 80, 119, 161, 238, 315, 440]
-SPT_O_PLUS = [1, 3, 5, 9, 12, 21, 25, 40, 50, 72, 86, 128, 145, 205]
-SPT_O_MINUS = [1, 2, 5, 6, 12, 16, 25, 30, 50, 58, 86, 102, 145, 170]
-SPT_O = [0, 1, 0, 3, 0, 5, 0, 10, 0, 14, 0, 26, 0, 35]
-N2 = [0, 2, 8, 20, 42, 80, 140, 238, 380, 602, 910, 1372, 1996, 2900]
-M2 = [2, 8, 18, 40, 70, 132, 210, 352, 540, 840, 1232, 1848, 2626, 3780]
+# frozen oracle tables, n = 1..30 (ENUM_CAP)
+SPT = [1, 3, 5, 10, 14, 26, 35, 57, 80, 119, 161, 238, 315, 440, 589, 801, 1048,
+       1407, 1820, 2399, 3087, 3998, 5092, 6545, 8263, 10486, 13165, 16562, 20630,
+       25773]
+SPT_O_PLUS = [1, 3, 5, 9, 12, 21, 25, 40, 50, 72, 86, 128, 145, 205, 242, 327, 375,
+              510, 575, 769, 871, 1133, 1275, 1664, 1850, 2371, 2650, 3360, 3725,
+              4709]
+SPT_O_MINUS = [1, 2, 5, 6, 12, 16, 25, 30, 50, 58, 86, 102, 145, 170, 242, 270, 375,
+               430, 575, 650, 871, 972, 1275, 1426, 1850, 2056, 2650, 2920, 3725,
+               4120]
+SPT_O = [0, 1, 0, 3, 0, 5, 0, 10, 0, 14, 0, 26, 0, 35, 0, 57, 0, 80, 0, 119, 0, 161,
+         0, 238, 0, 315, 0, 440, 0, 589]
+N2 = [0, 2, 8, 20, 42, 80, 140, 238, 380, 602, 910, 1372, 1996, 2900, 4102, 5790,
+      8002, 11046, 14980, 20282, 27090, 36092, 47546, 62510, 81374, 105700, 136210,
+      175084, 223510, 284694]
+M2 = [2, 8, 18, 40, 70, 132, 210, 352, 540, 840, 1232, 1848, 2626, 3780, 5280, 7392,
+      10098, 13860, 18620, 25080, 33264, 44088, 57730, 75600, 97900, 126672, 162540,
+      208208, 264770, 336240]
 T4 = [1, 4, 6, 8, 13, 12, 14, 24, 18, 20, 32]  # n = 0..10
 
 
@@ -52,10 +64,26 @@ def test_enumeration_yields_valid_partitions():
             seen.add(pi)
 
 
-def test_enumeration_is_lexicographically_decreasing():
-    for n in range(12):
-        parts = list(P.enumerate_partitions(n))
-        assert parts == sorted(parts, reverse=True)
+def _reference_partitions(n):
+    """The plain recursive walk: every largest next part from min(cap,
+    remaining) down to 1, so partitions come lexicographically decreasing."""
+    prefix = []
+
+    def rec(remaining, cap):
+        if remaining == 0:
+            yield tuple(prefix)
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            prefix.append(part)
+            yield from rec(remaining - part, part)
+            prefix.pop()
+
+    return rec(n, n)
+
+
+def test_enumeration_matches_the_recursive_walk_in_order():
+    for n in range(23):
+        assert list(P.enumerate_partitions(n)) == list(_reference_partitions(n))
 
 
 def test_enumeration_count_matches_series():
@@ -120,6 +148,30 @@ def test_odd_condition():
         P.odd_condition(())
 
 
+def _literal_rank(parts):
+    return parts[0] - len(parts)
+
+
+def _literal_crank(parts):
+    ones = parts.count(1)
+    if ones == 0:
+        return parts[0]
+    return sum(1 for x in parts if x > ones) - ones
+
+
+def _literal_odd_condition(parts):
+    bound = 2 * parts[-1]
+    return all(x % 2 == 0 or x <= bound for x in parts)
+
+
+def test_statistics_match_their_literal_definitions():
+    for n in range(1, 19):
+        for pi in P.enumerate_partitions(n):
+            assert P.rank(pi) == _literal_rank(pi)
+            assert P.crank(pi) == _literal_crank(pi)
+            assert P.odd_condition(pi) is _literal_odd_condition(pi)
+
+
 # ----------------------------------------------------------------------
 # counting functions against frozen tables
 # ----------------------------------------------------------------------
@@ -179,12 +231,13 @@ def test_spt_o_examples():
 
 
 def test_frozen_tables():
-    assert [P.spt(n) for n in range(1, 15)] == SPT
-    assert [P.spt_o_plus(n) for n in range(1, 15)] == SPT_O_PLUS
-    assert [P.spt_o_minus(n) for n in range(1, 15)] == SPT_O_MINUS
-    assert [P.spt_o(n) for n in range(1, 15)] == SPT_O
-    assert [P.n2(n) for n in range(1, 15)] == N2
-    assert [P.m2(n) for n in range(1, 15)] == M2
+    ns = range(1, ENUM_CAP + 1)
+    assert [P.spt(n) for n in ns] == SPT
+    assert [P.spt_o_plus(n) for n in ns] == SPT_O_PLUS
+    assert [P.spt_o_minus(n) for n in ns] == SPT_O_MINUS
+    assert [P.spt_o(n) for n in ns] == SPT_O
+    assert [P.n2(n) for n in ns] == N2
+    assert [P.m2(n) for n in ns] == M2
 
 
 def test_enumerated_statistics_walk_each_size_once(cold_memos, monkeypatch):
