@@ -2,8 +2,9 @@
 worked-example table.
 
 Exit codes: 0 all good, 1 at least one verification failed, 2 usage error
-(``verify --order`` or ``compute --hi`` above ``MAX_ORDER`` among them) or
-an output file that cannot be written.
+(``verify --order`` or ``compute --hi`` above ``MAX_ORDER``, or ``verify``
+given both ``--all`` and ``--identity``, among them) or an output file, or
+a stdout closed early by its reader, that cannot be written.
 Big integers are serialized as decimal strings in JSON output.
 """
 
@@ -97,9 +98,19 @@ def _cache_store(cache_dir: Path, name: str, lo: int, hi: int, values):
 
 def _emit(text: str, path, code: int) -> int:
     """Write ``text`` to the file ``path``, or print it when there is none,
-    and return ``code``; a file that cannot be written is exit 2."""
+    and return ``code``; a file, or a stdout pipe closed early by its
+    reader, that cannot be written is exit 2."""
     if not path:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError as exc:
+            # the exit-time flush of what is still buffered would raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print(f"error: cannot write stdout: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
         return code
     try:
         Path(path).write_text(text + "\n")
@@ -164,6 +175,9 @@ def _cmd_verify(args) -> int:
         print("error: --order must be >= 1", file=sys.stderr)
         return 2
     if _above_ceiling("--order", args.order):
+        return 2
+    if args.all and args.identity:
+        print("error: give --all or --identity, not both", file=sys.stderr)
         return 2
     if args.all:
         ids = list(identities.REGISTRY)

@@ -185,11 +185,13 @@ def _lambert_over_even_doubled(order: int) -> TruncatedSeries:
     return 2 * (qpoch_inf(2, 2, order).invert() * lambert_sigma(order))
 
 
-def _moment_even_series(order: int, moment: Callable[[int], int]) -> TruncatedSeries:
-    """sum_{n>=1} moment(n) q^(2n), truncated at ``order``."""
+def _enumerated_series(
+    value: Callable[[int], int], order: int, step: int = 1
+) -> TruncatedSeries:
+    """sum_{n>=1} value(n) q^(step*n), truncated at ``order``: a table of
+    enumerated (or otherwise per-n) values as a series."""
     c = [0] * (order + 1)
-    for n in range(1, order // 2 + 1):
-        c[2 * n] = moment(n)
+    c[step::step] = map(value, range(1, order // step + 1))
     return TruncatedSeries(tuple(c))
 
 
@@ -197,14 +199,16 @@ def rhs_eq2_doubled(order: int) -> TruncatedSeries:
     """2 * Lambert/(q^2;q^2)_inf minus the rank moments N2(n) at q^(2n)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return _lambert_over_even_doubled(order) - _moment_even_series(order, partitions.n2)
+    moments = _enumerated_series(partitions.n2, order, 2)
+    return _lambert_over_even_doubled(order) - moments
 
 
 def rhs_eq3_doubled(order: int) -> TruncatedSeries:
     """Same with the crank moments M2(n)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return _lambert_over_even_doubled(order) - _moment_even_series(order, partitions.m2)
+    moments = _enumerated_series(partitions.m2, order, 2)
+    return _lambert_over_even_doubled(order) - moments
 
 
 def _theta_correction(order: int) -> TruncatedSeries:
@@ -397,19 +401,14 @@ def _termwise_mismatches(order: int) -> list[Mismatch]:
 
 
 def check_congruence(
-    values: Callable[[int], int],
-    step: int,
-    offset: int,
-    transform: Callable[[int], int],
-    modulus: int,
-    k_max: int,
+    values: Callable[[int], int], step: int, offset: int, modulus: int, k_max: int
 ) -> list[Mismatch]:
-    """Check values(transform(step*k + offset)) == 0 (mod modulus) for k = 0..k_max."""
+    """Check values(step*k + offset) == 0 (mod modulus) for k = 0..k_max."""
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     out = []
     for k in range(k_max + 1):
-        arg = transform(step * k + offset)
+        arg = step * k + offset
         v = values(arg)
         if v % modulus != 0:
             out.append(Mismatch(arg, v % modulus, 0))
@@ -427,38 +426,65 @@ def even_parity_report(order: int) -> tuple[int, int]:
 
 
 # ----------------------------------------------------------------------
-# the check registry
+# the check registry: each check adds itself to REGISTRY where it is
+# defined, through ``_check``, so ``verify --all`` and ``list`` run in
+# definition order
 # ----------------------------------------------------------------------
 
+REGISTRY: dict[str, IdentityCheck] = {}
 
+
+def _check(check_id: str, kind: str, description: str):
+    """Decorator: register ``run`` as check ``check_id`` and return it as is."""
+
+    def register(run):
+        REGISTRY[check_id] = IdentityCheck(check_id, description, kind, run)
+        return run
+
+    return register
+
+
+@_check("eq1", "series-equality",
+        "doubled spt gf: 2*sum q^n/((1-q^n)(q^n;q)_inf) vs 2*sum n p(n) q^n "
+        "+ 2*pentagonal theta correction/(q;q)_inf; sub-check: the correction "
+        "term carries -N2(n)/2 at q^n (desk scale)")
 def _run_eq1(order):
     mm = _series_mismatches(2 * lhs_eq1(order), rhs_eq1_doubled(order))
     # the theta correction over (q;q)_inf carries exactly -1/2 the rank
     # moments; checked against enumeration, at desk scale
     sub = min(order, ENUM_CAP)
-    want = TruncatedSeries(
-        tuple(0 if n == 0 else partitions.n2(n) for n in range(sub + 1))
-    )
-    mm += _series_mismatches(_n2_series(sub), want)
+    mm += _series_mismatches(_n2_series(sub), _enumerated_series(partitions.n2, sub))
     return order, mm
 
 
+@_check("eq2", "series-equality",
+        "doubled spt_o_plus gf: 2*sum q^n (q^(2n+1);q^2)_inf/((1-q^n)^2 "
+        "(q^(n+1);q)_inf) vs 2*Lambert/(q^2;q^2)_inf - sum N2(n) q^(2n) "
+        f"(order capped at {2 * ENUM_CAP}: N2 is enumerated)")
 def _run_eq2(order):
     used = min(order, 2 * ENUM_CAP)
     return used, _series_mismatches(2 * lhs_eq2(used), rhs_eq2_doubled(used))
 
 
+@_check("eq3", "series-equality",
+        "doubled spt_o_minus gf: numerators q^(n(n+1)/2), crank moments "
+        f"M2(n) q^(2n) (order capped at {2 * ENUM_CAP}: M2 is enumerated)")
 def _run_eq3(order):
     used = min(order, 2 * ENUM_CAP)
     return used, _series_mismatches(2 * lhs_eq3(used), rhs_eq3_doubled(used))
 
 
+@_check("gf_note", "series-equality",
+        "spt_o gf built with (1 - q^(n(n-1)/2)) factors equals lhs_eq2 - lhs_eq3")
 def _run_gf_note(order):
     direct = lhs_gf_note(order)
     difference = lhs_eq2(order) - lhs_eq3(order)
     return order, _series_mismatches(direct, difference)
 
 
+@_check("thm2", "sequence-equality",
+        f"spt_o(2n) = spt(n): by enumeration for n <= {ENUM_CAP // 2} and by "
+        "series (even part of lhs_eq2 - lhs_eq3 vs the spt series)")
 def _run_thm2(order):
     mm = _sequence_mismatches(
         range(1, min(ENUM_CAP // 2, order // 2) + 1),
@@ -470,6 +496,9 @@ def _run_thm2(order):
     return order, mm
 
 
+@_check("thm3", "congruence",
+        "spt_o_plus(2n) == spt(n) (mod 2): series coefficients vs "
+        f"enumeration (n capped at {ENUM_CAP})")
 def _run_thm3(order):
     even = lhs_eq2(order).extract(0, 2)
     mm = []
@@ -481,6 +510,9 @@ def _run_thm3(order):
     return order, mm
 
 
+@_check("thm4", "congruence",
+        "spt_o_minus(2n) == 0 (mod 2): series route for 2n <= order, "
+        f"enumeration route for n <= {ENUM_CAP // 2}")
 def _run_thm4(order):
     even = lhs_eq3(order).extract(0, 2)
     mm = [
@@ -495,20 +527,27 @@ def _run_thm4(order):
     return order, mm
 
 
+@_check("thm5", "series-equality",
+        "odd-exponent coefficients of lhs_eq2 and lhs_eq3 agree "
+        "(spt_o_plus(2n+1) = spt_o_minus(2n+1))")
 def _run_thm5(order):
     odd2 = lhs_eq2(order).extract(1, 2)
     odd3 = lhs_eq3(order).extract(1, 2)
     return order, _series_mismatches(odd2, odd3)
 
 
+@_check("eq13", "series-equality",
+        "doubled spt_o_plus gf from enumeration vs 2*(sigma series)/"
+        "(q^2;q^2)_inf - sum N2(n) q^(2n) (desk scale)")
 def _run_eq13(order):
     used = min(order, ENUM_CAP)
-    lhs = TruncatedSeries(
-        tuple(0 if n == 0 else 2 * partitions.spt_o_plus(n) for n in range(used + 1))
-    )
+    lhs = 2 * _enumerated_series(partitions.spt_o_plus, used)
     return used, _series_mismatches(lhs, rhs_eq2_doubled(used))
 
 
+@_check("eq14", "sequence-equality",
+        "2 spt_o_plus(2n) = 2 sum_k p(k) sigma(2(n-k)) - N2(n) "
+        f"for n <= {ENUM_CAP // 2}")
 def _run_eq14(order):
     bound = min(order, ENUM_CAP // 2)  # spt_o_plus(2n) is enumerated
 
@@ -523,12 +562,16 @@ def _run_eq14(order):
     )
 
 
+@_check("eq23", "series-equality",
+        "odd part of lhs_eq3 vs q (q^4;q^4)_inf^3/(q^2;q^4)_inf^5")
 def _run_eq23(order):
     odd3 = lhs_eq3(order).extract(1, 2)
     odd_product = rhs_eq23(order).extract(1, 2)
     return order, _series_mismatches(odd3, odd_product)
 
 
+@_check("m2_is_2np", "sequence-equality",
+        f"M2(n) = 2 n p(n) (n capped at {ENUM_CAP})")
 def _run_m2_is_2np(order):
     used = min(order, ENUM_CAP)
     return used, _sequence_mismatches(
@@ -536,6 +579,8 @@ def _run_m2_is_2np(order):
     )
 
 
+@_check("spt_half_diff", "sequence-equality",
+        f"2 spt(n) = M2(n) - N2(n) (n capped at {ENUM_CAP})")
 def _run_spt_half_diff(order):
     used = min(order, ENUM_CAP)
     return used, _sequence_mismatches(
@@ -545,6 +590,8 @@ def _run_spt_half_diff(order):
     )
 
 
+@_check("sigma_doubling", "sequence-equality",
+        "sigma(2n) = 3 sigma(n) - 2 sigma(n/2), the last term only for even n")
 def _run_sigma_doubling(order):
     def rhs(n):
         return 3 * partitions.sigma(n) - (0 if n % 2 else 2 * partitions.sigma(n // 2))
@@ -554,6 +601,7 @@ def _run_sigma_doubling(order):
     )
 
 
+@_check("legendre_t4", "sequence-equality", "sigma(2n+1) = t4(n)")
 def _run_legendre_t4(order):
     t4 = _t4_series(order).coeffs
     return order, _sequence_mismatches(
@@ -576,181 +624,40 @@ def _run_eq12(label):
 
 
 def _run_cong(step, offset, modulus):
+    """spt_o(2(step k + offset)) == 0 (mod modulus) for 2(step k + offset) <= order."""
+
     def run(order):
-        series = lhs_gf_note(order)
         k_max = (order // 2 - offset) // step
-        mm = check_congruence(
-            series.coeff, step, offset, lambda x: 2 * x, modulus, k_max
+        return order, check_congruence(
+            lhs_gf_note(order).coeff, 2 * step, 2 * offset, modulus, k_max
         )
-        return order, mm
 
     return run
 
 
+_check("bailey_c1", "series-equality",
+       "beta_n = sum_r alpha_r/((q;q)_(n+r) (q;q)_(n-r)) for pair C1, "
+       f"n <= {BAILEY_N}")(_run_bailey("C1"))
+_check("bailey_c5", "series-equality",
+       f"same summation relation for pair C5, n <= {BAILEY_N}")(_run_bailey("C5"))
+_check("eq12_c1", "series-equality",
+       "sum (q;q)_(n-1)^2 beta_n q^n = Lambert + sum alpha_n q^n/(1-q^n)^2 "
+       "for pair C1")(_run_eq12("C1"))
+_check("eq12_c5", "series-equality",
+       "same differentiated-lemma identity for pair C5")(_run_eq12("C5"))
+_check("cong5", "congruence",
+       "spt_o(2(5k+4)) == 0 (mod 5), series route")(_run_cong(5, 4, 5))
+_check("cong7", "congruence",
+       "spt_o(2(7k+5)) == 0 (mod 7), series route")(_run_cong(7, 5, 7))
+_check("cong13", "congruence",
+       "spt_o(2(13k+6)) == 0 (mod 13), series route")(_run_cong(13, 6, 13))
+
+
+@_check("termwise_eq2", "series-equality",
+        "summandwise: differentiated-lemma terms over (q^2;q^2)_inf equal "
+        f"the matching quotient summands (C1<->eq2, C5<->eq3), n <= {TERMWISE_N}")
 def _run_termwise(order):
     return order, _termwise_mismatches(order)
-
-
-def _registry() -> dict[str, IdentityCheck]:
-    checks = [
-        IdentityCheck(
-            "eq1",
-            "doubled spt gf: 2*sum q^n/((1-q^n)(q^n;q)_inf) vs 2*sum n p(n) q^n "
-            "+ 2*pentagonal theta correction/(q;q)_inf; sub-check: the correction "
-            "term carries -N2(n)/2 at q^n (desk scale)",
-            "series-equality",
-            _run_eq1,
-        ),
-        IdentityCheck(
-            "eq2",
-            "doubled spt_o_plus gf: 2*sum q^n (q^(2n+1);q^2)_inf/((1-q^n)^2 "
-            "(q^(n+1);q)_inf) vs 2*Lambert/(q^2;q^2)_inf - sum N2(n) q^(2n) "
-            f"(order capped at {2 * ENUM_CAP}: N2 is enumerated)",
-            "series-equality",
-            _run_eq2,
-        ),
-        IdentityCheck(
-            "eq3",
-            "doubled spt_o_minus gf: numerators q^(n(n+1)/2), crank moments "
-            f"M2(n) q^(2n) (order capped at {2 * ENUM_CAP}: M2 is enumerated)",
-            "series-equality",
-            _run_eq3,
-        ),
-        IdentityCheck(
-            "gf_note",
-            "spt_o gf built with (1 - q^(n(n-1)/2)) factors equals "
-            "lhs_eq2 - lhs_eq3",
-            "series-equality",
-            _run_gf_note,
-        ),
-        IdentityCheck(
-            "thm2",
-            f"spt_o(2n) = spt(n): by enumeration for n <= {ENUM_CAP // 2} and by "
-            "series (even part of lhs_eq2 - lhs_eq3 vs the spt series)",
-            "sequence-equality",
-            _run_thm2,
-        ),
-        IdentityCheck(
-            "thm3",
-            "spt_o_plus(2n) == spt(n) (mod 2): series coefficients vs "
-            f"enumeration (n capped at {ENUM_CAP})",
-            "congruence",
-            _run_thm3,
-        ),
-        IdentityCheck(
-            "thm4",
-            "spt_o_minus(2n) == 0 (mod 2): series route for 2n <= order, "
-            f"enumeration route for n <= {ENUM_CAP // 2}",
-            "congruence",
-            _run_thm4,
-        ),
-        IdentityCheck(
-            "thm5",
-            "odd-exponent coefficients of lhs_eq2 and lhs_eq3 agree "
-            "(spt_o_plus(2n+1) = spt_o_minus(2n+1))",
-            "series-equality",
-            _run_thm5,
-        ),
-        IdentityCheck(
-            "eq13",
-            "doubled spt_o_plus gf from enumeration vs 2*(sigma series)/"
-            "(q^2;q^2)_inf - sum N2(n) q^(2n) (desk scale)",
-            "series-equality",
-            _run_eq13,
-        ),
-        IdentityCheck(
-            "eq14",
-            "2 spt_o_plus(2n) = 2 sum_k p(k) sigma(2(n-k)) - N2(n) "
-            f"for n <= {ENUM_CAP // 2}",
-            "sequence-equality",
-            _run_eq14,
-        ),
-        IdentityCheck(
-            "eq23",
-            "odd part of lhs_eq3 vs q (q^4;q^4)_inf^3/(q^2;q^4)_inf^5",
-            "series-equality",
-            _run_eq23,
-        ),
-        IdentityCheck(
-            "m2_is_2np",
-            f"M2(n) = 2 n p(n) (n capped at {ENUM_CAP})",
-            "sequence-equality",
-            _run_m2_is_2np,
-        ),
-        IdentityCheck(
-            "spt_half_diff",
-            f"2 spt(n) = M2(n) - N2(n) (n capped at {ENUM_CAP})",
-            "sequence-equality",
-            _run_spt_half_diff,
-        ),
-        IdentityCheck(
-            "sigma_doubling",
-            "sigma(2n) = 3 sigma(n) - 2 sigma(n/2), the last term only for even n",
-            "sequence-equality",
-            _run_sigma_doubling,
-        ),
-        IdentityCheck(
-            "legendre_t4",
-            "sigma(2n+1) = t4(n)",
-            "sequence-equality",
-            _run_legendre_t4,
-        ),
-        IdentityCheck(
-            "bailey_c1",
-            "beta_n = sum_r alpha_r/((q;q)_(n+r) (q;q)_(n-r)) for pair C1, "
-            f"n <= {BAILEY_N}",
-            "series-equality",
-            _run_bailey("C1"),
-        ),
-        IdentityCheck(
-            "bailey_c5",
-            f"same summation relation for pair C5, n <= {BAILEY_N}",
-            "series-equality",
-            _run_bailey("C5"),
-        ),
-        IdentityCheck(
-            "eq12_c1",
-            "sum (q;q)_(n-1)^2 beta_n q^n = Lambert + sum alpha_n q^n/(1-q^n)^2 "
-            "for pair C1",
-            "series-equality",
-            _run_eq12("C1"),
-        ),
-        IdentityCheck(
-            "eq12_c5",
-            "same differentiated-lemma identity for pair C5",
-            "series-equality",
-            _run_eq12("C5"),
-        ),
-        IdentityCheck(
-            "cong5",
-            "spt_o(2(5k+4)) == 0 (mod 5), series route",
-            "congruence",
-            _run_cong(5, 4, 5),
-        ),
-        IdentityCheck(
-            "cong7",
-            "spt_o(2(7k+5)) == 0 (mod 7), series route",
-            "congruence",
-            _run_cong(7, 5, 7),
-        ),
-        IdentityCheck(
-            "cong13",
-            "spt_o(2(13k+6)) == 0 (mod 13), series route",
-            "congruence",
-            _run_cong(13, 6, 13),
-        ),
-        IdentityCheck(
-            "termwise_eq2",
-            "summandwise: differentiated-lemma terms over (q^2;q^2)_inf equal "
-            f"the matching quotient summands (C1<->eq2, C5<->eq3), n <= {TERMWISE_N}",
-            "series-equality",
-            _run_termwise,
-        ),
-    ]
-    return {c.id: c for c in checks}
-
-
-REGISTRY: dict[str, IdentityCheck] = _registry()
 
 
 def verify(check_id: str, order: int) -> IdentityReport:

@@ -8,8 +8,9 @@ from sptq import identities, partitions
 @pytest.fixture
 def cold_memos():
     """Empty every library memo, that is every object in ``partitions`` or
-    ``identities`` with a ``cache_info``, and return them, so the test starts
-    cold whatever ran before it."""
+    ``identities`` with a ``cache_info``, and yield them, so the test starts
+    cold whatever ran before it; empty them again afterwards, so nothing the
+    test built (under a monkeypatched builder, say) outlives it."""
     memos = [
         obj
         for module in (partitions, identities)
@@ -18,4 +19,6 @@ def cold_memos():
     ]
     for memo in memos:
         memo.cache_clear()
-    return memos
+    yield memos
+    for memo in memos:
+        memo.cache_clear()

@@ -90,6 +90,24 @@ def test_compute_unwritable_out_is_exit_two(cache_dir, tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_compute_into_a_closed_pipe_is_exit_two(cache_dir):
+    # about 101 KB of csv, more than a pipe buffer holds, so the writer is
+    # still blocked when the reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sptq", "compute", "--sequence", "sigma",
+         "--lo", "0", "--hi", "10000", "--format", "csv",
+         "--cache-dir", str(cache_dir)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert proc.stdout.readline() == "n,value\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in stderr
+    assert "error: cannot write stdout" in stderr
+
+
 def test_compute_cold_and_warm_cache_are_byte_identical(cache_dir):
     # spt_o is read off its generating series on a miss, p off its closed form
     cases = [("p", "0", "json")] + [("spt_o", "1", fmt) for fmt in ("json", "csv", "text")]
@@ -322,6 +340,22 @@ def test_orders_above_the_ceiling_fail_before_any_build(
 def test_verify_requires_selection():
     r = run_cli("verify", "--order", "10")
     assert r.returncode == 2
+
+
+def test_verify_all_with_identity_is_usage_error(monkeypatch, capsys):
+    from sptq import cli, identities
+
+    def refuse(*args):
+        raise AssertionError("a check ran despite the ambiguous selection")
+
+    monkeypatch.setattr(identities, "verify", refuse)
+    for check_id, check in identities.REGISTRY.items():
+        monkeypatch.setitem(identities.REGISTRY, check_id,
+                            dataclasses.replace(check, run=refuse))
+    assert cli.main(["verify", "--all", "--identity", "eq2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: give --all or --identity, not both" in captured.err
 
 
 def test_verify_all_small_order():

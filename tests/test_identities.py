@@ -307,14 +307,14 @@ def test_finite_pochhammer_checks_invert_no_dense_product(cold_memos, monkeypatc
 
 
 def test_check_congruence_reports_failures():
-    mm = I.check_congruence(lambda x: x, 5, 4, lambda x: 2 * x, 5, 3)
-    # 2*(5k+4) mod 5 = 8,18,28,38 -> 3,3,3,3
+    mm = I.check_congruence(lambda x: x, 10, 8, 5, 3)
+    # 10k+8 = 8,18,28,38; mod 5 -> 3,3,3,3
     assert len(mm) == 4
     assert mm[0] == I.Mismatch(8, 3, 0)
 
 
 def test_check_congruence_empty_range():
-    assert I.check_congruence(lambda x: 1, 5, 4, lambda x: x, 5, -1) == []
+    assert I.check_congruence(lambda x: 1, 5, 4, 5, -1) == []
 
 
 def test_congruence_first_cases():
