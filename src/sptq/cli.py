@@ -188,6 +188,7 @@ def _cmd_verify(args) -> int:
             print(f"error: unknown identity check(s): {', '.join(unknown)}",
                   file=sys.stderr)
             return 2
+        ids = list(dict.fromkeys(ids))  # a repeated id runs and reports once
     else:
         print("error: give --all or at least one --identity", file=sys.stderr)
         return 2

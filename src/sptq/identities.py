@@ -185,21 +185,17 @@ def _lambert_over_even_doubled(order: int) -> TruncatedSeries:
     return 2 * (qpoch_inf(2, 2, order).invert() * lambert_sigma(order))
 
 
-def _enumerated_series(
-    value: Callable[[int], int], order: int, step: int = 1
-) -> TruncatedSeries:
-    """sum_{n>=1} value(n) q^(step*n), truncated at ``order``: a table of
-    enumerated (or otherwise per-n) values as a series."""
-    c = [0] * (order + 1)
-    c[step::step] = map(value, range(1, order // step + 1))
-    return TruncatedSeries(tuple(c))
+def _enumerated_series(value: Callable[[int], int], order: int) -> TruncatedSeries:
+    """sum_{n>=1} value(n) q^n, truncated at ``order``: a table of enumerated
+    (or otherwise per-n) values as a series."""
+    return TruncatedSeries((0, *map(value, range(1, order + 1))))
 
 
 def rhs_eq2_doubled(order: int) -> TruncatedSeries:
     """2 * Lambert/(q^2;q^2)_inf minus the rank moments N2(n) at q^(2n)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    moments = _enumerated_series(partitions.n2, order, 2)
+    moments = _enumerated_series(partitions.n2, order // 2).stretched(2)
     return _lambert_over_even_doubled(order) - moments
 
 
@@ -207,7 +203,7 @@ def rhs_eq3_doubled(order: int) -> TruncatedSeries:
     """Same with the crank moments M2(n)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    moments = _enumerated_series(partitions.m2, order, 2)
+    moments = _enumerated_series(partitions.m2, order // 2).stretched(2)
     return _lambert_over_even_doubled(order) - moments
 
 
@@ -240,11 +236,15 @@ def _m2_series(order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(2 * n * c for n, c in enumerate(p)))
 
 
-def _t4_series(order: int) -> TruncatedSeries:
-    """psi(q)^4, psi = sum_k q^(k(k+1)/2): q^n counts the ordered quadruples of
-    triangular numbers summing to n.  ``**`` keeps the sparse psi outside."""
+def _psi_series(order: int) -> TruncatedSeries:
+    """psi(q) = sum_{k>=0} q^(k(k+1)/2) = (q^2;q^2)_inf/(q;q^2)_inf (Gauss)."""
     triangular = {k * (k + 1) // 2 for k in range(order + 1)}
-    return TruncatedSeries(tuple(int(e in triangular) for e in range(order + 1))) ** 4
+    return TruncatedSeries(tuple(int(e in triangular) for e in range(order + 1)))
+
+
+def _t4_series(order: int) -> TruncatedSeries:
+    """psi^4: q^n counts the ordered quadruples of triangular numbers summing to n."""
+    return _psi_series(order) ** 4
 
 
 def rhs_eq1_doubled(order: int) -> TruncatedSeries:
@@ -256,11 +256,14 @@ def rhs_eq1_doubled(order: int) -> TruncatedSeries:
 
 
 def rhs_eq23(order: int) -> TruncatedSeries:
-    """q (q^4;q^4)_inf^3 / (q^2;q^4)_inf^5, the odd-part product form."""
+    """q (q^4;q^4)_inf^3/(q^2;q^4)_inf^5 = q psi(q^2)^5 P(q^4)^2, the odd-part
+    product form, by Gauss's psi(q) = (q^2;q^2)_inf/(q;q^2)_inf and Euler's
+    P(q) = sum p(n) q^n = 1/(q;q)_inf: no inverse and no dense power."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    cube = qpoch_inf(4, 4, order) ** 3
-    return (cube * qpoch_inf(2, 4, order).invert() ** 5).shifted(1)
+    p = _p_series(order // 4)
+    odd = _psi_series(order // 2) ** 5 * (p * p).stretched(2)
+    return odd.stretched(2).shifted(1).truncate(order)
 
 
 # ----------------------------------------------------------------------

@@ -146,6 +146,15 @@ class TruncatedSeries:
             )
         return TruncatedSeries(tuple(self.coeffs[residue :: modulus]))
 
+    def stretched(self, m: int) -> "TruncatedSeries":
+        """Substitute q^m for q, the inverse of ``extract(0, m)``: an order-N
+        series becomes one of order m(N+1) - 1, all that is then known."""
+        if m < 1:
+            raise ValueError("need m >= 1")
+        c = [0] * (m * len(self.coeffs))
+        c[::m] = self.coeffs
+        return TruncatedSeries(tuple(c))
+
     # ------------------------------------------------------------------
     # cheap single-factor updates, all O(order)
     # ------------------------------------------------------------------
@@ -244,9 +253,5 @@ def geom_sq(part: int, order: int) -> TruncatedSeries:
     _check_order(order)
     if part < 1:
         raise ValueError("part size must be >= 1")
-    c = [0] * (order + 1)
-    k = 1
-    while k * part <= order:
-        c[k * part] = k
-        k += 1
-    return TruncatedSeries(tuple(c))
+    ramp = TruncatedSeries(tuple(range(order // part + 1)))  # sum k q^k
+    return ramp.stretched(part).truncate(order)

@@ -289,6 +289,24 @@ def test_verify_multiple_identities():
     assert [x["id"] for x in json.loads(r.stdout)] == ["thm5", "eq23"]
 
 
+def test_verify_repeated_identity_runs_once(monkeypatch, capsys):
+    from sptq import cli, identities
+
+    runs = []
+    check = identities.REGISTRY["thm5"]
+
+    def counting(order):
+        runs.append(order)
+        return check.run(order)
+
+    monkeypatch.setitem(identities.REGISTRY, "thm5",
+                        dataclasses.replace(check, run=counting))
+    assert cli.main(["verify", "--identity", "thm5", "--identity", "thm5",
+                     "--order", "10"]) == 0
+    assert [x["id"] for x in json.loads(capsys.readouterr().out)] == ["thm5"]
+    assert runs == [10]
+
+
 def test_verify_unknown_identity():
     r = run_cli("verify", "--identity", "nonsense", "--order", "10")
     assert r.returncode == 2

@@ -100,9 +100,7 @@ def test_lhs_eq1_matches_direct_construction():
 def test_quotient_sums_match_product_forms_at_scale(lhs, moments):
     # eqs. (2)/(3) at order 400, with N2/M2 from their own series at order 200
     order = 400
-    at_even = moments(order // 2).coeffs
-    placed = TruncatedSeries(
-        tuple(0 if k % 2 else at_even[k // 2] for k in range(order + 1)))
+    placed = moments(order // 2).stretched(2)
     assert 2 * lhs(order) == I._lambert_over_even_doubled(order) - placed
 
 
@@ -132,6 +130,13 @@ def test_rhs_eq23_prefix():
     assert s.coeff(3) == 5
     assert s.coeff(5) == 12
     assert all(s.coeff(2 * k) == 0 for k in range(5))
+
+
+@pytest.mark.parametrize("order", [*range(1, 41), 400])
+def test_rhs_eq23_matches_the_literal_product_form(order):
+    # order mod 4 sets the truncations of psi (order // 2) and P (order // 4)
+    literal = qpoch_inf(4, 4, order) ** 3 * qpoch_inf(2, 4, order).invert() ** 5
+    assert I.rhs_eq23(order) == literal.shifted(1)
 
 
 def test_theta_correction_carries_rank_moments():
@@ -299,6 +304,26 @@ def test_finite_pochhammer_checks_invert_no_dense_product(cold_memos, monkeypatc
     assert all(r.status == "pass" for r in I.verify_all(200))
     assert calls["shift products"] == 0
     assert calls["verify_all"] > 0  # eq2's right side still inverts (q^2;q^2)_inf
+
+
+def test_only_the_lambert_quotient_inverts(cold_memos, monkeypatch):
+    # eq2, eq3 and eq13 each build one Lambert/(q^2;q^2)_inf; every other
+    # right side, eq23's included, is built without an inverse
+    calls = Counter()
+    invert, lambert = TruncatedSeries.invert, I._lambert_over_even_doubled
+
+    def counting_invert(self):
+        calls["invert"] += 1
+        return invert(self)
+
+    def counting_lambert(order):
+        calls["lambert"] += 1
+        return lambert(order)
+
+    monkeypatch.setattr(TruncatedSeries, "invert", counting_invert)
+    monkeypatch.setattr(I, "_lambert_over_even_doubled", counting_lambert)
+    assert all(r.status == "pass" for r in I.verify_all(200))
+    assert calls == {"invert": 3, "lambert": 3}
 
 
 # ----------------------------------------------------------------------

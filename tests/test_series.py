@@ -243,6 +243,24 @@ def test_extract_bad_args():
         ts(1).extract(1, 2)  # no exponent == 1 within order 0
 
 
+def test_stretched_places_coefficients_on_multiples():
+    s = ts(1, 2, 3)
+    assert s.stretched(3).coeffs == (1, 0, 0, 2, 0, 0, 3, 0, 0)
+    assert s.stretched(3).order == 3 * (s.order + 1) - 1
+    assert s.stretched(3).extract(0, 3) == s
+
+
+def test_stretched_by_one_is_the_identity():
+    s = ts(4, -1, 0, 7)
+    assert s.stretched(1) == s
+
+
+def test_stretched_rejects_a_factor_below_one():
+    for m in (0, -2):
+        with pytest.raises(ValueError):
+            ts(1, 2).stretched(m)
+
+
 # ----------------------------------------------------------------------
 # single-factor helpers
 # ----------------------------------------------------------------------
@@ -377,6 +395,15 @@ def test_add_and_sub_are_indexwise_at_the_smaller_order(a, b):
 def test_times_one_minus_is_a_one_factor_product(x, data):
     e = data.draw(st.integers(1, x.order + 2))
     assert x.times_one_minus(e) == x * qpoch_fin(e, 1, 1, x.order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_st, st.integers(1, 5))
+def test_stretched_is_the_inverse_of_extract(s, m):
+    out = s.stretched(m)
+    assert out.order == m * (s.order + 1) - 1
+    assert out.extract(0, m) == s
+    assert all(out.coeffs[k] == 0 for k in range(out.order + 1) if k % m)
 
 
 def test_shifted_rejects_a_negative_exponent():
