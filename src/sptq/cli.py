@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__, identities, partitions
 
 # largest verify --order and compute --hi: every route is polynomial, but
-# grows about x4 per doubling (verify --all takes 14 s at order 4000), so
+# grows about x4 per doubling (verify --all takes 13 s at order 4000), so
 # far past this a run takes hours
 MAX_ORDER = 10_000
 
@@ -228,25 +228,23 @@ def _cmd_examples(_args) -> int:
             note = f"disagrees with the quoted value {quoted} (see README notes)"
         rows.append((label, computed, note))
     width = max(len(r[0]) for r in rows)
-    print(f"{'quantity'.ljust(width)}  computed  note")
-    for label, computed, note in rows:
-        print(f"{label.ljust(width)}  {str(computed).ljust(8)}  {note}")
+    lines = [f"{'quantity'.ljust(width)}  computed  note"]
+    lines += [f"{label.ljust(width)}  {str(computed).ljust(8)}  {note}"
+              for label, computed, note in rows]
     hits, total = identities.even_parity_report(60)
-    print()
-    print(f"finite-range observation: spt_o_plus(2n) is even for {hits} of the "
-          f"first {total} values of n (no limit claimed)")
-    return 0
+    lines += ["", f"finite-range observation: spt_o_plus(2n) is even for {hits} of "
+              f"the first {total} values of n (no limit claimed)"]
+    return _emit("\n".join(lines), None, 0)
 
 
 def _cmd_list(_args) -> int:
-    print("sequences (compute --sequence <id>):")
-    for name in partitions.sequence_ids():
-        print(f"  {name:<12} defined for n >= {partitions.sequence_domain_min(name)}")
-    print()
-    print("identity checks (verify --identity <id>):")
-    for check in identities.REGISTRY.values():
-        print(f"  {check.id:<14} [{check.kind}] {check.description}")
-    return 0
+    lines = ["sequences (compute --sequence <id>):"]
+    lines += [f"  {name:<12} defined for n >= {partitions.sequence_domain_min(name)}"
+              for name in partitions.sequence_ids()]
+    lines += ["", "identity checks (verify --identity <id>):"]
+    lines += [f"  {check.id:<14} [{check.kind}] {check.description}"
+              for check in identities.REGISTRY.values()]
+    return _emit("\n".join(lines), None, 0)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -219,15 +219,23 @@ def _theta_correction(order: int) -> TruncatedSeries:
     return total
 
 
+def _euler_series(order: int) -> TruncatedSeries:
+    """(q;q)_inf = sum_k (-1)^k q^(k(3k-1)/2), k over all integers (Euler's
+    pentagonal number theorem): O(sqrt(order)) nonzero coefficients."""
+    signs = {k * (3 * k - 1) // 2: 1 - 2 * (k % 2) for k in range(-order, order + 1)}
+    return TruncatedSeries(tuple(signs.get(e, 0) for e in range(order + 1)))
+
+
 def _p_series(order: int) -> TruncatedSeries:
-    """sum p(n) q^n = 1/(q;q)_inf, from the pentagonal-number recurrence."""
-    return TruncatedSeries(tuple(partitions._partition_counts(order)))
+    """sum p(n) q^n = 1/(q;q)_inf: one sparse division by Euler's series, so
+    the oracle ``partitions.p`` (the pentagonal recurrence) stays independent."""
+    return one(order) / _euler_series(order)
 
 
 def _n2_series(order: int) -> TruncatedSeries:
-    """-2 * theta correction * sum p(n) q^n (that is, over (q;q)_inf), whose
-    q^n coefficient is the rank moment N2(n)."""
-    return -2 * (_p_series(order) * _theta_correction(order))
+    """-2 * theta correction / (q;q)_inf, one sparse division, whose q^n
+    coefficient is the rank moment N2(n)."""
+    return -2 * (_theta_correction(order) / _euler_series(order))
 
 
 def _m2_series(order: int) -> TruncatedSeries:

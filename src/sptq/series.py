@@ -107,29 +107,38 @@ class TruncatedSeries:
             result = result * self
         return result
 
-    def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse modulo q^(order+1).
+    def __truediv__(self, other):
+        """Quotient modulo q^(n+1), n the smaller order, by forward
+        substitution over the divisor's nonzero coefficients: O(n x nonzeros),
+        so O(n^1.5) for a pentagonal-sparse divisor.
 
-        Over the integers only series with constant term +1 or -1 are
-        invertible; anything else raises ValueError.
+        Over the integers only a divisor with constant term +1 or -1 divides
+        every series; anything else raises ValueError.
         """
-        c0 = self.coeffs[0]
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        c0 = other.coeffs[0]
         if c0 not in (1, -1):
             raise ValueError(
                 "series is not invertible over the integers "
                 f"(constant term {c0}, must be +1 or -1)"
             )
-        n = self.order
-        a = self.coeffs
-        inv = [c0] + [0] * n
-        for k in range(1, n + 1):
-            acc = 0
-            for j in range(1, k + 1):
-                aj = a[j]
-                if aj:
-                    acc += aj * inv[k - j]
-            inv[k] = -c0 * acc
-        return TruncatedSeries(tuple(inv))
+        n = min(self.order, other.order)
+        terms = [(j, b) for j, b in enumerate(other.coeffs[1 : n + 1], 1) if b]
+        out = []
+        for k in range(n + 1):
+            acc = self.coeffs[k]
+            for j, b in terms:
+                if j > k:
+                    break
+                acc -= b * out[k - j]
+            out.append(c0 * acc)
+        return TruncatedSeries(tuple(out))
+
+    def invert(self) -> "TruncatedSeries":
+        """Multiplicative inverse modulo q^(order+1): ``one / self``, so only
+        series with constant term +1 or -1 are invertible."""
+        return one(self.order) / self
 
     # ------------------------------------------------------------------
     # exponent surgery

@@ -108,6 +108,24 @@ def test_compute_into_a_closed_pipe_is_exit_two(cache_dir):
     assert "error: cannot write stdout" in stderr
 
 
+@pytest.mark.parametrize("command", ["list", "examples"])
+def test_listing_into_a_closed_pipe_is_exit_two(command):
+    # the pipe's read end is closed before the child starts, so its first
+    # write to stdout fails whatever the size of the text
+    import os
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run([sys.executable, "-m", "sptq", command], stdout=write_end,
+                           stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert "error: cannot write stdout" in r.stderr
+
+
 def test_compute_cold_and_warm_cache_are_byte_identical(cache_dir):
     # spt_o is read off its generating series on a miss, p off its closed form
     cases = [("p", "0", "json")] + [("spt_o", "1", fmt) for fmt in ("json", "csv", "text")]

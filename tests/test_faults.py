@@ -90,11 +90,20 @@ BUILDER_FAULTS = {
     "_p_series": ({"eq1", "eq23"}, {"eq1"}, {"eq1"}),
     "_psi_series": ({"eq23", "legendre_t4"}, {"eq23", "legendre_t4"},
                     {"legendre_t4"}),
+    "_euler_series": ({"eq1", "eq23"}, {"eq1"}, {"eq1"}),
+}
+# the right sides that eq2 and eq3 cap at order 60, so at q^3 and q^51
+CAPPED_EXPONENTS = (3, 51)
+CAPPED_FAULTS = {
+    "rhs_eq2_doubled": ({"eq2", "eq13"}, {"eq2"}),
+    "rhs_eq3_doubled": ({"eq3"}, {"eq3"}),
 }
 FAULTS.update(
     (f"{name.lstrip('_')}_q{e}", (_builder_fault(name, e), caught))
-    for name, sets in BUILDER_FAULTS.items()
-    for e, caught in zip(BUILDER_EXPONENTS, sets)
+    for exponents, table in ((BUILDER_EXPONENTS, BUILDER_FAULTS),
+                             (CAPPED_EXPONENTS, CAPPED_FAULTS))
+    for name, sets in table.items()
+    for e, caught in zip(exponents, sets)
 )
 
 

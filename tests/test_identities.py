@@ -148,6 +148,42 @@ def test_theta_correction_carries_rank_moments():
     assert got == want
 
 
+@pytest.mark.parametrize("order", [*range(121), 1000])
+def test_euler_series_is_the_pochhammer_product(order):
+    assert I._euler_series(order) == qpoch_inf(1, 1, order)
+
+
+def test_p_series_does_not_read_the_partition_oracle(monkeypatch):
+    # sum p(n) q^n is divided out of Euler's series, so the recurrence behind
+    # partitions.p stays an independent oracle for it
+    want = tuple(P._partition_counts(400))
+
+    def unreachable(n):
+        raise AssertionError("_p_series read partitions._partition_counts")
+
+    monkeypatch.setattr(P, "_partition_counts", unreachable)
+    assert I._p_series(400).coeffs == want
+
+
+def test_n2_series_divides_instead_of_multiplying(cold_memos, monkeypatch):
+    # N2 is theta over (q;q)_inf by one sparse division: no series x series
+    # product, and the dense product with the recurrence's p(n) agrees
+    products = Counter()
+    mul = TruncatedSeries.__mul__
+
+    def counting(self, other):
+        products["series x series"] += isinstance(other, TruncatedSeries)
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    monkeypatch.setattr(TruncatedSeries, "__rmul__", counting)
+    got = I._n2_series(200)
+    assert products["series x series"] == 0
+    monkeypatch.undo()
+    p = TruncatedSeries(tuple(P._partition_counts(200)))
+    assert got == -2 * (p * I._theta_correction(200))
+
+
 # ----------------------------------------------------------------------
 # Bailey machinery
 # ----------------------------------------------------------------------

@@ -29,6 +29,15 @@ def naive_polymul(a, b, order):
     return out
 
 
+def termwise_inverse(a):
+    # independent check of the division code: the term-by-term inverse of a
+    # unit-constant series, every (k, j) pair walked, zeros included
+    inv = [a[0]]
+    for k in range(1, len(a)):
+        inv.append(-a[0] * sum(a[j] * inv[k - j] for j in range(1, k + 1)))
+    return inv
+
+
 # ----------------------------------------------------------------------
 # constructors and views
 # ----------------------------------------------------------------------
@@ -147,6 +156,18 @@ def test_invert_non_unit_is_an_error():
 def test_invert_negative_unit():
     s = ts(-1, 3, 2, 1)
     assert s * s.invert() == one(3)
+
+
+def test_div_by_a_non_unit_is_an_error():
+    with pytest.raises(ValueError, match="constant term 2, must be"):
+        ts(1, 1) / ts(2, 0)
+    with pytest.raises(ValueError):
+        ts(1, 1) / ts(0, 1)
+
+
+def test_div_by_an_int_is_a_type_error():
+    with pytest.raises(TypeError):
+        ts(2, 4) / 2
 
 
 def test_mul_invert_round_trip_on_pochhammer():
@@ -361,6 +382,18 @@ def test_one_is_multiplicative_identity(a):
 @given(unit_series_st)
 def test_invert_round_trip(a):
     assert a * a.invert() == monomial(0, 1, a.order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_series_st)
+def test_invert_matches_the_termwise_inverse(a):
+    assert list(a.invert().coeffs) == termwise_inverse(a.coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_st, unit_series_st)
+def test_div_round_trip(a, b):
+    assert (a / b) * b == a.truncate(min(a.order, b.order))
 
 
 # ----------------------------------------------------------------------
