@@ -5,18 +5,19 @@ whole pipeline stays in exact integer arithmetic; that is sound because
 the rank and crank second moments are even (negation symmetry of the rank
 and crank multisets, asserted by the partition tests).
 
-The left sides are sums of q-Pochhammer quotients built purely in the
-series ring.  The right sides are product forms; those of eqs. (2)/(3)
-pull N2/M2 from literal partition enumeration, which makes each check a
-genuine cross-representation test rather than a tautology.  Checks that
-need enumeration cap their range at desk scale (n <= ENUM_CAP) no matter
-what bound is requested; the reported order is the one actually used.
+The left sides are sums of q-Pochhammer quotients over one upward walk per
+order, its summands one coefficient shorter at every step.  The right sides
+are product forms; those of eqs. (2)/(3) pull N2/M2 from literal partition
+enumeration, so each check crosses two representations.  Checks that need
+enumeration cap their range at desk scale (n <= ENUM_CAP) no matter what
+bound is requested; the reported order is the one actually used.
 """
 
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
+from operator import add, sub
 from typing import Callable, Iterable, Iterator
 
 from . import partitions
@@ -102,77 +103,85 @@ def _first_difference(index: int, lhs, rhs) -> list[Mismatch]:
 # ----------------------------------------------------------------------
 
 
-def _smallest_part_summands(order: int) -> Iterator[tuple[int, TruncatedSeries]]:
-    """Yield (n, q^n Q_n / (1-q^n)^2) for n = order down to 1, the eq. (2)
-    summands, where Q_n = (q^(2n+1);q^2)_inf / (q^(n+1);q)_inf.
+def _upward_walk(order: int, odd: bool) -> Iterator[tuple[int, TruncatedSeries]]:
+    """Yield (n, S_n mod q^(order-n+1)) for n = 1..order: S_n is T_n =
+    (q;q)_(n-1) / ((1-q^n) (q;q^2)_n) if ``odd``, else U_n = (q;q)_(n-1) / (1-q^n).
 
-    Q_order is 1 modulo q^(order+1), so the walk starts from 1 and steps
-    down by Q_(n-1) = Q_n (1 - q^(2n-1)) / (1 - q^n), sharing the division
-    by (1 - q^n) with the summand: three O(order) updates and a shift per n.
-    Tests pin it to the direct dense construction.
-    """
-    quotient = one(order)  # Q_order
-    for n in range(order, 0, -1):
-        half = quotient.divided_by_one_minus(n)
-        yield n, half.divided_by_one_minus(n).shifted(n)
-        quotient = half.times_one_minus(2 * n - 1)
+    Every sum over S_n carries q^n, so the walk drops one coefficient per
+    step: S_(n+1) is S_n truncated, times (1-q^n)^2, over (1-q^(n+1)) and,
+    for T, (1-q^(2n+1)).  Tests pin it to the direct dense construction."""
+    term = one(order)
+    for n in range(1, order + 1):
+        term = term.truncate(order - n).divided_by_one_minus(n)
+        if odd:
+            term = term.divided_by_one_minus(2 * n - 1)
+        yield n, term
+        term = term.times_one_minus(n).times_one_minus(n)
+
+
+def _placed_sums(order: int, walk, placements) -> list[TruncatedSeries]:
+    """One sum per placement: for each (n, S_n) of ``walk`` and (shift, op)
+    in placement(n), shift >= n, op (add or sub) q^shift S_n in, by slices."""
+    totals = [[0] * (order + 1) for _ in placements]
+    for n, term in walk:
+        for total, place in zip(totals, placements):
+            for shift, op in place(n):
+                if shift <= order:
+                    total[shift:] = map(op, total[shift:], term.coeffs)
+    return [TruncatedSeries(tuple(total)) for total in totals]
+
+
+def _placement(pair: "BaileyPair"):
+    """The eq. (12) summand of ``pair`` is q^(n + beta_exponent(n)) T_n."""
+    return lambda n: ((n + pair.beta_exponent(n), add),)
 
 
 @lru_cache(maxsize=None)
 def _smallest_part_lhs(order: int) -> tuple:
-    """lhs_eq2, lhs_eq3 and lhs_gf_note, summed in one pass over the summands,
-    and the (n, summand) pairs with n <= TERMWISE_N in ascending n.
+    """lhs_eq2, lhs_eq3, lhs_gf_note, the eq. (12) sums by pair label and
+    the (n, T_n) with n <= TERMWISE_N, all from one upward walk of T_n.
 
-    The spt_o sum accumulates each summand times (1 - q^(n(n-1)/2)) on its
-    own rather than being taken as the eq2 sum minus the eq3 sum, so the
-    gf_note check compares two different constructions.
-    """
-    total2 = total3 = total_o = zero(order)
-    kept = []
-    for n, summand in _smallest_part_summands(order):
-        total2 = total2 + summand
-        if n * (n + 1) // 2 <= order:
-            total3 = total3 + summand.shifted(n * (n - 1) // 2)
-        if n > 1:  # the n = 1 factor is 1 - q^0 = 0
-            total_o = total_o + summand.times_one_minus(n * (n - 1) // 2)
-        if n <= TERMWISE_N:
-            kept.append((n, summand))
-    return total2, total3, total_o, tuple(kept[::-1])
+    The eq. (2) summand is q^n T_n / (q^2;q^2)_inf; eq. (3) shifts it by
+    n(n-1)/2.  The spt_o sum adds q^n T_n (1 - q^(n(n-1)/2)) on its own, so
+    gf_note compares two constructions; each pair in ``_BAILEY_PAIRS`` at
+    call time adds q^(n + beta_exponent(n)) T_n, so a wrong exponent shows."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    walk = _upward_walk(order, odd=True)
+    kept = tuple(islice(walk, TERMWISE_N))
+    sums = _placed_sums(order, chain(kept, walk), (
+        lambda n: ((n, add),),
+        lambda n: ((n + n * (n - 1) // 2, add),),
+        lambda n: ((n, add), (n + n * (n - 1) // 2, sub)),
+        *map(_placement, _BAILEY_PAIRS.values()),
+    ))
+    even = qpoch_inf(2, 2, order)
+    return (*(s / even for s in sums[:3]), dict(zip(_BAILEY_PAIRS, sums[3:])), kept)
 
 
 def lhs_eq2(order: int) -> TruncatedSeries:
     """Generating series of spt_o_plus as a sum of Pochhammer quotients."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
     return _smallest_part_lhs(order)[0]
 
 
 def lhs_eq3(order: int) -> TruncatedSeries:
     """Generating series of spt_o_minus (triangular-companion weights)."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
     return _smallest_part_lhs(order)[1]
 
 
 def lhs_gf_note(order: int) -> TruncatedSeries:
     """Generating series of spt_o: each summand carries (1 - q^(n(n-1)/2))."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
     return _smallest_part_lhs(order)[2]
 
 
 @lru_cache(maxsize=None)
 def lhs_eq1(order: int) -> TruncatedSeries:
-    """Generating series of spt: sum_n q^n / ((1-q^n) (q^n;q)_inf), walked
-    down from n = order, where the tail 1/(q^(n+1);q)_inf is 1 mod q^(order+1)."""
+    """Generating series of spt: [sum_n q^n (q;q)_(n-1)/(1-q^n)]/(q;q)_inf
+    (Andrews 2008), one upward walk of U_n and one sparse division."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    total = zero(order)
-    inv_tail = one(order)
-    for n in range(order, 0, -1):
-        inv_tail = inv_tail.divided_by_one_minus(n)  # now 1/(q^n;q)_inf
-        total = total + inv_tail.divided_by_one_minus(n).shifted(n)
-    return total
+    (total,) = _placed_sums(order, _upward_walk(order, False), (lambda n: ((n, add),),))
+    return total / _euler_series(order)
 
 
 # ----------------------------------------------------------------------
@@ -348,29 +357,13 @@ def check_bailey_relation(pair: BaileyPair, n_max: int, order: int) -> list[Mism
     return out
 
 
-def _eq12_summands(
-    pair: BaileyPair, order: int
-) -> Iterator[tuple[int, TruncatedSeries]]:
-    """Yield (n, (q;q)_{n-1}^2 beta_n q^n) for each n whose summand is not
-    zero at this order.
-
-    With beta_n written out, the n-th summand is q^(n + beta_exponent(n))
-    times T_n = (q;q)_{n-1} / ((1-q^n) (q;q^2)_n), and T_{n+1} is T_n times
-    (1-q^n)^2 / ((1-q^(n+1)) (1-q^(2n+1))): four O(order) updates per step.
-    """
-    quotient = one(order).divided_by_one_minus(1).divided_by_one_minus(1)  # T_1
-    n = 1
-    while n + pair.beta_exponent(n) <= order:
-        if n > 1:
-            quotient = quotient.times_one_minus(n - 1).times_one_minus(n - 1)
-            quotient = quotient.divided_by_one_minus(n).divided_by_one_minus(2 * n - 1)
-        yield n, quotient.shifted(n + pair.beta_exponent(n))
-        n += 1
-
-
 def eq12_lhs(pair: BaileyPair, order: int) -> TruncatedSeries:
-    """sum_{n>=1} (q;q)_{n-1}^2 beta_n q^n."""
-    return sum((term for _, term in _eq12_summands(pair, order)), zero(order))
+    """sum_{n>=1} (q;q)_{n-1}^2 beta_n q^n = sum q^(n + beta_exponent(n)) T_n,
+    T_n = (q;q)_{n-1} / ((1-q^n) (q;q^2)_n): read off the eq. (2) pass for a
+    registered pair, else summed the same way over a walk of its own."""
+    if _BAILEY_PAIRS.get(pair.label) is pair:
+        return _smallest_part_lhs(order)[3][pair.label]
+    return _placed_sums(order, _upward_walk(order, odd=True), (_placement(pair),))[0]
 
 
 def eq12_rhs(pair: BaileyPair, order: int) -> TruncatedSeries:
@@ -389,20 +382,27 @@ def check_eq12(pair: BaileyPair, order: int) -> list[Mismatch]:
 
 
 def _termwise_mismatches(order: int) -> list[Mismatch]:
-    """Each differentiated-lemma summand equals (q^2;q^2)_inf times the
-    matching quotient summand: C1 pairs with eq2, C5 with eq3, whose extra
-    q^(n(n-1)/2) is stated here, not read off the pair, so that a wrong
-    beta_exponent shows.  (q^2;q^2)_inf is pentagonal-sparse, so each
-    product is O(order^1.5).  The quotient summands are the ones the
-    eq. (2) pass keeps, n <= TERMWISE_N in ascending n."""
-    even = qpoch_inf(2, 2, order)
-    quotients = _smallest_part_lhs(order)[3]
+    """Each differentiated-lemma summand q^(n + beta_exponent(n)) T_n, T_n as
+    the eq. (2) pass keeps it, equals (q^2;q^2)_inf times the literal quotient
+    summand q^n Q_n/(1-q^n)^2 shifted by the stated 0 (C1) or n(n-1)/2 (C5),
+    so a wrong beta_exponent shows.  Q_n = (q^(2n+1);q^2)_inf/(q^(n+1);q)_inf
+    steps down by Q_(n-1) = Q_n (1-q^(2n-1))/(1-q^n) from the direct
+    Q_N = (q^(2N+1);q^2)_inf (q;q)_N / (q;q)_inf, N = TERMWISE_N."""
+    quotient = qpoch_inf(2 * TERMWISE_N + 1, 2, order)
+    for k in range(1, TERMWISE_N + 1):
+        quotient = quotient.times_one_minus(k)
+    quotient = quotient / _euler_series(order)  # Q_TERMWISE_N
+    even, products = qpoch_inf(2, 2, order), {}
+    for n in range(TERMWISE_N, 0, -1):
+        half = quotient.divided_by_one_minus(n)
+        products[n] = even * half.divided_by_one_minus(n).shifted(n)
+        quotient = half.times_one_minus(2 * n - 1)
     out = []
     for label, shift in (("C1", lambda n: 0), ("C5", lambda n: n * (n - 1) // 2)):
-        terms = dict(islice(_eq12_summands(bailey_pair(label), order), TERMWISE_N))
-        for n, quotient in quotients:
-            rhs = even * quotient.shifted(shift(n))
-            out += _first_difference(n, terms.get(n, zero(order)), rhs)
+        pair = bailey_pair(label)
+        for n, term in _smallest_part_lhs(order)[4]:
+            lhs = TruncatedSeries((0,) * (n + pair.beta_exponent(n)) + term.coeffs)
+            out += _first_difference(n, lhs, products[n].shifted(shift(n)))
     return out
 
 

@@ -15,6 +15,7 @@ import dataclasses
 import pytest
 
 from sptq import identities as I
+from sptq import partitions as P
 from sptq.series import TruncatedSeries
 
 ORDER = 200
@@ -30,14 +31,39 @@ def _bumped(series, exponent):
 
 
 def _summand_fault(n_bad, exponent):
+    """Bump q^exponent of the n_bad-th eq. (2) numerator term q^n T_n, as
+    the upward walk of T_n yields it; the walk itself goes on unbumped."""
+
     def plant(monkeypatch):
-        real = I._smallest_part_summands
+        real = I._upward_walk
 
-        def summands(order):
-            for n, summand in real(order):
-                yield n, _bumped(summand, exponent) if n == n_bad else summand
+        def walk(order, odd):
+            for n, term in real(order, odd):
+                bad = odd and n == n_bad
+                yield n, _bumped(term, exponent - n) if bad else term
 
-        monkeypatch.setattr(I, "_smallest_part_summands", summands)
+        monkeypatch.setattr(I, "_upward_walk", walk)
+
+    return plant
+
+
+def _statistics_fault(n_bad, field):
+    """Add 1 to one enumerated statistic of n_bad: spt, N2 or the bare crank
+    moment (field 0, 1 or 2), or (field 3) the odd-condition smallest-part
+    count at smallest part 1."""
+
+    def plant(monkeypatch):
+        real = P._statistics
+
+        def statistics(n):
+            spt, n2, crank_sq, odd = real(n)
+            if n != n_bad:
+                return spt, n2, crank_sq, odd
+            bump = [int(k == field) for k in range(4)]
+            odd = (odd[0], odd[1] + bump[3], *odd[2:])
+            return spt + bump[0], n2 + bump[1], crank_sq + bump[2], odd
+
+        monkeypatch.setattr(P, "_statistics", statistics)
 
     return plant
 
@@ -65,10 +91,17 @@ def _bailey_fault(label, field, index):
 
 
 FAULTS = {
-    "summand70_q151": (_summand_fault(70, 151), {"thm5"}),
-    "summand70_q148": (_summand_fault(70, 148), {"cong5", "thm2"}),
-    "summand70_q150": (_summand_fault(70, 150), {"cong7", "thm2"}),
-    "summand70_q142": (_summand_fault(70, 142), {"cong13", "thm2"}),
+    # T_5 is one of the terms termwise_eq2 compares with the literal Q_5
+    "summand5_q40": (_summand_fault(5, 40),
+                     {"cong7", "cong13", "eq2", "eq3", "eq12_c1", "eq12_c5",
+                      "termwise_eq2", "thm2", "thm3", "thm4"}),
+    "summand70_q151": (_summand_fault(70, 151), {"eq12_c1", "thm5"}),
+    "summand70_q148": (_summand_fault(70, 148),
+                       {"cong5", "cong7", "cong13", "eq12_c1", "thm2"}),
+    "summand70_q150": (_summand_fault(70, 150),
+                       {"cong7", "cong13", "eq12_c1", "thm2"}),
+    "summand70_q142": (_summand_fault(70, 142),
+                       {"cong5", "cong7", "cong13", "eq12_c1", "thm2"}),
     "theta_q150": (_builder_fault("_theta_correction", 150), {"eq1"}),
     "c1_alpha_m2": (_bailey_fault("C1", "alpha_exponent", 2),
                     {"bailey_c1", "eq12_c1"}),
@@ -76,6 +109,15 @@ FAULTS = {
                     {"bailey_c5", "eq12_c5"}),
     "c5_beta_n3": (_bailey_fault("C5", "beta_exponent", 3),
                    {"bailey_c5", "eq12_c5", "termwise_eq2"}),
+    "c1_beta_n3": (_bailey_fault("C1", "beta_exponent", 3),
+                   {"bailey_c1", "eq12_c1", "termwise_eq2"}),
+    "statistics_n12_spt": (_statistics_fault(12, 0),
+                           {"spt_half_diff", "thm2", "thm3"}),
+    "statistics_n12_n2": (_statistics_fault(12, 1),
+                          {"eq1", "eq2", "eq13", "eq14", "spt_half_diff"}),
+    "statistics_n12_m2": (_statistics_fault(12, 2),
+                          {"eq3", "m2_is_2np", "spt_half_diff"}),
+    "statistics_n12_odd": (_statistics_fault(12, 3), {"eq13", "eq14", "thm4"}),
 }
 
 # one coefficient of a builder's series bumped at a low, a middle and a
@@ -90,7 +132,8 @@ BUILDER_FAULTS = {
     "_p_series": ({"eq1", "eq23"}, {"eq1"}, {"eq1"}),
     "_psi_series": ({"eq23", "legendre_t4"}, {"eq23", "legendre_t4"},
                     {"legendre_t4"}),
-    "_euler_series": ({"eq1", "eq23"}, {"eq1"}, {"eq1"}),
+    "_euler_series": ({"eq1", "eq23", "termwise_eq2", "thm2"},
+                      {"eq1", "termwise_eq2", "thm2"}, {"eq1", "termwise_eq2"}),
 }
 # the right sides that eq2 and eq3 cap at order 60, so at q^3 and q^51
 CAPPED_EXPONENTS = (3, 51)
@@ -111,7 +154,9 @@ FAULTS.update(
 def cold_identities():
     """Empty the per-order memos of ``identities`` before and after the test.
     The per-size partition walk stays warm from row to row: no fault here
-    reaches ``partitions``, and rebuilding it would be 40 % of each row."""
+    changes what its memo holds (the ``statistics_*`` rows bump a copy of a
+    memoized value on its way out), and rebuilding it would be 40 % of each
+    row."""
     memos = [obj for obj in vars(I).values() if hasattr(obj, "cache_info")]
     for memo in memos:
         memo.cache_clear()

@@ -4,6 +4,7 @@ Coefficient prefixes are frozen from the enumeration oracles; the builders
 being tested never see those oracles while computing.
 """
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -12,7 +13,6 @@ from sptq import partitions as P
 from sptq import identities as I
 from sptq.series import (
     TruncatedSeries,
-    geom_sq,
     lambert_sigma,
     monomial,
     one,
@@ -70,19 +70,20 @@ def dense_beta(pair, n, order):
     return monomial(pair.beta_exponent(n), 1, order) * denominator.invert()
 
 
-def test_incremental_summands_match_direct_construction():
-    # q^n (q^(2n+1);q^2)_inf / ((1-q^n)^2 (q^(n+1);q)_inf), dense products
-    # and a dense inverse built anew for each n
+@pytest.mark.parametrize("odd", [True, False])
+def test_upward_walk_matches_direct_construction(odd):
+    # T_n = (q;q)_(n-1) / ((1-q^n) (q;q^2)_n) and U_n = (q;q)_(n-1) / (1-q^n),
+    # truncated to order - n, from a dense product and a dense inverse built
+    # anew for each n; at orders 1 and 2 the walk ends at an order-0 term
     for order in (1, 2, 25, 60):
-        got = dict(I._smallest_part_summands(order))
-        assert list(got) == list(range(order, 0, -1))
-        for n in range(1, order + 1):
-            direct = (
-                geom_sq(n, order)
-                * qpoch_inf(2 * n + 1, 2, order)
-                * qpoch_inf(n + 1, 1, order).invert()
-            )
-            assert got[n] == direct
+        got = list(I._upward_walk(order, odd))
+        assert [n for n, _ in got] == list(range(1, order + 1))
+        for n, term in got:
+            denominator = qpoch_fin(n, 1, 1, order)
+            if odd:
+                denominator = denominator * qpoch_fin(1, 2, n, order)
+            direct = qpoch_fin(1, 1, n - 1, order) * denominator.invert()
+            assert term == direct.truncate(order - n)
 
 
 def test_lhs_eq1_matches_direct_construction():
@@ -248,6 +249,16 @@ def test_eq12_lhs_matches_direct_construction(label, order):
     assert I.eq12_lhs(pair, order) == direct
 
 
+def test_an_unregistered_pair_sums_over_its_own_walk():
+    # the same exponents in a pair object that _BAILEY_PAIRS does not hold:
+    # eq12_lhs walks T_n itself and must agree with the eq. (2) pass
+    for label in ("C1", "C5"):
+        pair = I.bailey_pair(label)
+        copy = dataclasses.replace(pair)
+        assert copy is not pair
+        assert I.eq12_lhs(copy, 40) == I.eq12_lhs(pair, 40)
+
+
 def test_bailey_checks_catch_a_perturbed_alpha():
     bad = I.BaileyPair("C1+1", lambda m: m * (3 * m - 1) + 1, lambda n: 0)
     relation = I.check_bailey_relation(bad, 4, 20)
@@ -281,18 +292,28 @@ def test_termwise_identity():
     assert I._termwise_mismatches(30) == []
 
 
-def test_verify_all_walks_the_quotient_pass_once(cold_memos, monkeypatch):
-    # termwise_eq2 reads the summands the eq. (2) pass keeps, not a second walk
+def test_verify_all_walks_t_n_once_per_order(cold_memos, monkeypatch):
+    # eq2/eq3/gf_note, both eq12 checks and termwise_eq2 read one pass over
+    # T_n (eq2 and eq3 run theirs at their capped order 60); lhs_eq1 walks U_n
     walks = Counter()
-    summands = I._smallest_part_summands
+    walk, eq12_lhs = I._upward_walk, I.eq12_lhs
 
-    def counting(order):
-        walks[order] += 1
-        return summands(order)
+    def counting(order, odd):
+        walks[order, odd] += 1
+        return walk(order, odd)
 
-    monkeypatch.setattr(I, "_smallest_part_summands", counting)
+    def eq12_counting(pair, order):
+        before = walks.total()
+        lhs = eq12_lhs(pair, order)
+        eq12_walks.append(walks.total() - before)
+        return lhs
+
+    eq12_walks = []
+    monkeypatch.setattr(I, "_upward_walk", counting)
+    monkeypatch.setattr(I, "eq12_lhs", eq12_counting)
     assert all(r.status == "pass" for r in I.verify_all(200))
-    assert walks[200] == 1
+    assert walks == {(60, True): 1, (200, True): 1, (200, False): 1}
+    assert eq12_walks == [0, 0]  # eq12_c1 and eq12_c5 read the pass
 
 
 def test_termwise_catches_a_wrong_beta_exponent(monkeypatch):
