@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice
-from operator import add, sub
+from operator import add
 from typing import Callable, Iterable, Iterator
 
 from . import partitions
@@ -119,21 +119,16 @@ def _upward_walk(order: int, odd: bool) -> Iterator[tuple[int, TruncatedSeries]]
         term = term.times_one_minus(n).times_one_minus(n)
 
 
-def _placed_sums(order: int, walk, placements) -> list[TruncatedSeries]:
-    """One sum per placement: for each (n, S_n) of ``walk`` and (shift, op)
-    in placement(n), shift >= n, op (add or sub) q^shift S_n in, by slices."""
-    totals = [[0] * (order + 1) for _ in placements]
+def _slice_sums(order: int, walk, exponents) -> list[TruncatedSeries]:
+    """One sum per exponent function: each (n, S_n) of ``walk`` is added in
+    at q^exponent(n), exponent(n) >= n, by list-slice updates."""
+    totals = [[0] * (order + 1) for _ in exponents]
     for n, term in walk:
-        for total, place in zip(totals, placements):
-            for shift, op in place(n):
-                if shift <= order:
-                    total[shift:] = map(op, total[shift:], term.coeffs)
+        for total, exponent in zip(totals, exponents):
+            shift = exponent(n)
+            if shift <= order:
+                total[shift:] = map(add, total[shift:], term.coeffs)
     return [TruncatedSeries(tuple(total)) for total in totals]
-
-
-def _placement(pair: "BaileyPair"):
-    """The eq. (12) summand of ``pair`` is q^(n + beta_exponent(n)) T_n."""
-    return lambda n: ((n + pair.beta_exponent(n), add),)
 
 
 @lru_cache(maxsize=None)
@@ -141,22 +136,19 @@ def _smallest_part_lhs(order: int) -> tuple:
     """lhs_eq2, lhs_eq3, lhs_gf_note, the eq. (12) sums by pair label and
     the (n, T_n) with n <= TERMWISE_N, all from one upward walk of T_n.
 
-    The eq. (2) summand is q^n T_n / (q^2;q^2)_inf; eq. (3) shifts it by
-    n(n-1)/2.  The spt_o sum adds q^n T_n (1 - q^(n(n-1)/2)) on its own, so
-    gf_note compares two constructions; each pair in ``_BAILEY_PAIRS`` at
-    call time adds q^(n + beta_exponent(n)) T_n, so a wrong exponent shows."""
+    Each pair in ``_BAILEY_PAIRS`` at call time sums its eq. (12) summands
+    q^(n + beta_exponent(n)) T_n, and the three left sides are read off
+    the C1 and C5 sums: the eq. (2) summand is the C1 summand over
+    (q^2;q^2)_inf, eq. (3)'s is C5's (exponent n(n-1)/2), and spt_o's is
+    their difference, so a wrong pair exponent shows in all of them."""
     if order < 1:
         raise ValueError("order must be >= 1")
     walk = _upward_walk(order, odd=True)
     kept = tuple(islice(walk, TERMWISE_N))
-    sums = _placed_sums(order, chain(kept, walk), (
-        lambda n: ((n, add),),
-        lambda n: ((n + n * (n - 1) // 2, add),),
-        lambda n: ((n, add), (n + n * (n - 1) // 2, sub)),
-        *map(_placement, _BAILEY_PAIRS.values()),
-    ))
-    even = qpoch_inf(2, 2, order)
-    return (*(s / even for s in sums[:3]), dict(zip(_BAILEY_PAIRS, sums[3:])), kept)
+    exponents = [pair.summand_exponent for pair in _BAILEY_PAIRS.values()]
+    sums = dict(zip(_BAILEY_PAIRS, _slice_sums(order, chain(kept, walk), exponents)))
+    c1, c5, even = sums["C1"], sums["C5"], qpoch_inf(2, 2, order)
+    return c1 / even, c5 / even, (c1 - c5) / even, sums, kept
 
 
 def lhs_eq2(order: int) -> TruncatedSeries:
@@ -170,7 +162,8 @@ def lhs_eq3(order: int) -> TruncatedSeries:
 
 
 def lhs_gf_note(order: int) -> TruncatedSeries:
-    """Generating series of spt_o: each summand carries (1 - q^(n(n-1)/2))."""
+    """Generating series of spt_o: the C1 sum minus the C5 sum, over
+    (q^2;q^2)_inf, so each summand carries (1 - q^(n(n-1)/2))."""
     return _smallest_part_lhs(order)[2]
 
 
@@ -180,7 +173,7 @@ def lhs_eq1(order: int) -> TruncatedSeries:
     (Andrews 2008), one upward walk of U_n and one sparse division."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    (total,) = _placed_sums(order, _upward_walk(order, False), (lambda n: ((n, add),),))
+    total = _slice_sums(order, _upward_walk(order, False), [lambda n: n])[0]
     return total / _euler_series(order)
 
 
@@ -304,6 +297,10 @@ class BaileyPair:
     alpha_exponent: Callable[[int], int]
     beta_exponent: Callable[[int], int]
 
+    def summand_exponent(self, n: int) -> int:
+        """The eq. (12) summand (q;q)_(n-1)^2 beta_n q^n is q^(this) T_n."""
+        return n + self.beta_exponent(n)
+
     def alpha(self, n: int, order: int) -> TruncatedSeries:
         if n == 0:
             return one(order)
@@ -359,11 +356,11 @@ def check_bailey_relation(pair: BaileyPair, n_max: int, order: int) -> list[Mism
 
 def eq12_lhs(pair: BaileyPair, order: int) -> TruncatedSeries:
     """sum_{n>=1} (q;q)_{n-1}^2 beta_n q^n = sum q^(n + beta_exponent(n)) T_n,
-    T_n = (q;q)_{n-1} / ((1-q^n) (q;q^2)_n): read off the eq. (2) pass for a
-    registered pair, else summed the same way over a walk of its own."""
+    T_n = (q;q)_{n-1} / ((1-q^n) (q;q^2)_n): the per-pair sum of the T_n
+    pass for a registered pair, else summed the same way over a walk of its own."""
     if _BAILEY_PAIRS.get(pair.label) is pair:
         return _smallest_part_lhs(order)[3][pair.label]
-    return _placed_sums(order, _upward_walk(order, odd=True), (_placement(pair),))[0]
+    return _slice_sums(order, _upward_walk(order, True), [pair.summand_exponent])[0]
 
 
 def eq12_rhs(pair: BaileyPair, order: int) -> TruncatedSeries:
@@ -401,7 +398,7 @@ def _termwise_mismatches(order: int) -> list[Mismatch]:
     for label, shift in (("C1", lambda n: 0), ("C5", lambda n: n * (n - 1) // 2)):
         pair = bailey_pair(label)
         for n, term in _smallest_part_lhs(order)[4]:
-            lhs = TruncatedSeries((0,) * (n + pair.beta_exponent(n)) + term.coeffs)
+            lhs = TruncatedSeries((0,) * pair.summand_exponent(n) + term.coeffs)
             out += _first_difference(n, lhs, products[n].shifted(shift(n)))
     return out
 

@@ -4,7 +4,7 @@ the exact set of checks that fail.
 
 The digest tests pin what passing checks print; they cannot see a check
 that still passes but has stopped guarding anything, or a registration
-bound to the wrong label or modulus.  Each row here shows which checks
+bound to the wrong label, offset or modulus.  Each row here shows which checks
 catch one planted fault (mutation analysis: DeMillo, Lipton and Sayward,
 "Hints on test data selection", 1978).  A later change that shrinks a set
 shows up as a failing row.
@@ -90,6 +90,16 @@ def _bailey_fault(label, field, index):
     return plant
 
 
+def _registration_fault(check_id, run):
+    """Register ``run`` under ``check_id`` in place of its own runner."""
+
+    def plant(monkeypatch):
+        check = dataclasses.replace(I.REGISTRY[check_id], run=run)
+        monkeypatch.setitem(I.REGISTRY, check_id, check)
+
+    return plant
+
+
 FAULTS = {
     # T_5 is one of the terms termwise_eq2 compares with the literal Q_5
     "summand5_q40": (_summand_fault(5, 40),
@@ -107,10 +117,15 @@ FAULTS = {
                     {"bailey_c1", "eq12_c1"}),
     "c5_alpha_m2": (_bailey_fault("C5", "alpha_exponent", 2),
                     {"bailey_c5", "eq12_c5"}),
+    # lhs_eq2, lhs_eq3 and lhs_gf_note are read off the C1 and C5 sums, so
+    # a wrong beta exponent reaches every check built on them
     "c5_beta_n3": (_bailey_fault("C5", "beta_exponent", 3),
-                   {"bailey_c5", "eq12_c5", "termwise_eq2"}),
+                   {"bailey_c5", "cong5", "cong7", "cong13", "eq12_c5", "eq23",
+                    "eq3", "termwise_eq2", "thm2", "thm4", "thm5"}),
     "c1_beta_n3": (_bailey_fault("C1", "beta_exponent", 3),
-                   {"bailey_c1", "eq12_c1", "termwise_eq2"}),
+                   {"bailey_c1", "cong5", "cong7", "cong13", "eq12_c1", "eq2",
+                    "termwise_eq2", "thm2", "thm3", "thm5"}),
+    "cong5_offset3": (_registration_fault("cong5", I._run_cong(5, 3, 5)), {"cong5"}),
     "statistics_n12_spt": (_statistics_fault(12, 0),
                            {"spt_half_diff", "thm2", "thm3"}),
     "statistics_n12_n2": (_statistics_fault(12, 1),
@@ -134,6 +149,9 @@ BUILDER_FAULTS = {
                     {"legendre_t4"}),
     "_euler_series": ({"eq1", "eq23", "termwise_eq2", "thm2"},
                       {"eq1", "termwise_eq2", "thm2"}, {"eq1", "termwise_eq2"}),
+    "lambert_sigma": ({"eq12_c1", "eq12_c5", "eq13", "eq2", "eq3"},
+                      {"eq12_c1", "eq12_c5"}, {"eq12_c1", "eq12_c5"}),
+    "_theta_correction": ({"eq1"}, {"eq1"}, {"eq1"}),
 }
 # the right sides that eq2 and eq3 cap at order 60, so at q^3 and q^51
 CAPPED_EXPONENTS = (3, 51)

@@ -86,14 +86,43 @@ def test_upward_walk_matches_direct_construction(odd):
             assert term == direct.truncate(order - n)
 
 
-def test_lhs_eq1_matches_direct_construction():
-    # sum_n q^n / ((1-q^n) (q^n;q)_inf), every factor built and inverted anew
+def spt_summand(n, order):
+    """1 / ((1-q^n) (q^n;q)_inf), the eq. (1) summand without its q^n."""
+    return (qpoch_fin(n, 1, 1, order) * qpoch_inf(n, 1, order)).invert()
+
+
+def spt_o_summand(n, order):
+    """(q^(2n+1);q^2)_inf / ((1-q^n)^2 (q^(n+1);q)_inf), the eq. (2)
+    summand without its q^n."""
+    denominator = qpoch_fin(n, 1, 1, order) ** 2 * qpoch_inf(n + 1, 1, order)
+    return qpoch_inf(2 * n + 1, 2, order) * denominator.invert()
+
+
+def at_n(n, order):
+    """q^n, the eq. (1) and eq. (2) numerator."""
+    return monomial(n, 1, order)
+
+
+def at_triangular(n, order):
+    """q^(n + n(n-1)/2), the eq. (3) numerator."""
+    return monomial(n + n * (n - 1) // 2, 1, order)
+
+
+@pytest.mark.parametrize("lhs, summand, numerator", [
+    (I.lhs_eq1, spt_summand, at_n),
+    (I.lhs_eq2, spt_o_summand, at_n),
+    (I.lhs_eq3, spt_o_summand, at_triangular),
+    (I.lhs_gf_note, spt_o_summand,
+     lambda n, order: at_n(n, order) - at_triangular(n, order)),
+], ids=["lhs_eq1", "lhs_eq2", "lhs_eq3", "lhs_gf_note"])
+def test_lhs_matches_direct_construction(lhs, summand, numerator):
+    # sum_n numerator(n) summand(n), every factor built and inverted anew,
+    # with each shift stated here rather than read from a Bailey pair
     for order in (1, 2, 9, 20, 60):
         direct = zero(order)
         for n in range(1, order + 1):
-            denominator = qpoch_fin(n, 1, 1, order) * qpoch_inf(n, 1, order)
-            direct = direct + monomial(n, 1, order) * denominator.invert()
-        assert I.lhs_eq1(order) == direct
+            direct = direct + numerator(n, order) * summand(n, order)
+        assert lhs(order) == direct
 
 
 @pytest.mark.parametrize(
@@ -316,7 +345,7 @@ def test_verify_all_walks_t_n_once_per_order(cold_memos, monkeypatch):
     assert eq12_walks == [0, 0]  # eq12_c1 and eq12_c5 read the pass
 
 
-def test_termwise_catches_a_wrong_beta_exponent(monkeypatch):
+def test_termwise_catches_a_wrong_beta_exponent(cold_memos, monkeypatch):
     bad = I.BaileyPair("C5", lambda m: m * (m - 1), lambda n: n * (n - 1) // 2 + 1)
     monkeypatch.setitem(I._BAILEY_PAIRS, "C5", bad)
     mismatches = I._termwise_mismatches(40)
