@@ -174,7 +174,7 @@ def lhs_eq1(order: int) -> TruncatedSeries:
     if order < 1:
         raise ValueError("order must be >= 1")
     total = _slice_sums(order, _upward_walk(order, False), [lambda n: n])[0]
-    return total / _euler_series(order)
+    return total / qpoch_inf(1, 1, order)
 
 
 # ----------------------------------------------------------------------
@@ -221,23 +221,16 @@ def _theta_correction(order: int) -> TruncatedSeries:
     return total
 
 
-def _euler_series(order: int) -> TruncatedSeries:
-    """(q;q)_inf = sum_k (-1)^k q^(k(3k-1)/2), k over all integers (Euler's
-    pentagonal number theorem): O(sqrt(order)) nonzero coefficients."""
-    signs = {k * (3 * k - 1) // 2: 1 - 2 * (k % 2) for k in range(-order, order + 1)}
-    return TruncatedSeries(tuple(signs.get(e, 0) for e in range(order + 1)))
-
-
 def _p_series(order: int) -> TruncatedSeries:
-    """sum p(n) q^n = 1/(q;q)_inf: one sparse division by Euler's series, so
-    the oracle ``partitions.p`` (the pentagonal recurrence) stays independent."""
-    return one(order) / _euler_series(order)
+    """sum p(n) q^n = 1/qpoch_inf(1, 1, order), one sparse division by Euler's
+    series, so the pentagonal recurrence of ``partitions.p`` stays independent."""
+    return one(order) / qpoch_inf(1, 1, order)
 
 
 def _n2_series(order: int) -> TruncatedSeries:
     """-2 * theta correction / (q;q)_inf, one sparse division, whose q^n
     coefficient is the rank moment N2(n)."""
-    return -2 * (_theta_correction(order) / _euler_series(order))
+    return -2 * (_theta_correction(order) / qpoch_inf(1, 1, order))
 
 
 def _m2_series(order: int) -> TruncatedSeries:
@@ -382,18 +375,19 @@ def _termwise_mismatches(order: int) -> list[Mismatch]:
     """Each differentiated-lemma summand q^(n + beta_exponent(n)) T_n, T_n as
     the eq. (2) pass keeps it, equals (q^2;q^2)_inf times the literal quotient
     summand q^n Q_n/(1-q^n)^2 shifted by the stated 0 (C1) or n(n-1)/2 (C5),
-    so a wrong beta_exponent shows.  Q_n = (q^(2n+1);q^2)_inf/(q^(n+1);q)_inf
-    steps down by Q_(n-1) = Q_n (1-q^(2n-1))/(1-q^n) from the direct
-    Q_N = (q^(2N+1);q^2)_inf (q;q)_N / (q;q)_inf, N = TERMWISE_N."""
+    so a wrong beta_exponent shows.  P_n = (q^2;q^2)_inf Q_n, Q_n =
+    (q^(2n+1);q^2)_inf/(q^(n+1);q)_inf, steps down by P_(n-1) = P_n
+    (1-q^(2n-1))/(1-q^n) from one product, P_N with N = TERMWISE_N and the
+    direct Q_N = (q^(2N+1);q^2)_inf (q;q)_N / (q;q)_inf."""
     quotient = qpoch_inf(2 * TERMWISE_N + 1, 2, order)
     for k in range(1, TERMWISE_N + 1):
         quotient = quotient.times_one_minus(k)
-    quotient = quotient / _euler_series(order)  # Q_TERMWISE_N
-    even, products = qpoch_inf(2, 2, order), {}
+    product = qpoch_inf(2, 2, order) * (quotient / qpoch_inf(1, 1, order))
+    products = {}
     for n in range(TERMWISE_N, 0, -1):
-        half = quotient.divided_by_one_minus(n)
-        products[n] = even * half.divided_by_one_minus(n).shifted(n)
-        quotient = half.times_one_minus(2 * n - 1)
+        half = product.divided_by_one_minus(n)
+        products[n] = half.divided_by_one_minus(n).shifted(n)
+        product = half.times_one_minus(2 * n - 1)
     out = []
     for label, shift in (("C1", lambda n: 0), ("C5", lambda n: n * (n - 1) // 2)):
         pair = bailey_pair(label)

@@ -13,7 +13,7 @@ from collections import Counter
 
 from sptq import partitions as P
 from sptq import identities as I
-from sptq.series import TruncatedSeries, monomial, one, qpoch_inf
+from sptq.series import TruncatedSeries, monomial, one, qpoch_fin
 
 
 def _announce(num, label, ok, extra=""):
@@ -173,8 +173,8 @@ def test_c12_property_suites():
         assert u * u.invert() == monomial(0, 1, u.order)
         cases += 1
 
-    # pentagonal pattern of (q;q)_inf to order 60
-    got = qpoch_inf(1, 1, 60)
+    # pentagonal pattern of the stepped product (q;q)_60 to order 60
+    got = qpoch_fin(1, 1, 60, 60)
     expect = [0] * 61
     expect[0] = 1
     j = 1

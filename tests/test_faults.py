@@ -78,6 +78,22 @@ def _builder_fault(name, exponent):
     return plant
 
 
+def _product_fault(start, step, exponent):
+    """Bump q^exponent of (q^start;q^step)_inf wherever ``identities`` builds
+    it; every other q-Pochhammer product stays as built."""
+
+    def plant(monkeypatch):
+        real = I.qpoch_inf
+
+        def qpoch_inf(a, b, order):
+            product = real(a, b, order)
+            return _bumped(product, exponent) if (a, b) == (start, step) else product
+
+        monkeypatch.setattr(I, "qpoch_inf", qpoch_inf)
+
+    return plant
+
+
 def _bailey_fault(label, field, index):
     def plant(monkeypatch):
         pair = I._BAILEY_PAIRS[label]
@@ -147,12 +163,29 @@ BUILDER_FAULTS = {
     "_p_series": ({"eq1", "eq23"}, {"eq1"}, {"eq1"}),
     "_psi_series": ({"eq23", "legendre_t4"}, {"eq23", "legendre_t4"},
                     {"legendre_t4"}),
-    "_euler_series": ({"eq1", "eq23", "termwise_eq2", "thm2"},
-                      {"eq1", "termwise_eq2", "thm2"}, {"eq1", "termwise_eq2"}),
     "lambert_sigma": ({"eq12_c1", "eq12_c5", "eq13", "eq2", "eq3"},
                       {"eq12_c1", "eq12_c5"}, {"eq12_c1", "eq12_c5"}),
     "_theta_correction": ({"eq1"}, {"eq1"}, {"eq1"}),
 }
+# the same three exponents in the products (q;q)_inf (Euler's series, the
+# eq. (1) quotient), (q^2;q^2)_inf (the eq. (2)/(3) quotient and Lambert
+# denominator) and termwise_eq2's literal tail (q^25;q^2)_inf
+PRODUCT_FAULTS = {
+    "euler_series": ((1, 1), ({"eq1", "eq23", "termwise_eq2", "thm2"},
+                              {"eq1", "termwise_eq2", "thm2"},
+                              {"eq1", "termwise_eq2"})),
+    "even_euler_series": ((2, 2), ({"cong5", "cong7", "cong13", "eq13", "eq2",
+                                    "eq23", "eq3", "termwise_eq2", "thm2",
+                                    "thm3", "thm4", "thm5"},
+                                   {"eq23", "termwise_eq2", "thm2", "thm4", "thm5"},
+                                   {"eq23", "termwise_eq2", "thm4", "thm5"})),
+    "termwise_tail": ((2 * I.TERMWISE_N + 1, 2), ({"termwise_eq2"},) * 3),
+}
+FAULTS.update(
+    (f"{name}_q{e}", (_product_fault(*product, e), caught))
+    for name, (product, sets) in PRODUCT_FAULTS.items()
+    for e, caught in zip(BUILDER_EXPONENTS, sets)
+)
 # the right sides that eq2 and eq3 cap at order 60, so at q^3 and q^51
 CAPPED_EXPONENTS = (3, 51)
 CAPPED_FAULTS = {

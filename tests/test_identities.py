@@ -179,8 +179,18 @@ def test_theta_correction_carries_rank_moments():
 
 
 @pytest.mark.parametrize("order", [*range(121), 1000])
-def test_euler_series_is_the_pochhammer_product(order):
-    assert I._euler_series(order) == qpoch_inf(1, 1, order)
+def test_euler_series_is_the_pochhammer_product(order, monkeypatch):
+    # qpoch_inf(k, k, .) is Euler's pentagonal series in q^k, built without a
+    # single-factor step; the stepped finite product is its oracle
+    stepped = {k: qpoch_fin(k, k, order // k, order) for k in (1, 2, 3)}
+
+    def unreachable(*args):
+        raise AssertionError("qpoch_inf(k, k, .) took a single-factor step")
+
+    monkeypatch.setattr("sptq.series.qpoch_fin", unreachable)
+    monkeypatch.setattr(TruncatedSeries, "times_one_minus", unreachable)
+    for k, product in stepped.items():
+        assert qpoch_inf(k, k, order) == product
 
 
 def test_p_series_does_not_read_the_partition_oracle(monkeypatch):
@@ -363,8 +373,9 @@ def is_pure_shift(x):
 def test_finite_pochhammer_checks_invert_no_dense_product(cold_memos, monkeypatch):
     # finite factors are single-factor steps, the quotient sums walk their
     # infinite tails down from 1 at the truncation order, and every shift by
-    # q^e is a slice: only right sides invert, and no product has a factor q^e
-    calls = Counter()
+    # q^e is a slice: only right sides invert, no product has a factor q^e,
+    # and termwise_eq2 multiplies (q^2;q^2)_inf in once
+    calls, products = Counter(), Counter()
     invert, mul = TruncatedSeries.invert, TruncatedSeries.__mul__
 
     def counting(self):
@@ -373,19 +384,21 @@ def test_finite_pochhammer_checks_invert_no_dense_product(cold_memos, monkeypatc
 
     def counting_mul(self, other):
         calls["shift products"] += is_pure_shift(self) or is_pure_shift(other)
+        products[check_id] += isinstance(other, TruncatedSeries)
         return mul(self, other)
 
     monkeypatch.setattr(TruncatedSeries, "invert", counting)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
     for check_id in ("bailey_c1", "bailey_c5", "eq12_c1", "eq12_c5",
                      "termwise_eq2", "gf_note"):
         assert I.verify(check_id, 200).status == "pass"
     check_id = "lhs_eq1"
     assert I.lhs_eq1(200).coeffs[:15] == (0, *SPT)
     assert sum(calls.values()) == 0
+    assert products["termwise_eq2"] == 1
 
     for memo in cold_memos:
         memo.cache_clear()
-    monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
     check_id = "verify_all"
     assert all(r.status == "pass" for r in I.verify_all(200))
     assert calls["shift products"] == 0

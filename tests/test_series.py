@@ -310,7 +310,7 @@ def test_one_minus_round_trip():
 
 
 def test_pentagonal_pattern_to_order_60():
-    got = qpoch_inf(1, 1, 60)
+    got = qpoch_fin(1, 1, 60, 60)
     expect = [0] * 61
     expect[0] = 1
     j = 1
