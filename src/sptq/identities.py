@@ -7,10 +7,11 @@ and crank multisets, asserted by the partition tests).
 
 The left sides are sums of q-Pochhammer quotients over one upward walk per
 order, its summands one coefficient shorter at every step.  The right sides
-are product forms; those of eqs. (2)/(3) pull N2/M2 from literal partition
-enumeration, so each check crosses two representations.  Checks that need
-enumeration cap their range at desk scale (n <= ENUM_CAP) no matter what
-bound is requested; the reported order is the one actually used.
+are product forms; those of eqs. (2)/(3) take N2 from a listing of every
+partition and M2 from a DP that counts crank moments, so each check crosses
+two representations.  Checks on these per-n statistics cap their range at
+desk scale (n <= ENUM_CAP) no matter what bound is requested; the reported
+order is the one actually used.
 """
 
 import time
@@ -470,7 +471,7 @@ def _run_eq2(order):
 
 @_check("eq3", "series-equality",
         "doubled spt_o_minus gf: numerators q^(n(n+1)/2), crank moments "
-        f"M2(n) q^(2n) (order capped at {2 * ENUM_CAP}: M2 is enumerated)")
+        f"M2(n) q^(2n) (order capped at {2 * ENUM_CAP}: M2 is counted per n)")
 def _run_eq3(order):
     used = min(order, 2 * ENUM_CAP)
     return used, _series_mismatches(2 * lhs_eq3(used), rhs_eq3_doubled(used))
@@ -485,8 +486,8 @@ def _run_gf_note(order):
 
 
 @_check("thm2", "sequence-equality",
-        f"spt_o(2n) = spt(n): by enumeration for n <= {ENUM_CAP // 2} and by "
-        "series (even part of lhs_eq2 - lhs_eq3 vs the spt series)")
+        f"spt_o(2n) = spt(n): by listing and counting for n <= {ENUM_CAP // 2} "
+        "and by series (even part of lhs_eq2 - lhs_eq3 vs the spt series)")
 def _run_thm2(order):
     mm = _sequence_mismatches(
         range(1, min(ENUM_CAP // 2, order // 2) + 1),
@@ -514,7 +515,7 @@ def _run_thm3(order):
 
 @_check("thm4", "congruence",
         "spt_o_minus(2n) == 0 (mod 2): series route for 2n <= order, "
-        f"enumeration route for n <= {ENUM_CAP // 2}")
+        f"counting route for n <= {ENUM_CAP // 2}")
 def _run_thm4(order):
     even = lhs_eq3(order).extract(0, 2)
     mm = [
@@ -539,7 +540,7 @@ def _run_thm5(order):
 
 
 @_check("eq13", "series-equality",
-        "doubled spt_o_plus gf from enumeration vs 2*(sigma series)/"
+        "doubled spt_o_plus gf from the counting DP vs 2*(sigma series)/"
         "(q^2;q^2)_inf - sum N2(n) q^(2n) (desk scale)")
 def _run_eq13(order):
     used = min(order, ENUM_CAP)
@@ -551,7 +552,7 @@ def _run_eq13(order):
         "2 spt_o_plus(2n) = 2 sum_k p(k) sigma(2(n-k)) - N2(n) "
         f"for n <= {ENUM_CAP // 2}")
 def _run_eq14(order):
-    bound = min(order, ENUM_CAP // 2)  # spt_o_plus(2n) is enumerated
+    bound = min(order, ENUM_CAP // 2)  # spt_o_plus(2n) is counted per n
 
     def rhs(n):
         conv = sum(

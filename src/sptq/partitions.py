@@ -1,21 +1,24 @@
 """Integer partition enumeration and exact counting functions.
 
-The per-n counting functions are the ground truth here: rank/crank second
-moments and all smallest-part counts are literal sums over every partition
-of n, so they stay independent of the generating-function machinery they
-are used to cross-check.  Only p(n) (pentagonal-number recurrence),
+The per-n counting functions are the ground truth here, independent of the
+generating-function machinery they are used to cross-check.  spt(n) and
+N2(n) are literal sums over a listing of every partition of n; the crank
+moment and the odd-condition smallest-part counts are counted by exact int
+DPs over the allowed parts, and tested against the listing sums of
+``crank`` and ``odd_condition``.  Only p(n) (pentagonal-number recurrence),
 sigma(n) (divisor sums) and t4(n) use closed forms.
 
 Tables are another matter: ``sequence`` reads every one of the nine off
 its generating series, built once at order hi, and leaves the per-n
 functions to the checks and tests that pin those series.
 
-One walk per size gives all five enumerated statistics: ``_statistics(m)``
-returns spt(m), N2(m), the bare crank moment and, per smallest part s, the
-odd-condition smallest-part count over the partitions of m.  spt_o_plus(n)
-totals those counts at m = n.  A pair counted by spt_o_minus(n) is a
-partition pi with smallest part s plus the staircase (s-1, ..., 1), which s
-fixes, so spt_o_minus(n) sums over s the count at s of m = n - s(s-1)/2.
+``_statistics(m)`` gives the five per-size statistics: one walk over the
+partitions of m reads spt(m) and N2(m), and two DPs count the bare crank
+moment and, per smallest part s, the odd-condition smallest-part count.
+spt_o_plus(n) totals those counts at m = n.  A pair counted by
+spt_o_minus(n) is a partition pi with smallest part s plus the staircase
+(s-1, ..., 1), which s fixes, so spt_o_minus(n) sums over s the count at s
+of m = n - s(s-1)/2.
 
 Partitions are plain weakly decreasing tuples of positive ints; n = 0 has
 exactly the empty partition.  Enumeration order is lexicographically
@@ -165,22 +168,77 @@ def sigma(n: int) -> int:
     return total
 
 
+def _add_part(table: list[int], part: int) -> None:
+    """Let a table of partition counts by size use ``part`` as often as it likes."""
+    for m in range(part, len(table)):
+        table[m] += table[m - part]
+
+
+def _remove_part(table: list[int], part: int) -> None:
+    """Undo ``_add_part(table, part)``."""
+    for m in range(len(table) - 1, part - 1, -1):
+        table[m] -= table[m - part]
+
+
+def _crank_moment(n: int) -> int:
+    """Sum of crank(pi)^2 over the partitions pi of n (1 at n = 1), counted.
+
+    Going down from omega = n, ``low`` counts the partitions into parts in
+    [2, omega], and z0, z1, z2 sum mu^0, mu^1, mu^2 over those into parts
+    > omega, mu being their number of parts.  With omega ones, the other parts
+    split at omega and only those above it count in mu, so the crank squared
+    is (mu - omega)^2.  Without ones, largest part L, the crank is L and the
+    rest is a partition of n - L into parts in [2, L].
+    """
+    low = [1] + [0] * n
+    for part in range(2, n + 1):
+        _add_part(low, part)
+    z0, z1, z2 = [1] + [0] * n, [0] * (n + 1), [0] * (n + 1)
+    total = 0
+    for omega in range(n, 0, -1):
+        r = n - omega
+        total += sum(
+            low[a] * (z2[r - a] - 2 * omega * z1[r - a] + omega * omega * z0[r - a])
+            for a in range(r + 1)
+        )
+        if omega > 1:
+            total += omega * omega * low[r]
+            _remove_part(low, omega)
+        for m in range(omega, n + 1):  # allow parts of size omega in mu
+            z2[m] += z2[m - omega] + 2 * z1[m - omega] + z0[m - omega]
+            z1[m] += z1[m - omega] + z0[m - omega]
+            z0[m] += z0[m - omega]
+    return total
+
+
+def _odd_smallest_parts(n: int) -> tuple[int, ...]:
+    """Indexed by smallest part s, the smallest-part count over the
+    odd-condition partitions of n, counted: sum_k k R_s(n - ks), where
+    ``rest`` = R_s counts the partitions into parts in (s, 2s] or even parts
+    > 2s.  R_1 allows the even parts; R_(s+1) is R_s without s + 1, with 2s + 1."""
+    rest = [1] + [0] * n
+    for part in range(2, n + 1, 2):
+        _add_part(rest, part)
+    odd = [0] * (n + 1)
+    for s in range(1, n + 1):
+        odd[s] = sum(k * rest[n - k * s] for k in range(1, n // s + 1))
+        _remove_part(rest, s + 1)
+        _add_part(rest, 2 * s + 1)
+    return tuple(odd)
+
+
 @lru_cache(maxsize=None)
 def _statistics(n: int) -> tuple[int, int, int, tuple[int, ...]]:
     """spt(n), N2(n), the bare crank moment of n (1 at n = 1) and, indexed by
-    smallest part, the odd-condition smallest-part counts, in one walk."""
+    smallest part, the odd-condition smallest-part counts.  One walk over the
+    partitions of n reads spt and N2; the other two are counted."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    smallest = rank_sq = crank_sq = 0
-    odd = [0] * (n + 1)
+    smallest = rank_sq = 0
     for pi in enumerate_partitions(n):
-        count = pi.count(pi[-1])
-        smallest += count
-        rank_sq += rank(pi) ** 2
-        crank_sq += crank(pi) ** 2
-        if odd_condition(pi):
-            odd[pi[-1]] += count
-    return smallest, rank_sq, crank_sq, tuple(odd)
+        smallest += pi.count(pi[-1])
+        rank_sq += (pi[0] - len(pi)) ** 2
+    return smallest, rank_sq, _crank_moment(n), _odd_smallest_parts(n)
 
 
 def spt(n: int) -> int:

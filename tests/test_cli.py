@@ -463,7 +463,7 @@ COMPUTE_DIGESTS = {  # --format csv over COMPUTE_RANGES, else --lo 1 --hi 400
 }
 COMPUTE_RANGES = {"p": (0, 1500), "sigma": (0, 5000), "t4": (0, 600)}
 LISTING_DIGESTS = {
-    "list": "a0b5d5dc7d8e86e224111bc03173166e8cd6c3fb990b7a776ec98f4c842743fb",
+    "list": "0a6048fefef59a886585b8151173ac1097e7a611f1df44d205ac47d4f3844c75",
     "examples": "4cdbc3374d140280c0495e13747c91fac23fe514088cae777c5761d321cf28f8",
 }
 

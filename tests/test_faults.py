@@ -47,10 +47,10 @@ def _summand_fault(n_bad, exponent):
     return plant
 
 
-def _statistics_fault(n_bad, field):
-    """Add 1 to one enumerated statistic of n_bad: spt, N2 or the bare crank
+def _statistics_fault(n_bad, field, smallest=1):
+    """Add 1 to one per-size statistic of n_bad: spt, N2 or the bare crank
     moment (field 0, 1 or 2), or (field 3) the odd-condition smallest-part
-    count at smallest part 1."""
+    count at smallest part ``smallest``."""
 
     def plant(monkeypatch):
         real = P._statistics
@@ -60,7 +60,7 @@ def _statistics_fault(n_bad, field):
             if n != n_bad:
                 return spt, n2, crank_sq, odd
             bump = [int(k == field) for k in range(4)]
-            odd = (odd[0], odd[1] + bump[3], *odd[2:])
+            odd = tuple(c + bump[3] * (s == smallest) for s, c in enumerate(odd))
             return spt + bump[0], n2 + bump[1], crank_sq + bump[2], odd
 
         monkeypatch.setattr(P, "_statistics", statistics)
@@ -149,6 +149,11 @@ FAULTS = {
     "statistics_n12_m2": (_statistics_fault(12, 2),
                           {"eq3", "m2_is_2np", "spt_half_diff"}),
     "statistics_n12_odd": (_statistics_fault(12, 3), {"eq13", "eq14", "thm4"}),
+    # the count at s = 2 of n = 12 feeds spt_o_minus(13), at s = 4 the even
+    # spt_o_minus(18); at s = 1 spt_o(12) loses it from both halves
+    "statistics_n12_odd_s2": (_statistics_fault(12, 3, 2), {"eq13", "eq14", "thm2"}),
+    "statistics_n12_odd_s4": (_statistics_fault(12, 3, 4),
+                              {"eq13", "eq14", "thm2", "thm4"}),
 }
 
 # one coefficient of a builder's series bumped at a low, a middle and a

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from sptq import partitions as P
-from sptq.identities import ENUM_CAP
+from sptq.identities import ENUM_CAP, verify_all
 from sptq.series import qpoch_inf
 
 # frozen oracle tables, n = 1..30 (ENUM_CAP)
@@ -238,6 +238,32 @@ def test_frozen_tables():
     assert [P.spt_o(n) for n in ns] == SPT_O
     assert [P.n2(n) for n in ns] == N2
     assert [P.m2(n) for n in ns] == M2
+
+
+def test_statistics_per_size_match_the_listing_sums():
+    # the crank moment and the odd-condition counts are counted by DPs, not
+    # listed; the literal sums over a listing pin them, past ENUM_CAP so the
+    # DPs are not fitted to the sizes the checks use
+    for n in range(1, ENUM_CAP + 7):
+        smallest = rank_sq = crank_sq = 0
+        odd = [0] * (n + 1)
+        for pi in P.enumerate_partitions(n):
+            count = pi.count(pi[-1])
+            smallest += count
+            rank_sq += P.rank(pi) ** 2
+            crank_sq += P.crank(pi) ** 2
+            if P.odd_condition(pi):
+                odd[pi[-1]] += count
+        assert P._statistics(n) == (smallest, rank_sq, crank_sq, tuple(odd))
+
+
+def test_no_check_tests_partitions_one_at_a_time(cold_memos, monkeypatch):
+    def refuse(parts):
+        raise AssertionError("a per-partition statistic was called")
+
+    monkeypatch.setattr(P, "crank", refuse)
+    monkeypatch.setattr(P, "odd_condition", refuse)
+    assert {r.status for r in verify_all(80)} == {"pass"}
 
 
 def test_enumerated_statistics_walk_each_size_once(cold_memos, monkeypatch):
