@@ -9,9 +9,12 @@ The left sides are sums of q-Pochhammer quotients over one upward walk per
 order, its summands one coefficient shorter at every step.  The right sides
 are product forms; those of eqs. (2)/(3) take N2 from a listing of every
 partition and M2 from a DP that counts crank moments, so each check crosses
-two representations.  Checks on these per-n statistics cap their range at
-desk scale (n <= ENUM_CAP) no matter what bound is requested; the reported
-order is the one actually used.
+two representations.  Per-n statistics stop at desk scale whatever the
+request: eq2, eq3, eq13, eq14, m2_is_2np and spt_half_diff run at a capped
+order and report it; eq1 and thm2-thm4 report the requested order and cap
+only their per-n half, at ENUM_CAP or ENUM_CAP // 2.  One rule decides every
+mismatch, ``_sequence_mismatches``: two ints differ or, given a modulus, are
+incongruent modulo it.
 """
 
 import time
@@ -66,8 +69,9 @@ class IdentityReport:
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """A named lhs/rhs builder pair; ``run(order)`` returns the order
-    actually used plus every mismatch found."""
+    """A named lhs/rhs builder pair; ``run(order)`` returns the order it
+    reports plus every mismatch found: the capped order, or the requested
+    one for eq1 and thm2-thm4, whose per-n half is capped on its own."""
 
     id: str
     description: str
@@ -75,28 +79,24 @@ class IdentityCheck:
     run: Callable[[int], tuple[int, list[Mismatch]]]
 
 
+def _sequence_mismatches(indices: Iterable[int], lhs, rhs, modulus=0) -> list[Mismatch]:
+    """The one mismatch rule: one Mismatch per index n where the ints lhs(n)
+    and rhs(n) differ or, given a modulus, are incongruent modulo it."""
+    indices = tuple(indices)
+    values = zip(indices, map(lhs, indices), map(rhs, indices))
+    return [Mismatch(n, a, b) for n, a, b in values
+            if ((a - b) % modulus if modulus else a != b)]
+
+
 def _series_mismatches(lhs: TruncatedSeries, rhs: TruncatedSeries) -> list[Mismatch]:
-    n = min(lhs.order, rhs.order)
-    return [
-        Mismatch(k, lhs.coeffs[k], rhs.coeffs[k])
-        for k in range(n + 1)
-        if lhs.coeffs[k] != rhs.coeffs[k]
-    ]
-
-
-def _sequence_mismatches(indices: Iterable[int], lhs, rhs) -> list[Mismatch]:
-    """One Mismatch per index n where the ints lhs(n) and rhs(n) differ."""
-    values = ((n, lhs(n), rhs(n)) for n in indices)
-    return [Mismatch(n, a, b) for n, a, b in values if a != b]
+    indices = range(min(lhs.order, rhs.order) + 1)
+    return _sequence_mismatches(indices, lhs.coeffs.__getitem__, rhs.coeffs.__getitem__)
 
 
 def _first_difference(index: int, lhs, rhs) -> list[Mismatch]:
     """[] when the two series agree; otherwise one Mismatch at ``index``
     holding the first differing coefficient of each side."""
-    for a, b in zip(lhs.coeffs, rhs.coeffs):
-        if a != b:
-            return [Mismatch(index, a, b)]
-    return []
+    return [Mismatch(index, m.lhs, m.rhs) for m in _series_mismatches(lhs, rhs)[:1]]
 
 
 # ----------------------------------------------------------------------
@@ -333,17 +333,15 @@ def check_bailey_relation(pair: BaileyPair, n_max: int, order: int) -> list[Mism
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    inv_fin = [one(order)]  # inv_fin[k] = 1/(q;q)_k
-    for k in range(1, 2 * n_max + 1):
-        inv_fin.append(inv_fin[-1].divided_by_one_minus(k))
+    square = one(order)  # 1/(q;q)_n^2
     out = []
     for n in range(n_max + 1):
-        acc = zero(order)
-        for r in range(n + 1):
-            denominator_inverse = inv_fin[n + r]
-            for k in range(1, n - r + 1):
-                denominator_inverse = denominator_inverse.divided_by_one_minus(k)
-            acc = acc + pair.alpha(r, order) * denominator_inverse
+        if n:
+            square = square.divided_by_one_minus(n).divided_by_one_minus(n)
+        quotient, acc = square, pair.alpha(0, order) * square
+        for r in range(1, n + 1):  # quotient: 1/((q;q)_(n+r) (q;q)_(n-r))
+            quotient = quotient.times_one_minus(n - r + 1).divided_by_one_minus(n + r)
+            acc = acc + pair.alpha(r, order) * quotient
         out += _first_difference(n, pair.beta(n, order), acc)
     return out
 
@@ -409,13 +407,8 @@ def check_congruence(
     """Check values(step*k + offset) == 0 (mod modulus) for k = 0..k_max."""
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
-    out = []
-    for k in range(k_max + 1):
-        arg = step * k + offset
-        v = values(arg)
-        if v % modulus != 0:
-            out.append(Mismatch(arg, v % modulus, 0))
-    return out
+    args = (step * k + offset for k in range(k_max + 1))
+    return _sequence_mismatches(args, lambda a: values(a) % modulus, lambda a: 0)
 
 
 def even_parity_report(order: int) -> tuple[int, int]:
@@ -504,13 +497,8 @@ def _run_thm2(order):
         f"enumeration (n capped at {ENUM_CAP})")
 def _run_thm3(order):
     even = lhs_eq2(order).extract(0, 2)
-    mm = []
-    for n in range(1, min(even.order, ENUM_CAP) + 1):
-        series_val = even.coeffs[n]
-        enum_val = partitions.spt(n)
-        if (series_val - enum_val) % 2 != 0:
-            mm.append(Mismatch(n, series_val, enum_val))
-    return order, mm
+    indices = range(1, min(even.order, ENUM_CAP) + 1)
+    return order, _sequence_mismatches(indices, even.coeff, partitions.spt, modulus=2)
 
 
 @_check("thm4", "congruence",
@@ -518,15 +506,12 @@ def _run_thm3(order):
         f"counting route for n <= {ENUM_CAP // 2}")
 def _run_thm4(order):
     even = lhs_eq3(order).extract(0, 2)
-    mm = [
-        Mismatch(n, even.coeffs[n], 0)
-        for n in range(1, even.order + 1)
-        if even.coeffs[n] % 2 != 0
-    ]
-    for n in range(1, min(ENUM_CAP // 2, order // 2) + 1):
-        v = partitions.spt_o_minus(2 * n)
-        if v % 2 != 0:
-            mm.append(Mismatch(n, v, 0))
+    series = range(1, even.order + 1)
+    counted = range(1, min(ENUM_CAP // 2, order // 2) + 1)
+    mm = _sequence_mismatches(series, even.coeff, lambda n: 0, modulus=2)
+    mm += _sequence_mismatches(
+        counted, lambda n: partitions.spt_o_minus(2 * n), lambda n: 0, modulus=2
+    )
     return order, mm
 
 

@@ -271,6 +271,23 @@ def test_bailey_relation_holds():
     assert I.check_bailey_relation(I.bailey_pair("C5"), 6, 30) == []
 
 
+def test_bailey_relation_steps_one_quotient_per_n(monkeypatch):
+    # per n, 1/(q;q)_n^2 takes two divisions and each r one more plus one
+    # multiplication by (1 - q^k); beta_n adds its own 2n divisions.  A table
+    # of 1/(q;q)_k re-divided for every (n, r) made 208 divisions here
+    calls = Counter()
+    for name in ("divided_by_one_minus", "times_one_minus", "__mul__"):
+        real = getattr(TruncatedSeries, name)
+
+        def counting(self, *args, name=name, real=real):
+            calls[name] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(TruncatedSeries, name, counting)
+    assert I.check_bailey_relation(I.bailey_pair("C1"), 8, 60) == []
+    assert calls == {"divided_by_one_minus": 124, "times_one_minus": 36, "__mul__": 45}
+
+
 def test_eq12_holds_for_both_pairs():
     assert I.check_eq12(I.bailey_pair("C1"), 40) == []
     assert I.check_eq12(I.bailey_pair("C5"), 40) == []
@@ -478,6 +495,82 @@ def test_legendre_t4_reports_a_wrong_t4_coefficient(monkeypatch):
     report = I.verify("legendre_t4", 40)
     assert report.mismatches == (I.Mismatch(17, P.sigma(35), P.t4(17) + 1),)
     assert report.mismatch_total == 1
+
+
+def _bump_builder(name, exponent):
+    """Add 1 to the q^exponent coefficient of the ``identities`` builder ``name``."""
+
+    def plant(monkeypatch):
+        real = getattr(I, name)
+
+        def bumped(order):
+            c = list(real(order).coeffs)
+            c[exponent] += 1
+            return TruncatedSeries(tuple(c))
+
+        monkeypatch.setattr(I, name, bumped)
+
+    return plant
+
+
+def _bump_odd_count(n_bad, smallest):
+    """Add 1 to the odd-condition count of n_bad at smallest part ``smallest``."""
+
+    def plant(monkeypatch):
+        real = P._statistics
+
+        def statistics(n):
+            spt, n2, crank_sq, odd = real(n)
+            if n == n_bad:
+                odd = tuple(c + (s == smallest) for s, c in enumerate(odd))
+            return spt, n2, crank_sq, odd
+
+        monkeypatch.setattr(P, "_statistics", statistics)
+
+    return plant
+
+
+# (index, lhs, rhs) of every reported mismatch, per failing check, at order
+# 120; every check not named here passes
+FAILING_REPORTS = {
+    "lhs_eq2_q8": (_bump_builder("lhs_eq2", 8), {
+        "eq2": [(8, 82, 80)], "gf_note": [(8, 10, 11)],
+        "thm2": [(4, 11, 10)], "thm3": [(4, 41, 10)]}),
+    "lhs_eq3_q10": (_bump_builder("lhs_eq3", 10), {
+        "eq3": [(10, 118, 116)], "gf_note": [(10, 14, 13)],
+        "thm2": [(5, 13, 14)], "thm4": [(5, 59, 0)]}),
+    "lhs_gf_note_q18": (_bump_builder("lhs_gf_note", 18), {
+        "gf_note": [(18, 81, 80)], "cong5": [(18, 1, 0)]}),
+    "statistics_n12_odd_s4": (_bump_odd_count(12, 4), {
+        "thm4": [(9, 431, 0)], "thm2": [(6, 27, 26), (9, 79, 80)],
+        "eq13": [(12, 258, 256)], "eq14": [(6, 258, 256)]}),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAILING_REPORTS))
+def test_failing_reports_keep_their_values(fault, cold_memos, monkeypatch):
+    # the fault matrix pins which checks fail; this pins what they report
+    plant, want = FAILING_REPORTS[fault]
+    plant(monkeypatch)
+    reports = {r.id: r for r in I.verify_all(120)}
+    got = {
+        check_id: [(m.index, m.lhs, m.rhs) for m in r.mismatches]
+        for check_id, r in reports.items()
+        if r.status == "fail"
+    }
+    assert got == want
+    assert reports["eq2"].order == 60
+
+
+def test_bailey_relation_reports_the_first_differing_coefficients():
+    c1, c5 = I.bailey_pair("C1"), I.bailey_pair("C5")
+    late_beta = dataclasses.replace(
+        c5, beta_exponent=lambda n: c5.beta_exponent(n) + (n == 3))
+    late_alpha = dataclasses.replace(
+        c1, alpha_exponent=lambda m: c1.alpha_exponent(m) + 1)
+    assert I.check_bailey_relation(late_beta, I.BAILEY_N, 120) == [I.Mismatch(3, 0, 1)]
+    assert I.check_bailey_relation(late_alpha, I.BAILEY_N, 120) == [
+        I.Mismatch(n, 4, 5) for n in range(2, I.BAILEY_N + 1)]
 
 
 def test_verify_unknown_id():
