@@ -37,19 +37,15 @@ from .partitions import (
     spt_o_plus,
     t4,
 )
-from .identities import (
-    BaileyPair,
-    IdentityCheck,
-    IdentityReport,
-    Mismatch,
-    REGISTRY,
-    bailey_pair,
-    check_bailey_relation,
-    check_congruence,
-    check_eq12,
-    verify,
-    verify_all,
-)
+
+
+def __getattr__(name):
+    """PEP 562: the names in ``__all__`` not bound above load ``identities``."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import identities
+    return getattr(identities, name)
+
 
 __all__ = [
     "__version__",

@@ -15,7 +15,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from . import __version__, identities, partitions
+from . import __version__, partitions  # identities only where a command needs it
 
 # largest verify --order and compute --hi: every route is polynomial, but
 # grows about x4 per doubling (verify --all takes 5-7 s at order 4000), so
@@ -156,7 +156,7 @@ def _cmd_compute(args) -> int:
     return _emit(text, args.out, 0)
 
 
-def _report_payload(report: identities.IdentityReport) -> dict:
+def _report_payload(report) -> dict:
     return {
         "id": report.id,
         "order": report.order,
@@ -171,6 +171,7 @@ def _report_payload(report: identities.IdentityReport) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    from . import identities
     if args.order < 1:
         print("error: --order must be >= 1", file=sys.stderr)
         return 2
@@ -219,6 +220,7 @@ _EXAMPLE_ROWS = (
 
 
 def _cmd_examples(_args) -> int:
+    from . import identities
     rows = []
     for label, fn, n, quoted in _EXAMPLE_ROWS:
         computed = fn(n)
@@ -238,6 +240,7 @@ def _cmd_examples(_args) -> int:
 
 
 def _cmd_list(_args) -> int:
+    from . import identities
     lines = ["sequences (compute --sequence <id>):"]
     lines += [f"  {name:<12} defined for n >= {partitions.sequence_domain_min(name)}"
               for name in partitions.sequence_ids()]

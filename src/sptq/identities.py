@@ -7,13 +7,14 @@ and crank multisets, asserted by the partition tests).
 
 The left sides are sums of q-Pochhammer quotients over one upward walk per
 order, its summands one coefficient shorter at every step.  The right sides
-are product forms; those of eqs. (2)/(3) take N2 from a listing of every
-partition and M2 from a DP that counts crank moments, so each check crosses
-two representations.  Per-n statistics stop at desk scale whatever the
-request: eq2, eq3, eq13, eq14, m2_is_2np and spt_half_diff run at a capped
-order and report it; eq1 and thm2-thm4 report the requested order and cap
-only their per-n half, at ENUM_CAP or ENUM_CAP // 2.  One rule decides every
-mismatch, ``_sequence_mismatches``: two ints differ or, given a modulus, are
+are product forms, some imported from ``series``, which serves them to
+``compute``; those of eqs. (2)/(3) take N2 from a listing of every partition
+and M2 from a DP that counts crank moments, so each check crosses two
+representations.  Per-n statistics stop at desk scale whatever the request:
+eq2, eq3, eq13, eq14, m2_is_2np and spt_half_diff run at a capped order and
+report it; eq1 and thm2-thm4 report the requested order and cap only their
+per-n half, at ENUM_CAP or ENUM_CAP // 2.  One rule decides every mismatch,
+``_sequence_mismatches``: two ints differ or, given a modulus, are
 incongruent modulo it.
 """
 
@@ -25,8 +26,9 @@ from operator import add
 from typing import Callable, Iterable, Iterator
 
 from . import partitions
-from .series import (
+from .series import (  # product sides too, bound here by name
     TruncatedSeries,
+    _m2_series, _n2_series, _p_series, _psi_series, _t4_series, _theta_correction,
     geom_sq,
     lambert_sigma,
     monomial,
@@ -210,47 +212,6 @@ def rhs_eq3_doubled(order: int) -> TruncatedSeries:
     return _lambert_over_even_doubled(order) - moments
 
 
-def _theta_correction(order: int) -> TruncatedSeries:
-    """sum_{n>=1} (-1)^n q^(n(3n+1)/2) (1 + q^n) / (1 - q^n)^2."""
-    total = zero(order)
-    n = 1
-    while n * (3 * n + 1) // 2 <= order:
-        base = geom_sq(n, order).shifted(n * (3 * n - 1) // 2)
-        term = base + base.shifted(n)
-        total = total + (term if n % 2 == 0 else -term)
-        n += 1
-    return total
-
-
-def _p_series(order: int) -> TruncatedSeries:
-    """sum p(n) q^n = 1/qpoch_inf(1, 1, order), one sparse division by Euler's
-    series, so the pentagonal recurrence of ``partitions.p`` stays independent."""
-    return one(order) / qpoch_inf(1, 1, order)
-
-
-def _n2_series(order: int) -> TruncatedSeries:
-    """-2 * theta correction / (q;q)_inf, one sparse division, whose q^n
-    coefficient is the rank moment N2(n)."""
-    return -2 * (_theta_correction(order) / qpoch_inf(1, 1, order))
-
-
-def _m2_series(order: int) -> TruncatedSeries:
-    """sum 2 n p(n) q^n, whose q^n coefficient is the crank moment M2(n)."""
-    p = _p_series(order).coeffs
-    return TruncatedSeries(tuple(2 * n * c for n, c in enumerate(p)))
-
-
-def _psi_series(order: int) -> TruncatedSeries:
-    """psi(q) = sum_{k>=0} q^(k(k+1)/2) = (q^2;q^2)_inf/(q;q^2)_inf (Gauss)."""
-    triangular = {k * (k + 1) // 2 for k in range(order + 1)}
-    return TruncatedSeries(tuple(int(e in triangular) for e in range(order + 1)))
-
-
-def _t4_series(order: int) -> TruncatedSeries:
-    """psi^4: q^n counts the ordered quadruples of triangular numbers summing to n."""
-    return _psi_series(order) ** 4
-
-
 def rhs_eq1_doubled(order: int) -> TruncatedSeries:
     """2 sum n p(n) q^n + 2 * theta correction / (q;q)_inf, that is the M2
     series minus the N2 series."""
@@ -328,20 +289,22 @@ def bailey_pair(label: str) -> BaileyPair:
 def check_bailey_relation(pair: BaileyPair, n_max: int, order: int) -> list[Mismatch]:
     """Verify beta_n = sum_{r=0..n} alpha_r / ((q;q)_{n+r} (q;q)_{n-r}).
 
-    A mismatch entry records the failing n and the first differing
-    coefficient of each side.
+    Only even r add a term, odd-index alphas vanish.  A mismatch entry
+    records the failing n and the first differing coefficient of each side.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    alphas = {r: pair.alpha(r, order) for r in range(0, n_max + 1, 2)}
     square = one(order)  # 1/(q;q)_n^2
     out = []
     for n in range(n_max + 1):
         if n:
             square = square.divided_by_one_minus(n).divided_by_one_minus(n)
-        quotient, acc = square, pair.alpha(0, order) * square
+        quotient, acc = square, alphas[0] * square
         for r in range(1, n + 1):  # quotient: 1/((q;q)_(n+r) (q;q)_(n-r))
             quotient = quotient.times_one_minus(n - r + 1).divided_by_one_minus(n + r)
-            acc = acc + pair.alpha(r, order) * quotient
+            if r in alphas:
+                acc = acc + alphas[r] * quotient
         out += _first_difference(n, pair.beta(n, order), acc)
     return out
 

@@ -9,8 +9,8 @@ DPs over the allowed parts, and tested against the listing sums of
 sigma(n) (divisor sums) and t4(n) use closed forms.
 
 Tables are another matter: ``sequence`` reads every one of the nine off
-its generating series, built once at order hi, and leaves the per-n
-functions to the checks and tests that pin those series.
+its product side in ``series``, built once at order hi, and leaves the
+per-n functions to the checks and tests that pin those series.
 
 ``_statistics(m)`` gives the five per-size statistics: one walk over the
 partitions of m reads spt(m) and N2(m), and two DPs count the bare crank
@@ -32,10 +32,11 @@ and ``odd_condition`` find by bisection), so they take only such tuples.
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import neg
 from typing import Iterator
+
+from . import series
 
 Partition = tuple[int, ...]
 
@@ -307,28 +308,27 @@ def t4(n: int) -> int:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SequenceTable:
+class SequenceTable(series._FrozenSlots):
     """Inclusive slice of one named sequence."""
 
-    name: str
-    lo: int
-    hi: int
-    values: tuple[int, ...]
+    __slots__ = ("name", "lo", "hi", "values")  # str, int, int, tuple of ints
 
-    def __post_init__(self):
-        if len(self.values) != self.hi - self.lo + 1:
+    def __init__(self, name: str, lo: int, hi: int, values):
+        values = tuple(values)
+        if len(values) != hi - lo + 1:
             raise ValueError("value count does not match the index range")
+        for field, value in zip(self.__slots__, (name, lo, hi, values)):
+            object.__setattr__(self, field, value)
 
 
-# name -> (name of its generating-series builder in ``identities``, smallest n)
+# name -> (name of its generating-series builder in ``series``, smallest n)
 _SEQUENCES: dict[str, tuple[str, int]] = {
     "p": ("_p_series", 0),
     "sigma": ("lambert_sigma", 0),
-    "spt": ("lhs_eq1", 1),
-    "spt_o_plus": ("lhs_eq2", 1),
-    "spt_o_minus": ("lhs_eq3", 1),
-    "spt_o": ("lhs_gf_note", 1),
+    "spt": ("_spt_series", 1),
+    "spt_o_plus": ("_spt_o_plus_series", 1),
+    "spt_o_minus": ("_spt_o_minus_series", 1),
+    "spt_o": ("_spt_o_series", 1),
     "n2": ("_n2_series", 1),
     "m2": ("_m2_series", 1),
     "t4": ("_t4_series", 0),
@@ -356,12 +356,10 @@ def check_range(name: str, lo: int, hi: int) -> None:
 
 def sequence(name: str, lo: int, hi: int) -> SequenceTable:
     """Table of values of a registered sequence on the inclusive range lo..hi:
-    coefficients lo..hi of its generating series, built once at order hi.
+    coefficients lo..hi of its product side in ``series``, built at order hi.
 
     Tests pin every series to the per-n function of the same name.
     """
     check_range(name, lo, hi)
-    from . import identities  # imported here: identities imports this module
-
-    series = getattr(identities, _SEQUENCES[name][0])(hi)
-    return SequenceTable(name, lo, hi, series.coeffs[lo : hi + 1])
+    gf = getattr(series, _SEQUENCES[name][0])(hi)
+    return SequenceTable(name, lo, hi, gf.coeffs[lo : hi + 1])

@@ -4,24 +4,53 @@ A :class:`TruncatedSeries` stores the coefficients c_0..c_N of a power
 series in q known modulo q^(N+1).  All arithmetic is plain ``int``
 arithmetic: no floats, no rationals, no rounding anywhere.  Binary
 operations between series of different orders return the smaller order,
-which is the largest truncation both operands actually know.
+which is the largest truncation both operands actually know.  The product
+sides at the end serve ``compute`` every named sequence without ``identities``.
 """
 
 import operator
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class _FrozenSlots:
+    """Frozen-dataclass behaviour over the fields in ``__slots__``, without
+    importing ``dataclasses``, which would slow every ``compute`` start."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._fields() == other._fields() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):  # copy and pickle: rebuild through __init__
+        return self.__class__, self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class TruncatedSeries(_FrozenSlots):
     """Immutable series prefix: ``coeffs[k]`` is the coefficient of q^k."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)  # a non-empty tuple of ints
 
-    def __post_init__(self):
-        if not isinstance(self.coeffs, tuple):
-            object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) == 0:
+    def __init__(self, coeffs):
+        coeffs = tuple(coeffs)  # the same object when it is a tuple already
+        if len(coeffs) == 0:
             raise ValueError("series needs at least its constant coefficient")
+        object.__setattr__(self, "coeffs", coeffs)
 
     # ------------------------------------------------------------------
     # views
@@ -270,3 +299,74 @@ def geom_sq(part: int, order: int) -> TruncatedSeries:
         raise ValueError("part size must be >= 1")
     ramp = TruncatedSeries(tuple(range(order // part + 1)))  # sum k q^k
     return ramp.stretched(part).truncate(order)
+
+
+def _p_series(order: int) -> TruncatedSeries:
+    """sum p(n) q^n = 1/qpoch_inf(1, 1, order), one sparse division by Euler's
+    series, so the pentagonal recurrence of ``partitions.p`` stays independent."""
+    return one(order) / qpoch_inf(1, 1, order)
+
+
+def _psi_series(order: int) -> TruncatedSeries:
+    """psi(q) = sum_{k>=0} q^(k(k+1)/2) = (q^2;q^2)_inf/(q;q^2)_inf (Gauss)."""
+    triangular = {k * (k + 1) // 2 for k in range(order + 1)}
+    return TruncatedSeries(tuple(int(e in triangular) for e in range(order + 1)))
+
+
+def _t4_series(order: int) -> TruncatedSeries:
+    """psi^4: q^n counts the ordered quadruples of triangular numbers summing to n."""
+    return _psi_series(order) ** 4
+
+
+def _theta_correction(order: int) -> TruncatedSeries:
+    """sum_{n>=1} (-1)^n q^(n(3n+1)/2) (1 + q^n) / (1 - q^n)^2."""
+    total = zero(order)
+    n = 1
+    while n * (3 * n + 1) // 2 <= order:
+        base = geom_sq(n, order).shifted(n * (3 * n - 1) // 2)
+        term = base + base.shifted(n)
+        total = total + (term if n % 2 == 0 else -term)
+        n += 1
+    return total
+
+
+def _theta_quotient(order: int) -> TruncatedSeries:
+    """theta correction / (q;q)_inf, one sparse division: -N2(n)/2 at q^n."""
+    return _theta_correction(order) / qpoch_inf(1, 1, order)
+
+
+def _n2_series(order: int) -> TruncatedSeries:
+    """-2 * theta correction / (q;q)_inf: the rank moment N2(n) at q^n."""
+    return -2 * _theta_quotient(order)
+
+
+def _np_series(order: int) -> TruncatedSeries:
+    """sum n p(n) q^n, half the crank moments: M2(n) = 2 n p(n)."""
+    return TruncatedSeries(tuple(n * c for n, c in enumerate(_p_series(order).coeffs)))
+
+
+def _m2_series(order: int) -> TruncatedSeries:
+    """sum 2 n p(n) q^n, whose q^n coefficient is the crank moment M2(n)."""
+    return 2 * _np_series(order)
+
+
+def _spt_series(order: int) -> TruncatedSeries:
+    """sum n p(n) q^n + theta/(q;q)_inf: spt(n) = n p(n) - N2(n)/2 (Andrews 2008)."""
+    return _np_series(order) + _theta_quotient(order)
+
+
+def _spt_o_plus_series(order: int) -> TruncatedSeries:
+    """Lambert/(q^2;q^2)_inf - N2(n)/2 at q^(2n): spt_o_plus by eq. (2)."""
+    moments = _theta_quotient(order // 2).stretched(2).truncate(order)
+    return lambert_sigma(order) / qpoch_inf(2, 2, order) + moments
+
+
+def _spt_o_minus_series(order: int) -> TruncatedSeries:
+    """Lambert/(q^2;q^2)_inf - M2(n)/2 at q^(2n): spt_o_minus by eq. (3)."""
+    moments = _np_series(order // 2).stretched(2).truncate(order)
+    return lambert_sigma(order) / qpoch_inf(2, 2, order) - moments
+
+
+def _spt_o_series(order: int) -> TruncatedSeries:
+    """spt(n) at q^(2n): spt_o(2n) = spt(n) and spt_o(2n+1) = 0 (Theorems 2, 5)."""
+    return _spt_series(order // 2).stretched(2).truncate(order)

@@ -170,10 +170,10 @@ CLOSED_FORM_ROWS = {  # name -> (builder of its series, values at n = 0..10)
 @pytest.mark.parametrize("name", sorted(CLOSED_FORM_ROWS))
 def test_compute_reads_closed_form_tables_off_series(
         name, tmp_path, monkeypatch, capsys):
-    from sptq import cli, identities, partitions
+    from sptq import cli, partitions, series
 
     builder, values = CLOSED_FORM_ROWS[name]
-    build = getattr(identities, builder)
+    build = getattr(series, builder)
     orders = []
 
     def counting(order):
@@ -183,7 +183,7 @@ def test_compute_reads_closed_form_tables_off_series(
     def refuse(n):
         raise AssertionError(f"compute evaluated a closed form at n = {n}")
 
-    monkeypatch.setattr(identities, builder, counting)
+    monkeypatch.setattr(series, builder, counting)
     for fn in ("p", "sigma", "t4"):
         monkeypatch.setattr(partitions, fn, refuse)
     code = cli.main(["compute", "--sequence", name, "--lo", "0", "--hi", "10",
@@ -345,7 +345,7 @@ CEILING_ARGS = {
 @pytest.mark.parametrize("command", sorted(CEILING_ARGS))
 def test_orders_above_the_ceiling_fail_before_any_build(
         command, tmp_path, monkeypatch, capsys):
-    from sptq import cli, identities, partitions
+    from sptq import cli, identities, partitions, series
 
     assert cli.MAX_ORDER >= 5000  # compute --sequence sigma --hi 5000 is in use
     built = []
@@ -357,7 +357,7 @@ def test_orders_above_the_ceiling_fail_before_any_build(
         return build
 
     for builder, _lo in partitions._SEQUENCES.values():
-        monkeypatch.setattr(identities, builder, refuse(builder))
+        monkeypatch.setattr(series, builder, refuse(builder))
     monkeypatch.setattr(partitions, "sequence", refuse("sequence"))
     monkeypatch.setattr(identities, "verify", refuse("verify"))
     for check_id, check in identities.REGISTRY.items():

@@ -16,6 +16,7 @@ import pytest
 
 from sptq import identities as I
 from sptq import partitions as P
+from sptq import series as S
 from sptq.series import TruncatedSeries
 
 ORDER = 200
@@ -68,28 +69,37 @@ def _statistics_fault(n_bad, field, smallest=1):
     return plant
 
 
+def _plant_everywhere(monkeypatch, name, fake):
+    """Bind ``name`` to ``fake`` in every module that binds it, ``series``
+    and ``identities``, which imports the series builders by name."""
+    for module in (S, I):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, fake)
+
+
 def _builder_fault(name, exponent):
-    """Bump q^exponent of whatever the ``identities`` builder ``name`` returns."""
+    """Bump q^exponent of whatever the series builder ``name`` returns."""
 
     def plant(monkeypatch):
         real = getattr(I, name)
-        monkeypatch.setattr(I, name, lambda order: _bumped(real(order), exponent))
+        _plant_everywhere(monkeypatch, name,
+                          lambda order: _bumped(real(order), exponent))
 
     return plant
 
 
 def _product_fault(start, step, exponent):
-    """Bump q^exponent of (q^start;q^step)_inf wherever ``identities`` builds
-    it; every other q-Pochhammer product stays as built."""
+    """Bump q^exponent of (q^start;q^step)_inf wherever ``series`` or
+    ``identities`` builds it; every other q-Pochhammer product stays as built."""
 
     def plant(monkeypatch):
-        real = I.qpoch_inf
+        real = S.qpoch_inf
 
         def qpoch_inf(a, b, order):
             product = real(a, b, order)
             return _bumped(product, exponent) if (a, b) == (start, step) else product
 
-        monkeypatch.setattr(I, "qpoch_inf", qpoch_inf)
+        _plant_everywhere(monkeypatch, "qpoch_inf", qpoch_inf)
 
     return plant
 

@@ -11,6 +11,7 @@ import pytest
 
 from sptq import partitions as P
 from sptq import identities as I
+from sptq import series as S
 from sptq.series import (
     TruncatedSeries,
     lambert_sigma,
@@ -169,6 +170,36 @@ def test_rhs_eq23_matches_the_literal_product_form(order):
     assert I.rhs_eq23(order) == literal.shifted(1)
 
 
+# the product side that ``compute`` serves for each smallest-part sequence,
+# its sum of q-Pochhammer quotients and its per-n function
+PRODUCT_SIDES = {
+    "spt": (S._spt_series, I.lhs_eq1, P.spt),
+    "spt_o_plus": (S._spt_o_plus_series, I.lhs_eq2, P.spt_o_plus),
+    "spt_o_minus": (S._spt_o_minus_series, I.lhs_eq3, P.spt_o_minus),
+    "spt_o": (S._spt_o_series, I.lhs_gf_note, P.spt_o),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_SIDES))
+def test_product_sides_match_the_per_n_functions(name):
+    product, _lhs, per_n = PRODUCT_SIDES[name]
+    assert product(30).coeffs == (0, *map(per_n, range(1, 31)))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 17, 600])
+@pytest.mark.parametrize("name", sorted(PRODUCT_SIDES))
+def test_product_sides_equal_the_quotient_sums(name, order):
+    product, lhs, _per_n = PRODUCT_SIDES[name]
+    assert product(order) == lhs(order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 17, 600])
+def test_lambert_quotient_inverse_equals_the_division(order):
+    # it keeps its inverse, counted by test_only_the_lambert_quotient_inverts
+    want = 2 * (lambert_sigma(order) / qpoch_inf(2, 2, order))
+    assert I._lambert_over_even_doubled(order) == want
+
+
 def test_theta_correction_carries_rank_moments():
     order = 30
     got = 2 * (qpoch_inf(1, 1, order).invert() * I._theta_correction(order))
@@ -274,7 +305,9 @@ def test_bailey_relation_holds():
 def test_bailey_relation_steps_one_quotient_per_n(monkeypatch):
     # per n, 1/(q;q)_n^2 takes two divisions and each r one more plus one
     # multiplication by (1 - q^k); beta_n adds its own 2n divisions.  A table
-    # of 1/(q;q)_k re-divided for every (n, r) made 208 divisions here
+    # of 1/(q;q)_k re-divided for every (n, r) made 208 divisions here.  Odd
+    # alphas vanish, so only the 25 (n, r) with r even multiply, where every
+    # r made 45 products
     calls = Counter()
     for name in ("divided_by_one_minus", "times_one_minus", "__mul__"):
         real = getattr(TruncatedSeries, name)
@@ -285,7 +318,7 @@ def test_bailey_relation_steps_one_quotient_per_n(monkeypatch):
 
         monkeypatch.setattr(TruncatedSeries, name, counting)
     assert I.check_bailey_relation(I.bailey_pair("C1"), 8, 60) == []
-    assert calls == {"divided_by_one_minus": 124, "times_one_minus": 36, "__mul__": 45}
+    assert calls == {"divided_by_one_minus": 124, "times_one_minus": 36, "__mul__": 25}
 
 
 def test_eq12_holds_for_both_pairs():

@@ -1,5 +1,7 @@
-"""The package's export list and its memoized functions."""
+"""The package's export list, what it imports, and its memoized functions."""
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,41 @@ def test_every_export_resolves_once():
     assert len(sptq.__all__) == len(set(sptq.__all__))
     missing = [name for name in sptq.__all__ if not hasattr(sptq, name)]
     assert missing == []
+
+
+# what only ``verify``, ``list`` and ``examples`` need; with them,
+# ``import sptq.cli`` took about twice as long
+LAZY_MODULES = ("dataclasses", "sptq.identities")
+
+
+def _python(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          check=True)
+
+
+def test_compute_loads_neither_identities_nor_dataclasses(tmp_path):
+    probe = "import sys, sptq.cli; print(*sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    assert _python("-c", probe, *LAZY_MODULES).stdout.split() == []
+    run = _python("-X", "importtime", "-m", "sptq", "compute", "--sequence", "spt",
+                  "--lo", "1", "--hi", "40", "--cache-dir", str(tmp_path))
+    imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "sptq.partitions" in imported  # the listing shows the job's imports
+    assert imported.isdisjoint(LAZY_MODULES)
+
+
+def test_identities_exports_load_on_first_use():
+    probe = "\n".join([
+        "import sys, sptq",
+        "assert 'sptq.identities' not in sys.modules",
+        "from sptq import IdentityCheck",
+        "from sptq import identities",
+        "assert IdentityCheck is identities.IdentityCheck",
+        "assert sptq.verify_all is identities.verify_all",
+        "assert sptq.REGISTRY is identities.REGISTRY and len(sptq.REGISTRY) == 23",
+        "assert not hasattr(sptq, 'no_such_name')",
+    ])
+    _python("-c", probe)
 
 
 def test_memo_inventory_is_the_three_reused_builders(cold_memos):

@@ -1,5 +1,8 @@
 """Series ring: frozen examples, error contracts, and randomized ring axioms."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -78,6 +81,39 @@ def test_series_is_immutable():
     s = ts(1, 2, 3)
     with pytest.raises(Exception):
         s.coeffs = (9,)
+
+
+# each slot class: (constructor, field names, fields, the same fields in
+# another form, other fields, its repr); a frozen dataclass hashes the tuple
+# of its fields
+VALUE_CLASSES = {
+    "TruncatedSeries": (TruncatedSeries, ("coeffs",), ((1, 2, 3),), ([1, 2, 3],),
+                        ((1, 2, 4),), "TruncatedSeries([1, 2, 3] order=2)"),
+    "SequenceTable": (partitions.SequenceTable, ("name", "lo", "hi", "values"),
+                      ("spt", 1, 2, (1, 3)), ("spt", 1, 2, [1, 3]),
+                      ("spt", 1, 2, (1, 4)),
+                      "SequenceTable(name='spt', lo=1, hi=2, values=(1, 3))"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_CLASSES))
+def test_value_classes_keep_the_frozen_dataclass_contract(name):
+    cls, names, fields, coerced, other, text = VALUE_CLASSES[name]
+    value = cls(*fields)
+    assert tuple(getattr(value, field) for field in names) == fields
+    assert value == cls(*coerced)  # a list is stored as a tuple
+    assert value != cls(*other)
+    assert value != fields and value != other
+    assert hash(value) == hash(cls(*coerced)) == hash(fields)
+    assert repr(value) == text
+    assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
+    for attr in (*names, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, attr, 0)
+    with pytest.raises(AttributeError):
+        delattr(value, names[0])
+    with pytest.raises(ValueError):  # no values: no constant term, or too few
+        cls(*fields[:-1], ())
 
 
 def test_truncate():
