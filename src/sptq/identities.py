@@ -5,8 +5,8 @@ whole pipeline stays in exact integer arithmetic; that is sound because
 the rank and crank second moments are even (negation symmetry of the rank
 and crank multisets, asserted by the partition tests).
 
-The left sides are sums of q-Pochhammer quotients over one upward walk per
-order, its summands one coefficient shorter at every step.  The right sides
+The left sides are sums of q-Pochhammer quotients, each summed by Horner's
+rule from its last term down, in one right-sized list.  The right sides
 are product forms, some imported from ``series``, which serves them to
 ``compute``; those of eqs. (2)/(3) take N2 from a listing of every partition
 and M2 from a DP that counts crank moments, so each check crosses two
@@ -21,20 +21,13 @@ incongruent modulo it.
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice
-from operator import add
+from operator import add, sub
 from typing import Callable, Iterable, Iterator
 
 from . import partitions
 from .series import (  # product sides too, bound here by name
-    TruncatedSeries,
-    _m2_series, _n2_series, _p_series, _psi_series, _t4_series, _theta_correction,
-    geom_sq,
-    lambert_sigma,
-    monomial,
-    one,
-    qpoch_inf,
-    zero,
+    TruncatedSeries, _m2_series, _n2_series, _p_series, _psi_series, _t4_series,
+    _theta_correction, geom_sq, lambert_sigma, monomial, one, qpoch_inf, zero,
 )
 
 ENUM_CAP = 30  # largest n any enumeration-backed table is asked for
@@ -106,52 +99,57 @@ def _first_difference(index: int, lhs, rhs) -> list[Mismatch]:
 # ----------------------------------------------------------------------
 
 
-def _upward_walk(order: int, odd: bool) -> Iterator[tuple[int, TruncatedSeries]]:
-    """Yield (n, S_n mod q^(order-n+1)) for n = 1..order: S_n is T_n =
-    (q;q)_(n-1) / ((1-q^n) (q;q^2)_n) if ``odd``, else U_n = (q;q)_(n-1) / (1-q^n).
-
-    Every sum over S_n carries q^n, so the walk drops one coefficient per
-    step: S_(n+1) is S_n truncated, times (1-q^n)^2, over (1-q^(n+1)) and,
-    for T, (1-q^(2n+1)).  Tests pin it to the direct dense construction."""
+def _upward_walk(order: int, steps: int) -> Iterator[tuple[int, TruncatedSeries]]:
+    """Yield (n, T_n mod q^(order-n+1)) for n = 1..min(steps, order), T_n =
+    (q;q)_(n-1) / ((1-q^n) (q;q^2)_n), for ``termwise_eq2``: T_(n+1) is T_n
+    truncated, times (1-q^n)^2, over (1-q^(n+1)) and (1-q^(2n+1))."""
     term = one(order)
-    for n in range(1, order + 1):
+    for n in range(1, min(steps, order) + 1):
         term = term.truncate(order - n).divided_by_one_minus(n)
-        if odd:
-            term = term.divided_by_one_minus(2 * n - 1)
+        term = term.divided_by_one_minus(2 * n - 1)
         yield n, term
         term = term.times_one_minus(n).times_one_minus(n)
 
 
-def _slice_sums(order: int, walk, exponents) -> list[TruncatedSeries]:
-    """One sum per exponent function: each (n, S_n) of ``walk`` is added in
-    at q^exponent(n), exponent(n) >= n, by list-slice updates."""
-    totals = [[0] * (order + 1) for _ in exponents]
-    for n, term in walk:
-        for total, exponent in zip(totals, exponents):
-            shift = exponent(n)
-            if shift <= order:
-                total[shift:] = map(add, total[shift:], term.coeffs)
-    return [TruncatedSeries(tuple(total)) for total in totals]
+def _horner_sum(order: int, exponent: Callable, odd: bool) -> TruncatedSeries:
+    """sum_{n>=1} q^exponent(n) S_n mod q^(order+1), S_n = T_n if ``odd``,
+    else U_n = (q;q)_(n-1)/(1-q^n), by Horner's rule from the last n with
+    exponent(n) <= order down: K_n = 1/(1-q^n) + (1-q^n) q^(exponent(n+1) -
+    exponent(n)) K_(n+1), over (1-q^(2n-1)) for T; the sum is q^exponent(1) K_1.
+    Each K_n is one list of order - exponent(n) + 1 coefficients, updated in
+    place.  ``exponent`` must be nondecreasing and >= n, else ValueError."""
+    exponents = [0]
+    while exponents[-1] <= order:
+        n, e = len(exponents), exponent(len(exponents))
+        if e < max(n, exponents[-1]):
+            raise ValueError(f"exponent({n}) = {e} is below {n} or exponent({n - 1})")
+        exponents.append(e)
+    exponents[-1], k = order + 1, []  # the top K_n starts as zeros of full size
+    for n in range(len(exponents) - 2, 0, -1):
+        k[n:] = map(sub, k[n:], k)  # times (1 - q^n), reading the old k
+        k[:0] = [0] * (exponents[n + 1] - exponents[n])  # times the q-shift
+        k[::n] = map((1).__add__, k[::n])  # plus 1/(1 - q^n)
+        if odd:  # over (1 - q^m), one block of m coefficients at a time
+            m = 2 * n - 1
+            for i in range(m, len(k), m):
+                k[i:i + m] = map(add, k[i:i + m], k[i - m:i])
+    return TruncatedSeries((0,) * (order + 1 - len(k)) + tuple(k))
 
 
 @lru_cache(maxsize=None)
 def _smallest_part_lhs(order: int) -> tuple:
-    """lhs_eq2, lhs_eq3, lhs_gf_note, the eq. (12) sums by pair label and
-    the (n, T_n) with n <= TERMWISE_N, all from one upward walk of T_n.
-
-    Each pair in ``_BAILEY_PAIRS`` at call time sums its eq. (12) summands
-    q^(n + beta_exponent(n)) T_n, and the three left sides are read off
-    the C1 and C5 sums: the eq. (2) summand is the C1 summand over
-    (q^2;q^2)_inf, eq. (3)'s is C5's (exponent n(n-1)/2), and spt_o's is
-    their difference, so a wrong pair exponent shows in all of them."""
+    """lhs_eq2, lhs_eq3, lhs_gf_note and, by label, the eq. (12) sum
+    q^(n + beta_exponent(n)) T_n of each pair in ``_BAILEY_PAIRS`` at call
+    time.  The three left sides are read off the C1 and C5 sums: the eq. (2)
+    summand is the C1 summand over (q^2;q^2)_inf, eq. (3)'s is C5's (exponent
+    n(n-1)/2), and spt_o's is their difference, so a wrong pair exponent
+    shows in all of them."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    walk = _upward_walk(order, odd=True)
-    kept = tuple(islice(walk, TERMWISE_N))
-    exponents = [pair.summand_exponent for pair in _BAILEY_PAIRS.values()]
-    sums = dict(zip(_BAILEY_PAIRS, _slice_sums(order, chain(kept, walk), exponents)))
+    sums = {label: _horner_sum(order, pair.summand_exponent, odd=True)
+            for label, pair in _BAILEY_PAIRS.items()}
     c1, c5, even = sums["C1"], sums["C5"], qpoch_inf(2, 2, order)
-    return c1 / even, c5 / even, (c1 - c5) / even, sums, kept
+    return c1 / even, c5 / even, (c1 - c5) / even, sums
 
 
 def lhs_eq2(order: int) -> TruncatedSeries:
@@ -173,11 +171,10 @@ def lhs_gf_note(order: int) -> TruncatedSeries:
 @lru_cache(maxsize=None)
 def lhs_eq1(order: int) -> TruncatedSeries:
     """Generating series of spt: [sum_n q^n (q;q)_(n-1)/(1-q^n)]/(q;q)_inf
-    (Andrews 2008), one upward walk of U_n and one sparse division."""
+    (Andrews 2008), one Horner sum over U_n and one sparse division."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    total = _slice_sums(order, _upward_walk(order, False), [lambda n: n])[0]
-    return total / qpoch_inf(1, 1, order)
+    return _horner_sum(order, lambda n: n, odd=False) / qpoch_inf(1, 1, order)
 
 
 # ----------------------------------------------------------------------
@@ -289,33 +286,35 @@ def bailey_pair(label: str) -> BaileyPair:
 def check_bailey_relation(pair: BaileyPair, n_max: int, order: int) -> list[Mismatch]:
     """Verify beta_n = sum_{r=0..n} alpha_r / ((q;q)_{n+r} (q;q)_{n-r}).
 
-    Only even r add a term, odd-index alphas vanish.  A mismatch entry
-    records the failing n and the first differing coefficient of each side.
+    Only even r add a term, odd-index alphas vanish; beta_n is a running
+    quotient too.  A mismatch entry records the failing n and the first
+    differing coefficient of each side.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     alphas = {r: pair.alpha(r, order) for r in range(0, n_max + 1, 2)}
-    square = one(order)  # 1/(q;q)_n^2
+    square = base = one(order)  # 1/(q;q)_n^2 and 1/((q;q)_n (q;q^2)_n)
     out = []
     for n in range(n_max + 1):
         if n:
             square = square.divided_by_one_minus(n).divided_by_one_minus(n)
+            base = base.divided_by_one_minus(n).divided_by_one_minus(2 * n - 1)
         quotient, acc = square, alphas[0] * square
         for r in range(1, n + 1):  # quotient: 1/((q;q)_(n+r) (q;q)_(n-r))
             quotient = quotient.times_one_minus(n - r + 1).divided_by_one_minus(n + r)
             if r in alphas:
                 acc = acc + alphas[r] * quotient
-        out += _first_difference(n, pair.beta(n, order), acc)
+        out += _first_difference(n, base.shifted(pair.beta_exponent(n)), acc)
     return out
 
 
 def eq12_lhs(pair: BaileyPair, order: int) -> TruncatedSeries:
     """sum_{n>=1} (q;q)_{n-1}^2 beta_n q^n = sum q^(n + beta_exponent(n)) T_n,
-    T_n = (q;q)_{n-1} / ((1-q^n) (q;q^2)_n): the per-pair sum of the T_n
-    pass for a registered pair, else summed the same way over a walk of its own."""
+    T_n = (q;q)_{n-1} / ((1-q^n) (q;q^2)_n): the memoized sum of a registered
+    pair, else a Horner sum of its own."""
     if _BAILEY_PAIRS.get(pair.label) is pair:
         return _smallest_part_lhs(order)[3][pair.label]
-    return _slice_sums(order, _upward_walk(order, True), [pair.summand_exponent])[0]
+    return _horner_sum(order, pair.summand_exponent, odd=True)
 
 
 def eq12_rhs(pair: BaileyPair, order: int) -> TruncatedSeries:
@@ -334,8 +333,8 @@ def check_eq12(pair: BaileyPair, order: int) -> list[Mismatch]:
 
 
 def _termwise_mismatches(order: int) -> list[Mismatch]:
-    """Each differentiated-lemma summand q^(n + beta_exponent(n)) T_n, T_n as
-    the eq. (2) pass keeps it, equals (q^2;q^2)_inf times the literal quotient
+    """Each differentiated-lemma summand q^(n + beta_exponent(n)) T_n, T_n
+    from ``_upward_walk``, equals (q^2;q^2)_inf times the literal quotient
     summand q^n Q_n/(1-q^n)^2 shifted by the stated 0 (C1) or n(n-1)/2 (C5),
     so a wrong beta_exponent shows.  P_n = (q^2;q^2)_inf Q_n, Q_n =
     (q^(2n+1);q^2)_inf/(q^(n+1);q)_inf, steps down by P_(n-1) = P_n
@@ -350,10 +349,10 @@ def _termwise_mismatches(order: int) -> list[Mismatch]:
         half = product.divided_by_one_minus(n)
         products[n] = half.divided_by_one_minus(n).shifted(n)
         product = half.times_one_minus(2 * n - 1)
-    out = []
+    kept, out = tuple(_upward_walk(order, TERMWISE_N)), []
     for label, shift in (("C1", lambda n: 0), ("C5", lambda n: n * (n - 1) // 2)):
         pair = bailey_pair(label)
-        for n, term in _smallest_part_lhs(order)[4]:
+        for n, term in kept:
             lhs = TruncatedSeries((0,) * pair.summand_exponent(n) + term.coeffs)
             out += _first_difference(n, lhs, products[n].shifted(shift(n)))
     return out

@@ -32,17 +32,24 @@ def _bumped(series, exponent):
 
 
 def _summand_fault(n_bad, exponent):
-    """Bump q^exponent of the n_bad-th eq. (2) numerator term q^n T_n, as
-    the upward walk of T_n yields it; the walk itself goes on unbumped."""
+    """Bump q^exponent of the n_bad-th eq. (2) numerator term q^n T_n: in
+    each pair's Horner sum over T_n, where the pair places that term, and in
+    the T_n that termwise_eq2 walks up."""
 
     def plant(monkeypatch):
-        real = I._upward_walk
+        real_sum, real_walk = I._horner_sum, I._upward_walk
 
-        def walk(order, odd):
-            for n, term in real(order, odd):
-                bad = odd and n == n_bad
-                yield n, _bumped(term, exponent - n) if bad else term
+        def horner_sum(order, summand_exponent, odd):
+            total = real_sum(order, summand_exponent, odd)
+            if not odd or exponent > order:  # U_n, or a coefficient T_n lacks
+                return total
+            return _bumped(total, summand_exponent(n_bad) + exponent - n_bad)
 
+        def walk(order, steps):
+            for n, term in real_walk(order, steps):
+                yield n, _bumped(term, exponent - n) if n == n_bad else term
+
+        monkeypatch.setattr(I, "_horner_sum", horner_sum)
         monkeypatch.setattr(I, "_upward_walk", walk)
 
     return plant

@@ -71,20 +71,18 @@ def dense_beta(pair, n, order):
     return monomial(pair.beta_exponent(n), 1, order) * denominator.invert()
 
 
-@pytest.mark.parametrize("odd", [True, False])
-def test_upward_walk_matches_direct_construction(odd):
-    # T_n = (q;q)_(n-1) / ((1-q^n) (q;q^2)_n) and U_n = (q;q)_(n-1) / (1-q^n),
-    # truncated to order - n, from a dense product and a dense inverse built
-    # anew for each n; at orders 1 and 2 the walk ends at an order-0 term
+def test_upward_walk_matches_direct_construction():
+    # T_n = (q;q)_(n-1) / ((1-q^n) (q;q^2)_n), truncated to order - n, from a
+    # dense product and a dense inverse built anew for each n; at orders 1
+    # and 2 the walk ends at an order-0 term, and it stops after ``steps``
     for order in (1, 2, 25, 60):
-        got = list(I._upward_walk(order, odd))
+        got = list(I._upward_walk(order, order))
         assert [n for n, _ in got] == list(range(1, order + 1))
         for n, term in got:
-            denominator = qpoch_fin(n, 1, 1, order)
-            if odd:
-                denominator = denominator * qpoch_fin(1, 2, n, order)
+            denominator = qpoch_fin(n, 1, 1, order) * qpoch_fin(1, 2, n, order)
             direct = qpoch_fin(1, 1, n - 1, order) * denominator.invert()
             assert term == direct.truncate(order - n)
+        assert list(I._upward_walk(order, I.TERMWISE_N)) == got[:I.TERMWISE_N]
 
 
 def spt_summand(n, order):
@@ -304,10 +302,10 @@ def test_bailey_relation_holds():
 
 def test_bailey_relation_steps_one_quotient_per_n(monkeypatch):
     # per n, 1/(q;q)_n^2 takes two divisions and each r one more plus one
-    # multiplication by (1 - q^k); beta_n adds its own 2n divisions.  A table
-    # of 1/(q;q)_k re-divided for every (n, r) made 208 divisions here.  Odd
-    # alphas vanish, so only the 25 (n, r) with r even multiply, where every
-    # r made 45 products
+    # multiplication by (1 - q^k); the running beta_n two more, where building
+    # each beta_n afresh took 2n (124 divisions in all), and a table of
+    # 1/(q;q)_k re-divided for every (n, r) made 208.  Odd alphas vanish, so
+    # only the 25 (n, r) with r even multiply, where every r made 45 products
     calls = Counter()
     for name in ("divided_by_one_minus", "times_one_minus", "__mul__"):
         real = getattr(TruncatedSeries, name)
@@ -318,7 +316,23 @@ def test_bailey_relation_steps_one_quotient_per_n(monkeypatch):
 
         monkeypatch.setattr(TruncatedSeries, name, counting)
     assert I.check_bailey_relation(I.bailey_pair("C1"), 8, 60) == []
-    assert calls == {"divided_by_one_minus": 124, "times_one_minus": 36, "__mul__": 25}
+    assert calls == {"divided_by_one_minus": 68, "times_one_minus": 36, "__mul__": 25}
+
+
+@pytest.mark.parametrize("label", ["C1", "C5"])
+def test_bailey_relation_running_beta_is_the_pair_beta(label, monkeypatch):
+    # the beta_n the relation compares, kept as a running quotient, equals
+    # BaileyPair.beta built from scratch for each n
+    pair, compared = I.bailey_pair(label), []
+    first_difference = I._first_difference
+
+    def recording(n, lhs, rhs):
+        compared.append((n, lhs))
+        return first_difference(n, lhs, rhs)
+
+    monkeypatch.setattr(I, "_first_difference", recording)
+    assert I.check_bailey_relation(pair, I.BAILEY_N, 60) == []
+    assert compared == [(n, pair.beta(n, 60)) for n in range(I.BAILEY_N + 1)]
 
 
 def test_eq12_holds_for_both_pairs():
@@ -326,21 +340,63 @@ def test_eq12_holds_for_both_pairs():
     assert I.check_eq12(I.bailey_pair("C5"), 40) == []
 
 
-@pytest.mark.parametrize("label", ["C1", "C5"])
-@pytest.mark.parametrize("order", [1, 2, 17, 40])
-def test_eq12_lhs_matches_direct_construction(label, order):
-    pair = I.bailey_pair(label)
+def direct_eq12_sum(pair, order):
+    """sum_{n>=1} (q;q)_(n-1)^2 beta_n q^n, every factor dense and built anew."""
     direct = zero(order)
     for n in range(1, order + 1):
         fin = qpoch_fin(1, 1, n - 1, order)
         beta = dense_beta(pair, n, order)
         direct = direct + fin * fin * beta * monomial(n, 1, order)
-    assert I.eq12_lhs(pair, order) == direct
+    return direct
+
+
+@pytest.mark.parametrize("label", ["C1", "C5"])
+@pytest.mark.parametrize("order", [1, 2, 17, 40])
+def test_eq12_lhs_matches_direct_construction(label, order):
+    pair = I.bailey_pair(label)
+    assert I.eq12_lhs(pair, order) == direct_eq12_sum(pair, order)
+
+
+def direct_spt_numerator(order):
+    """sum_n q^n U_n = (q;q)_inf sum_n q^n spt_summand(n), densely."""
+    direct = zero(order)
+    for n in range(1, order + 1):
+        direct = direct + at_n(n, order) * spt_summand(n, order)
+    return qpoch_inf(1, 1, order) * direct
+
+
+C1 = I.bailey_pair("C1")
+# C1 with beta_3 one power of q later: summand exponents 1, 2, 4, 4, 5, ...,
+# so the Horner step from n = 4 to n = 3 shifts by q^0
+C1_LATE_BETA3 = dataclasses.replace(C1, beta_exponent=lambda n: int(n == 3))
+HORNER_SUMS = {
+    "U": (lambda n: n, False, direct_spt_numerator),
+    **{label: (pair.summand_exponent, True,
+               lambda order, pair=pair: direct_eq12_sum(pair, order))
+       for label, pair in (("C1", C1), ("C5", I.bailey_pair("C5")),
+                           ("C1_late_beta3", C1_LATE_BETA3))},
+}
+
+
+@pytest.mark.parametrize("order", [1, 2, 17, 40, 60])
+@pytest.mark.parametrize("name", sorted(HORNER_SUMS))
+def test_horner_sum_matches_the_direct_sum(name, order):
+    exponent, odd, direct = HORNER_SUMS[name]
+    assert I._horner_sum(order, exponent, odd) == direct(order)
+
+
+@pytest.mark.parametrize("exponent", [
+    {1: 1, 2: 4, 3: 3}.get,  # decreasing from n = 2 to n = 3
+    lambda n: 0,  # below n, so the sum would never pass the order
+], ids=["decreasing", "below_n"])
+def test_horner_sum_rejects_a_bad_exponent(exponent):
+    with pytest.raises(ValueError):
+        I._horner_sum(10, exponent, True)
 
 
 def test_an_unregistered_pair_sums_over_its_own_walk():
     # the same exponents in a pair object that _BAILEY_PAIRS does not hold:
-    # eq12_lhs walks T_n itself and must agree with the eq. (2) pass
+    # eq12_lhs makes a Horner sum of its own and must agree with the memoized one
     for label in ("C1", "C5"):
         pair = I.bailey_pair(label)
         copy = dataclasses.replace(pair)
@@ -381,28 +437,36 @@ def test_termwise_identity():
     assert I._termwise_mismatches(30) == []
 
 
-def test_verify_all_walks_t_n_once_per_order(cold_memos, monkeypatch):
-    # eq2/eq3/gf_note, both eq12 checks and termwise_eq2 read one pass over
-    # T_n (eq2 and eq3 run theirs at their capped order 60); lhs_eq1 walks U_n
-    walks = Counter()
-    walk, eq12_lhs = I._upward_walk, I.eq12_lhs
+def test_verify_all_makes_one_horner_pass_per_order_and_sum(cold_memos, monkeypatch):
+    # lhs_eq1 sums U_n and the pass behind eq2/eq3/gf_note sums T_n once per
+    # registered pair (eq2 and eq3 run theirs at their capped order 60), both
+    # eq12 checks read that pass, and termwise_eq2 walks its 12 T_n once
+    passes, walks = Counter(), Counter()
+    horner, walk, eq12_lhs = I._horner_sum, I._upward_walk, I.eq12_lhs
 
-    def counting(order, odd):
-        walks[order, odd] += 1
-        return walk(order, odd)
+    def counting(order, exponent, odd):
+        passes[order, odd, tuple(map(exponent, range(1, 5)))] += 1
+        return horner(order, exponent, odd)
+
+    def counting_walk(order, steps):
+        walks[order, steps] += 1
+        return walk(order, steps)
 
     def eq12_counting(pair, order):
-        before = walks.total()
+        before = passes.total()
         lhs = eq12_lhs(pair, order)
-        eq12_walks.append(walks.total() - before)
+        eq12_passes.append(passes.total() - before)
         return lhs
 
-    eq12_walks = []
-    monkeypatch.setattr(I, "_upward_walk", counting)
+    eq12_passes = []
+    monkeypatch.setattr(I, "_horner_sum", counting)
+    monkeypatch.setattr(I, "_upward_walk", counting_walk)
     monkeypatch.setattr(I, "eq12_lhs", eq12_counting)
     assert all(r.status == "pass" for r in I.verify_all(200))
-    assert walks == {(60, True): 1, (200, True): 1, (200, False): 1}
-    assert eq12_walks == [0, 0]  # eq12_c1 and eq12_c5 read the pass
+    u, c1, c5 = (False, (1, 2, 3, 4)), (True, (1, 2, 3, 4)), (True, (1, 3, 6, 10))
+    assert passes == Counter([(200, *u), (200, *c1), (200, *c5), (60, *c1), (60, *c5)])
+    assert walks == {(200, I.TERMWISE_N): 1}
+    assert eq12_passes == [0, 0]  # eq12_c1 and eq12_c5 read the pass
 
 
 def test_termwise_catches_a_wrong_beta_exponent(cold_memos, monkeypatch):
