@@ -18,8 +18,8 @@ from pathlib import Path
 from . import __version__, partitions  # identities only where a command needs it
 
 # largest verify --order and compute --hi: every route is polynomial, but
-# grows about x4 per doubling (verify --all takes 2-2.5 s at order 4000), so
-# far past this a run takes hours
+# grows about x4 per doubling (verify --all takes 2.6-2.7 s at order 4000 on
+# a shared 2-vCPU machine), so far past this a run takes hours
 MAX_ORDER = 10_000
 
 

@@ -242,7 +242,8 @@ class BaileyPair:
     beta_n = q^(beta_exponent(n)) / ((q;q)_n (q;q^2)_n).
 
     Each exponent is also the lowest one present, so sums over a pair can
-    stop as soon as it passes the truncation order.
+    stop as soon as it passes the truncation order.  Every alpha_n enters a
+    series through ``times_alpha``, two shifts and no series product.
     """
 
     label: str
@@ -253,15 +254,19 @@ class BaileyPair:
         """The eq. (12) summand (q;q)_(n-1)^2 beta_n q^n is q^(this) T_n."""
         return n + self.beta_exponent(n)
 
-    def alpha(self, n: int, order: int) -> TruncatedSeries:
+    def times_alpha(self, n: int, s: TruncatedSeries) -> TruncatedSeries:
+        """alpha_n * s from alpha_exponent: s, zero, or +-(two shifts of s)."""
         if n == 0:
-            return one(order)
+            return s
         if n % 2:
-            return zero(order)
+            return zero(s.order)
         m = n // 2
         e = self.alpha_exponent(m)
-        sign = -1 if m % 2 else 1
-        return monomial(e, sign, order) + monomial(e + 2 * m, sign, order)
+        both = s.shifted(e) + s.shifted(e + 2 * m)
+        return -both if m % 2 else both
+
+    def alpha(self, n: int, order: int) -> TruncatedSeries:
+        return self.times_alpha(n, one(order))
 
     def beta(self, n: int, order: int) -> TruncatedSeries:
         out = monomial(self.beta_exponent(n), 1, order)
@@ -286,24 +291,23 @@ def bailey_pair(label: str) -> BaileyPair:
 def check_bailey_relation(pair: BaileyPair, n_max: int, order: int) -> list[Mismatch]:
     """Verify beta_n = sum_{r=0..n} alpha_r / ((q;q)_{n+r} (q;q)_{n-r}).
 
-    Only even r add a term, odd-index alphas vanish; beta_n is a running
-    quotient too.  A mismatch entry records the failing n and the first
-    differing coefficient of each side.
+    Only even r add a term (odd-index alphas vanish), each by
+    ``times_alpha``; beta_n is a running quotient too.  A mismatch entry
+    records the failing n and the first differing coefficient of each side.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    alphas = {r: pair.alpha(r, order) for r in range(0, n_max + 1, 2)}
     square = base = one(order)  # 1/(q;q)_n^2 and 1/((q;q)_n (q;q^2)_n)
     out = []
     for n in range(n_max + 1):
         if n:
             square = square.divided_by_one_minus(n).divided_by_one_minus(n)
             base = base.divided_by_one_minus(n).divided_by_one_minus(2 * n - 1)
-        quotient, acc = square, alphas[0] * square
+        quotient = acc = square  # the r = 0 term: alpha_0 = 1
         for r in range(1, n + 1):  # quotient: 1/((q;q)_(n+r) (q;q)_(n-r))
             quotient = quotient.times_one_minus(n - r + 1).divided_by_one_minus(n + r)
-            if r in alphas:
-                acc = acc + alphas[r] * quotient
+            if r % 2 == 0:
+                acc = acc + pair.times_alpha(r, quotient)
         out += _first_difference(n, base.shifted(pair.beta_exponent(n)), acc)
     return out
 
@@ -322,7 +326,7 @@ def eq12_rhs(pair: BaileyPair, order: int) -> TruncatedSeries:
     total = lambert_sigma(order)
     m = 1
     while pair.alpha_exponent(m) + 2 * m <= order:
-        total = total + pair.alpha(2 * m, order) * geom_sq(2 * m, order)
+        total = total + pair.times_alpha(2 * m, geom_sq(2 * m, order))
         m += 1
     return total
 
@@ -621,13 +625,8 @@ def verify(check_id: str, order: int) -> IdentityReport:
     t0 = time.perf_counter()
     used, mismatches = REGISTRY[check_id].run(order)
     elapsed = time.perf_counter() - t0
-    return IdentityReport(
-        id=check_id,
-        order=used,
-        mismatch_total=len(mismatches),
-        mismatches=tuple(mismatches[:20]),
-        elapsed=elapsed,
-    )
+    return IdentityReport(id=check_id, order=used, mismatch_total=len(mismatches),
+                          mismatches=tuple(mismatches[:20]), elapsed=elapsed)
 
 
 def verify_all(order: int) -> list[IdentityReport]:

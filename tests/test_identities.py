@@ -271,6 +271,32 @@ def test_bailey_pair_alpha_basics():
     assert c5.alpha(2, 6).coeffs == (-1, 0, -1, 0, 0, 0, 0)
 
 
+def direct_alpha(pair, n, order):
+    """alpha_n as a series, a sum of monomials read off alpha_exponent."""
+    if n == 0:
+        return one(order)
+    if n % 2:
+        return zero(order)
+    m = n // 2
+    e, sign = pair.alpha_exponent(m), (-1) ** m
+    return monomial(e, sign, order) + monomial(e + 2 * m, sign, order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 5, 40])
+@pytest.mark.parametrize("label", ["C1", "C5", "C1+1"])
+def test_times_alpha_is_the_product_with_the_direct_alpha(label, order):
+    # two shifts of s give alpha_n * s, for both pairs and for the perturbed
+    # C1 of test_bailey_checks_catch_a_perturbed_alpha; at orders 0, 1 and 5
+    # some exponent of alpha_n lies past the order, and that term leaves zero
+    if label == "C1+1":
+        pair = I.BaileyPair("C1+1", lambda m: m * (3 * m - 1) + 1, lambda n: 0)
+    else:
+        pair = I.bailey_pair(label)
+    s = TruncatedSeries(tuple(3 * k * k - 2 * k + 5 for k in range(order + 1)))
+    for n in range(13):
+        assert pair.times_alpha(n, s) == direct_alpha(pair, n, order) * s
+
+
 def test_bailey_pair_beta_basics():
     c1 = I.bailey_pair("C1")
     assert c1.beta(0, 6) == one(6)
@@ -305,9 +331,12 @@ def test_bailey_relation_steps_one_quotient_per_n(monkeypatch):
     # multiplication by (1 - q^k); the running beta_n two more, where building
     # each beta_n afresh took 2n (124 divisions in all), and a table of
     # 1/(q;q)_k re-divided for every (n, r) made 208.  Odd alphas vanish, so
-    # only the 25 (n, r) with r even multiply, where every r made 45 products
+    # only the 16 (n, r) with even r >= 2 add a term, each by two shifts, and
+    # each beta_n is shifted once: 41 shifts and no series product, where
+    # multiplying in every even alpha_r made 25 products
     calls = Counter()
-    for name in ("divided_by_one_minus", "times_one_minus", "__mul__"):
+    names = ("divided_by_one_minus", "times_one_minus", "shifted", "__mul__")
+    for name in names:
         real = getattr(TruncatedSeries, name)
 
         def counting(self, *args, name=name, real=real):
@@ -316,7 +345,7 @@ def test_bailey_relation_steps_one_quotient_per_n(monkeypatch):
 
         monkeypatch.setattr(TruncatedSeries, name, counting)
     assert I.check_bailey_relation(I.bailey_pair("C1"), 8, 60) == []
-    assert calls == {"divided_by_one_minus": 68, "times_one_minus": 36, "__mul__": 25}
+    assert [calls[name] for name in names] == [68, 36, 41, 0]
 
 
 @pytest.mark.parametrize("label", ["C1", "C5"])
@@ -476,19 +505,21 @@ def test_termwise_catches_a_wrong_beta_exponent(cold_memos, monkeypatch):
     assert mismatches and mismatches[0].index == 1
 
 
-def is_pure_shift(x):
-    """True for a series equal to q^e with e >= 1."""
+def is_two_term(x):
+    """True for a series with at most two nonzero coefficients, such as q^e,
+    1 - q^k or an alpha_n, other than 1 itself (``__pow__`` starts from 1)."""
     if not isinstance(x, TruncatedSeries):
         return False
     nonzero = [(k, c) for k, c in enumerate(x.coeffs) if c]
-    return len(nonzero) == 1 and nonzero[0][0] >= 1 and nonzero[0][1] == 1
+    return len(nonzero) <= 2 and nonzero != [(0, 1)]
 
 
 def test_finite_pochhammer_checks_invert_no_dense_product(cold_memos, monkeypatch):
     # finite factors are single-factor steps, the quotient sums walk their
     # infinite tails down from 1 at the truncation order, and every shift by
-    # q^e is a slice: only right sides invert, no product has a factor q^e,
-    # and termwise_eq2 multiplies (q^2;q^2)_inf in once
+    # q^e, alpha_n's two included, is a slice: only right sides invert, no
+    # product has a factor of at most two terms, the Bailey checks make no
+    # product at all, and termwise_eq2 multiplies (q^2;q^2)_inf in once
     calls, products = Counter(), Counter()
     invert, mul = TruncatedSeries.invert, TruncatedSeries.__mul__
 
@@ -497,7 +528,7 @@ def test_finite_pochhammer_checks_invert_no_dense_product(cold_memos, monkeypatc
         return invert(self)
 
     def counting_mul(self, other):
-        calls["shift products"] += is_pure_shift(self) or is_pure_shift(other)
+        calls["two-term products"] += is_two_term(self) or is_two_term(other)
         products[check_id] += isinstance(other, TruncatedSeries)
         return mul(self, other)
 
@@ -510,12 +541,13 @@ def test_finite_pochhammer_checks_invert_no_dense_product(cold_memos, monkeypatc
     assert I.lhs_eq1(200).coeffs[:15] == (0, *SPT)
     assert sum(calls.values()) == 0
     assert products["termwise_eq2"] == 1
+    assert sum(products[c] for c in ("bailey_c1", "bailey_c5", "eq12_c1", "eq12_c5")) == 0
 
     for memo in cold_memos:
         memo.cache_clear()
     check_id = "verify_all"
     assert all(r.status == "pass" for r in I.verify_all(200))
-    assert calls["shift products"] == 0
+    assert calls["two-term products"] == 0
     assert calls["verify_all"] > 0  # eq2's right side still inverts (q^2;q^2)_inf
 
 
