@@ -6,16 +6,16 @@ the rank and crank second moments are even (negation symmetry of the rank
 and crank multisets, asserted by the partition tests).
 
 The left sides are sums of q-Pochhammer quotients, each summed by Horner's
-rule from its last term down, in one right-sized list.  The right sides
-are product forms, some imported from ``series``, which serves them to
-``compute``; those of eqs. (2)/(3) take N2 from a listing of every partition
-and M2 from a DP that counts crank moments, so each check crosses two
-representations.  Per-n statistics stop at desk scale whatever the request:
-eq2, eq3, eq13, eq14, m2_is_2np and spt_half_diff run at a capped order and
-report it; eq1 and thm2-thm4 report the requested order and cap only their
-per-n half, at ENUM_CAP or ENUM_CAP // 2.  One rule decides every mismatch,
-``_sequence_mismatches``: two ints differ or, given a modulus, are
-incongruent modulo it.
+rule from its last term down, in one right-sized list.  The right sides are
+product forms, some imported from ``series``, which serves them to
+``compute``; those of eqs. (2)/(3) take N2 from one listing, of the
+partitions of ENUM_CAP, and M2 from a DP that counts crank moments, so each
+check crosses two representations.  Per-n statistics stop at desk scale
+whatever the request: eq2, eq3, eq13, eq14, m2_is_2np and spt_half_diff run
+at a capped order and report it; eq1 and thm2-thm4 report the requested
+order and cap only their per-n half, at ENUM_CAP or ENUM_CAP // 2.  One rule
+decides every mismatch, ``_sequence_mismatches``: two ints differ or, given
+a modulus, are incongruent modulo it.
 """
 
 import time
@@ -25,12 +25,12 @@ from operator import add, sub
 from typing import Callable, Iterable, Iterator
 
 from . import partitions
+from .partitions import ENUM_CAP  # largest n any per-n table is asked for
 from .series import (  # product sides too, bound here by name
     TruncatedSeries, _m2_series, _n2_series, _p_series, _psi_series, _t4_series,
     _theta_correction, geom_sq, lambert_sigma, monomial, one, qpoch_inf, zero,
 )
 
-ENUM_CAP = 30  # largest n any enumeration-backed table is asked for
 TERMWISE_N = 12  # termwise_eq2 compares the summands n = 1..TERMWISE_N
 BAILEY_N = 8  # bailey_c1/bailey_c5 check the relation for n = 0..BAILEY_N
 

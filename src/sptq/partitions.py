@@ -12,20 +12,20 @@ Tables are another matter: ``sequence`` reads every one of the nine off
 its product side in ``series``, built once at order hi, and leaves the
 per-n functions to the checks and tests that pin those series.
 
-``_statistics(m)`` gives the five per-size statistics: one walk over the
-partitions of m reads spt(m) and N2(m), and two DPs count the bare crank
-moment and, per smallest part s, the odd-condition smallest-part count.
-spt_o_plus(n) totals those counts at m = n.  A pair counted by
-spt_o_minus(n) is a partition pi with smallest part s plus the staircase
-(s-1, ..., 1), which s fixes, so spt_o_minus(n) sums over s the count at s
-of m = n - s(s-1)/2.
+``_statistics(m)`` reads the per-size statistics off ``_tables(top)``, top =
+max(m, ENUM_CAP): one walk over the partitions of top lists those of every
+size m up to top (plus top - m ones) for spt and N2, and per m two DPs count
+the bare crank moment and, per smallest part s, the odd-condition count,
+which spt_o_plus(m) totals.  A pair counted by spt_o_minus(n) is a partition
+pi with smallest part s plus the staircase (s-1, ..., 1), which s fixes, so
+spt_o_minus(n) sums over s the count at s of m = n - s(s-1)/2.
 
 Partitions are plain weakly decreasing tuples of positive ints; n = 0 has
 exactly the empty partition.  Enumeration order is lexicographically
 decreasing, e.g. (4), (3,1), (2,2), (2,1,1), (1,1,1,1).  The walk is the
 iterative ZS1 algorithm: O(1) amortized steps per partition plus the tuple
-copy, about 0.01 s for the 28,628 partitions of n = 1..30 on one core of a
-2-vCPU machine.  ``rank``, ``crank`` and ``odd_condition`` rely on the
+copy, about 3 ms for the 5,604 partitions of 30 on one core of a 2-vCPU
+machine.  ``rank``, ``crank`` and ``odd_condition`` rely on the
 decreasing order (the parts above a bound form a prefix, which ``crank``
 and ``odd_condition`` find by bisection), so they take only such tuples.
 """
@@ -39,6 +39,7 @@ from typing import Iterator
 from . import series
 
 Partition = tuple[int, ...]
+ENUM_CAP = 30  # the per-size statistics of every n <= ENUM_CAP come from one listing
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
@@ -229,17 +230,36 @@ def _odd_smallest_parts(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _tables(top: int) -> tuple:
+    """The ``_statistics`` of every m = 1..top, indexed by m.  One walk over
+    the partitions of top gives spt and N2 of every m: taking r <= t of the t
+    ones off a partition rho of top leaves a partition of top - r with rank
+    rank(rho) + r whose smallest parts are the t - r ones left or, at r = t,
+    the least part of rho above 1, and each partition of each m <= top arises
+    so once.  Per t the walk sums the count, rank, rank^2 and that multiplicity."""
+    count, rank1, rank2, above = ([0] * (top + 1) for _ in range(4))
+    for pi in enumerate_partitions(top):
+        t, r = pi.count(1), pi[0] - len(pi)
+        count[t], rank1[t], rank2[t] = count[t] + 1, rank1[t] + r, rank2[t] + r * r
+        if t < len(pi):
+            above[t] += pi.count(pi[-t - 1])
+    tables = [None] * (top + 1)
+    c = ct = s1 = s2 = 0  # over t >= r: count, t count, rank, rank^2
+    for r in range(top, -1, -1):  # the t = r term of the spt sum is 0
+        c, ct, s1, s2 = c + count[r], ct + r * count[r], s1 + rank1[r], s2 + rank2[r]
+        if r < top:  # m = top - r
+            tables[top - r] = (ct - r * c + above[r], s2 + 2 * r * s1 + r * r * c,
+                               _crank_moment(top - r), _odd_smallest_parts(top - r))
+    return tuple(tables)
+
+
 def _statistics(n: int) -> tuple[int, int, int, tuple[int, ...]]:
     """spt(n), N2(n), the bare crank moment of n (1 at n = 1) and, indexed by
-    smallest part, the odd-condition smallest-part counts.  One walk over the
-    partitions of n reads spt and N2; the other two are counted."""
+    smallest part, the odd-condition smallest-part counts, read off the
+    tables of max(n, ENUM_CAP)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    smallest = rank_sq = 0
-    for pi in enumerate_partitions(n):
-        smallest += pi.count(pi[-1])
-        rank_sq += (pi[0] - len(pi)) ** 2
-    return smallest, rank_sq, _crank_moment(n), _odd_smallest_parts(n)
+    return _tables(max(n, ENUM_CAP))[n]
 
 
 def spt(n: int) -> int:

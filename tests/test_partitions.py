@@ -255,6 +255,20 @@ def test_statistics_per_size_match_the_listing_sums():
             if P.odd_condition(pi):
                 odd[pi[-1]] += count
         assert P._statistics(n) == (smallest, rank_sq, crank_sq, tuple(odd))
+        # a value does not depend on the size of the table it is read from
+        assert P._tables(ENUM_CAP + 8)[n] == P._statistics(n)
+
+
+def test_removing_ones_reaches_every_smaller_partition_once():
+    # the premise of the one walk in ``_tables``: taking r <= t of the t ones
+    # off every partition of top lists each partition of each n <= top once
+    for top in range(17):
+        reached = Counter()
+        for pi in P.enumerate_partitions(top):
+            t = pi.count(1)
+            reached.update(pi[: len(pi) - r] for r in range(t + 1))
+        assert reached == Counter(
+            pi for n in range(top + 1) for pi in P.enumerate_partitions(n))
 
 
 def test_no_check_tests_partitions_one_at_a_time(cold_memos, monkeypatch):
@@ -278,7 +292,7 @@ def test_enumerated_statistics_walk_each_size_once(cold_memos, monkeypatch):
     for n in range(1, 21):
         for statistic in (P.spt, P.n2, P.m2, P.spt_o_plus, P.spt_o_minus):
             statistic(n)
-    assert walked == Counter(range(1, 21))
+    assert walked == Counter([ENUM_CAP])  # one walk at ENUM_CAP serves every n
 
 
 def test_t4():
