@@ -9,13 +9,13 @@ The left sides are sums of q-Pochhammer quotients, each summed by Horner's
 rule from its last term down, in one right-sized list.  The right sides are
 product forms, some imported from ``series``, which serves them to
 ``compute``; those of eqs. (2)/(3) take N2 from one listing, of the
-partitions of ENUM_CAP, and M2 from a DP that counts crank moments, so each
-check crosses two representations.  Per-n statistics stop at desk scale
-whatever the request: eq2, eq3, eq13, eq14, m2_is_2np and spt_half_diff run
-at a capped order and report it; eq1 and thm2-thm4 report the requested
-order and cap only their per-n half, at ENUM_CAP or ENUM_CAP // 2.  One rule
-decides every mismatch, ``_sequence_mismatches``: two ints differ or, given
-a modulus, are incongruent modulo it.
+partitions of ENUM_CAP, and M2 from one pass that counts the crank moments
+of every n, so each check crosses two representations.  Per-n statistics
+stop at desk scale whatever the request: eq2, eq3, eq13, eq14, m2_is_2np
+and spt_half_diff run at a capped order and report it; eq1 and thm2-thm4
+report the requested order and cap only their per-n half, at ENUM_CAP or
+ENUM_CAP // 2.  One rule decides every mismatch, ``_sequence_mismatches``:
+two ints differ or, given a modulus, are incongruent modulo it.
 """
 
 import time
@@ -138,18 +138,19 @@ def _horner_sum(order: int, exponent: Callable, odd: bool) -> TruncatedSeries:
 
 @lru_cache(maxsize=None)
 def _smallest_part_lhs(order: int) -> tuple:
-    """lhs_eq2, lhs_eq3, lhs_gf_note and, by label, the eq. (12) sum
+    """lhs_eq2, lhs_eq3, lhs_gf_note, by label the eq. (12) sum
     q^(n + beta_exponent(n)) T_n of each pair in ``_BAILEY_PAIRS`` at call
-    time.  The three left sides are read off the C1 and C5 sums: the eq. (2)
-    summand is the C1 summand over (q^2;q^2)_inf, eq. (3)'s is C5's (exponent
-    n(n-1)/2), and spt_o's is their difference, so a wrong pair exponent
-    shows in all of them."""
+    time, and lhs_eq1.  The three left sides are read off the C1 and C5 sums:
+    the eq. (2) summand is the C1 summand over (q^2;q^2)_inf, eq. (3)'s is
+    C5's (exponent n(n-1)/2), and spt_o's is their difference, so a wrong pair
+    exponent shows in all of them."""
     if order < 1:
         raise ValueError("order must be >= 1")
     sums = {label: _horner_sum(order, pair.summand_exponent, odd=True)
             for label, pair in _BAILEY_PAIRS.items()}
     c1, c5, even = sums["C1"], sums["C5"], qpoch_inf(2, 2, order)
-    return c1 / even, c5 / even, (c1 - c5) / even, sums
+    spt = _horner_sum(order, lambda n: n, odd=False) / qpoch_inf(1, 1, order)
+    return c1 / even, c5 / even, (c1 - c5) / even, sums, spt
 
 
 def lhs_eq2(order: int) -> TruncatedSeries:
@@ -168,13 +169,10 @@ def lhs_gf_note(order: int) -> TruncatedSeries:
     return _smallest_part_lhs(order)[2]
 
 
-@lru_cache(maxsize=None)
 def lhs_eq1(order: int) -> TruncatedSeries:
     """Generating series of spt: [sum_n q^n (q;q)_(n-1)/(1-q^n)]/(q;q)_inf
     (Andrews 2008), one Horner sum over U_n and one sparse division."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    return _horner_sum(order, lambda n: n, odd=False) / qpoch_inf(1, 1, order)
+    return _smallest_part_lhs(order)[4]
 
 
 # ----------------------------------------------------------------------

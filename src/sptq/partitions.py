@@ -2,11 +2,11 @@
 
 The per-n counting functions are the ground truth here, independent of the
 generating-function machinery they are used to cross-check.  spt(n) and
-N2(n) are literal sums over a listing of every partition of n; the crank
-moment and the odd-condition smallest-part counts are counted by exact int
-DPs over the allowed parts, and tested against the listing sums of
-``crank`` and ``odd_condition``.  Only p(n) (pentagonal-number recurrence),
-sigma(n) (divisor sums) and t4(n) use closed forms.
+N2(n) are literal sums over a listing of partitions; the crank moment and
+the odd-condition smallest-part counts are counted by exact int passes over
+the allowed parts, and tested against the listing sums of ``crank`` and
+``odd_condition``.  Only p(n) (pentagonal-number recurrence), sigma(n)
+(divisor sums) and t4(n) use closed forms.
 
 Tables are another matter: ``sequence`` reads every one of the nine off
 its product side in ``series``, built once at order hi, and leaves the
@@ -14,10 +14,10 @@ per-n functions to the checks and tests that pin those series.
 
 ``_statistics(m)`` reads the per-size statistics off ``_tables(top)``, top =
 max(m, ENUM_CAP): one walk over the partitions of top lists those of every
-size m up to top (plus top - m ones) for spt and N2, and per m two DPs count
-the bare crank moment and, per smallest part s, the odd-condition count,
-which spt_o_plus(m) totals.  A pair counted by spt_o_minus(n) is a partition
-pi with smallest part s plus the staircase (s-1, ..., 1), which s fixes, so
+size up to top for spt and N2, and one pass each over all sizes counts the
+bare crank moment and, per smallest part s, the odd-condition count, which
+spt_o_plus(m) totals.  A pair counted by spt_o_minus(n) is a partition pi
+with smallest part s plus the staircase (s-1, ..., 1), which s fixes, so
 spt_o_minus(n) sums over s the count at s of m = n - s(s-1)/2.
 
 Partitions are plain weakly decreasing tuples of positive ints; n = 0 has
@@ -182,51 +182,53 @@ def _remove_part(table: list[int], part: int) -> None:
         table[m] -= table[m - part]
 
 
-def _crank_moment(n: int) -> int:
-    """Sum of crank(pi)^2 over the partitions pi of n (1 at n = 1), counted.
-
-    Going down from omega = n, ``low`` counts the partitions into parts in
-    [2, omega], and z0, z1, z2 sum mu^0, mu^1, mu^2 over those into parts
-    > omega, mu being their number of parts.  With omega ones, the other parts
-    split at omega and only those above it count in mu, so the crank squared
-    is (mu - omega)^2.  Without ones, largest part L, the crank is L and the
-    rest is a partition of n - L into parts in [2, L].
-    """
-    low = [1] + [0] * n
-    for part in range(2, n + 1):
+def _crank_moments(top: int) -> list[int]:
+    """Indexed by m, the sum of crank(pi)^2 over the partitions pi of m (1 at
+    m = 1), for every m <= top in one pass down omega = top..1.  ``low``
+    counts the partitions into parts in [2, omega], and y0, y1, y2 sum mu^0,
+    mu^1, mu^2 over those into parts >= 2, mu being their number of parts >
+    omega.  With omega ones the crank is mu - omega, so the rest adds (y2 -
+    2 omega y1 + omega^2 y0)(m - omega).  Without ones, largest part L, the
+    crank is L and the rest is a partition of m - L into parts in [2, L].  y0
+    never moves: part omega only passes from the uncounted to the counted."""
+    low = [1] + [0] * top
+    for part in range(2, top + 1):
         _add_part(low, part)
-    z0, z1, z2 = [1] + [0] * n, [0] * (n + 1), [0] * (n + 1)
-    total = 0
-    for omega in range(n, 0, -1):
-        r = n - omega
-        total += sum(
-            low[a] * (z2[r - a] - 2 * omega * z1[r - a] + omega * omega * z0[r - a])
-            for a in range(r + 1)
-        )
+    y0, y1, y2 = low[:], [0] * (top + 1), [0] * (top + 1)
+    total = [0] * (top + 1)
+    for omega in range(top, 0, -1):
+        for r in range(top - omega + 1):
+            total[omega + r] += y2[r] - 2 * omega * y1[r] + omega * omega * y0[r]
         if omega > 1:
-            total += omega * omega * low[r]
+            for r in range(top - omega + 1):
+                total[omega + r] += omega * omega * low[r]
             _remove_part(low, omega)
-        for m in range(omega, n + 1):  # allow parts of size omega in mu
-            z2[m] += z2[m - omega] + 2 * z1[m - omega] + z0[m - omega]
-            z1[m] += z1[m - omega] + z0[m - omega]
-            z0[m] += z0[m - omega]
+        _remove_part(y1, omega)
+        _remove_part(y2, omega)
+        for m in range(omega, top + 1):  # count parts of size omega in mu
+            y2[m] += y2[m - omega] + 2 * y1[m - omega] + y0[m - omega]
+            y1[m] += y1[m - omega] + y0[m - omega]
     return total
 
 
-def _odd_smallest_parts(n: int) -> tuple[int, ...]:
-    """Indexed by smallest part s, the smallest-part count over the
-    odd-condition partitions of n, counted: sum_k k R_s(n - ks), where
-    ``rest`` = R_s counts the partitions into parts in (s, 2s] or even parts
-    > 2s.  R_1 allows the even parts; R_(s+1) is R_s without s + 1, with 2s + 1."""
-    rest = [1] + [0] * n
-    for part in range(2, n + 1, 2):
+def _odd_smallest_parts(top: int) -> list[tuple[int, ...]]:
+    """Indexed by m = 0..top, then by smallest part s = 0..m, the smallest-part
+    count over the odd-condition partitions of m: sum_k k R_s(m - ks), the q^m
+    coefficient of R_s q^s/(1-q^s)^2, where ``rest`` = R_s counts the
+    partitions into parts in (s, 2s] or even parts > 2s.  R_1 allows the even
+    parts; R_(s+1) is R_s without s + 1, with 2s + 1."""
+    rest = [1] + [0] * top
+    for part in range(2, top + 1, 2):
         _add_part(rest, part)
-    odd = [0] * (n + 1)
-    for s in range(1, n + 1):
-        odd[s] = sum(k * rest[n - k * s] for k in range(1, n // s + 1))
+    columns = [[0] * (top + 1)]  # indexed by s, then by m
+    for s in range(1, top + 1):
+        column = [0] * s + rest[: top + 1 - s]
+        _add_part(column, s)
+        _add_part(column, s)
+        columns.append(column)
         _remove_part(rest, s + 1)
         _add_part(rest, 2 * s + 1)
-    return tuple(odd)
+    return [tuple(column[m] for column in columns[: m + 1]) for m in range(top + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -243,13 +245,14 @@ def _tables(top: int) -> tuple:
         count[t], rank1[t], rank2[t] = count[t] + 1, rank1[t] + r, rank2[t] + r * r
         if t < len(pi):
             above[t] += pi.count(pi[-t - 1])
+    cranks, odd = _crank_moments(top), _odd_smallest_parts(top)
     tables = [None] * (top + 1)
     c = ct = s1 = s2 = 0  # over t >= r: count, t count, rank, rank^2
     for r in range(top, -1, -1):  # the t = r term of the spt sum is 0
         c, ct, s1, s2 = c + count[r], ct + r * count[r], s1 + rank1[r], s2 + rank2[r]
         if r < top:  # m = top - r
             tables[top - r] = (ct - r * c + above[r], s2 + 2 * r * s1 + r * r * c,
-                               _crank_moment(top - r), _odd_smallest_parts(top - r))
+                               cranks[top - r], odd[top - r])
     return tuple(tables)
 
 
@@ -293,12 +296,8 @@ def spt_o_minus(n: int) -> int:
     the staircase (s-1, ..., 1) of size s(s-1)/2."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = 0
-    s = 1
-    while s + s * (s - 1) // 2 <= n:
-        total += _statistics(n - s * (s - 1) // 2)[3][s]
-        s += 1
-    return total
+    return sum(_statistics(n - s * (s - 1) // 2)[3][s]
+               for s in range(1, n + 1) if s * (s + 1) // 2 <= n)
 
 
 def spt_o(n: int) -> int:

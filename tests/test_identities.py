@@ -467,9 +467,10 @@ def test_termwise_identity():
 
 
 def test_verify_all_makes_one_horner_pass_per_order_and_sum(cold_memos, monkeypatch):
-    # lhs_eq1 sums U_n and the pass behind eq2/eq3/gf_note sums T_n once per
-    # registered pair (eq2 and eq3 run theirs at their capped order 60), both
-    # eq12 checks read that pass, and termwise_eq2 walks its 12 T_n once
+    # the one left-side memo sums U_n for lhs_eq1 and T_n once per registered
+    # pair at each order it is asked for: the requested 200, and 60, where eq2
+    # and eq3 run capped; both eq12 checks read that pass, and termwise_eq2
+    # walks its 12 T_n once
     passes, walks = Counter(), Counter()
     horner, walk, eq12_lhs = I._horner_sum, I._upward_walk, I.eq12_lhs
 
@@ -493,7 +494,8 @@ def test_verify_all_makes_one_horner_pass_per_order_and_sum(cold_memos, monkeypa
     monkeypatch.setattr(I, "eq12_lhs", eq12_counting)
     assert all(r.status == "pass" for r in I.verify_all(200))
     u, c1, c5 = (False, (1, 2, 3, 4)), (True, (1, 2, 3, 4)), (True, (1, 3, 6, 10))
-    assert passes == Counter([(200, *u), (200, *c1), (200, *c5), (60, *c1), (60, *c5)])
+    assert passes == Counter([(200, *u), (200, *c1), (200, *c5),
+                              (60, *u), (60, *c1), (60, *c5)])
     assert walks == {(200, I.TERMWISE_N): 1}
     assert eq12_passes == [0, 0]  # eq12_c1 and eq12_c5 read the pass
 

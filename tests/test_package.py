@@ -50,11 +50,11 @@ def test_identities_exports_load_on_first_use():
     _python("-c", probe)
 
 
-def test_memo_inventory_is_the_three_reused_builders(cold_memos):
-    # the per-size tables of one partition walk and the two series builders
-    # that several checks share; every other result is rebuilt on request
+def test_memo_inventory_is_one_memo_per_layer(cold_memos):
+    # the per-size tables of ``partitions`` and the left sides that several
+    # checks share; every other result is rebuilt on request
     assert sorted(memo.__name__ for memo in cold_memos) == [
-        "_smallest_part_lhs", "_tables", "lhs_eq1"]
+        "_smallest_part_lhs", "_tables"]
 
 
 def test_version_matches_pyproject():

@@ -3,12 +3,13 @@ values (independently recomputed with an ascending-composition enumerator
 before being frozen here) and against their structural invariants."""
 
 from collections import Counter
+from functools import cache
 
 import pytest
 
 from sptq import partitions as P
 from sptq.identities import ENUM_CAP, verify_all
-from sptq.series import qpoch_inf
+from sptq.series import _m2_series, _spt_o_minus_series, _spt_o_plus_series, qpoch_inf
 
 # frozen oracle tables, n = 1..30 (ENUM_CAP)
 SPT = [1, 3, 5, 10, 14, 26, 35, 57, 80, 119, 161, 238, 315, 440, 589, 801, 1048,
@@ -257,6 +258,41 @@ def test_statistics_per_size_match_the_listing_sums():
         assert P._statistics(n) == (smallest, rank_sq, crank_sq, tuple(odd))
         # a value does not depend on the size of the table it is read from
         assert P._tables(ENUM_CAP + 8)[n] == P._statistics(n)
+
+
+@cache
+def _listing_sums(m):
+    """Over a listing of the partitions of m: the sum of crank^2 and, by
+    smallest part, the smallest-part counts of the odd-condition ones."""
+    crank_sq, odd = 0, [0] * (m + 1)
+    for pi in P.enumerate_partitions(m):
+        crank_sq += P.crank(pi) ** 2
+        if P.odd_condition(pi):
+            odd[pi[-1]] += pi.count(pi[-1])
+    return crank_sq, tuple(odd)
+
+
+@pytest.mark.parametrize("top", [1, 2, 3, 12, ENUM_CAP + 6])
+def test_each_all_size_pass_matches_the_listing_sums(top):
+    # each pass alone, not through ``_tables``; tops 1 and 2 reach omega = 1
+    # and s = top at once
+    cranks, odd = P._crank_moments(top), P._odd_smallest_parts(top)
+    assert len(cranks) == len(odd) == top + 1
+    for m in range(1, top + 1):
+        assert (cranks[m], odd[m]) == _listing_sums(m)
+
+
+def test_all_size_passes_match_the_product_sides():
+    # past any listing: the crank column is M2(n) = 2 n p(n) but at the bare
+    # n = 1, the odd counts total spt_o_plus by eq. (2) and their staircase
+    # sums give spt_o_minus by eq. (3), product sides built without them
+    top = 150
+    cranks, odd = P._crank_moments(top), P._odd_smallest_parts(top)
+    assert cranks[1] == 1 and cranks[2:] == list(_m2_series(top).coeffs[2:])
+    assert [sum(row) for row in odd[1:]] == list(_spt_o_plus_series(top).coeffs[1:])
+    minus = [sum(odd[n - s * (s - 1) // 2][s] for s in range(1, n + 1)
+                 if s * (s + 1) // 2 <= n) for n in range(1, top + 1)]
+    assert minus == list(_spt_o_minus_series(top).coeffs[1:])
 
 
 def test_removing_ones_reaches_every_smaller_partition_once():
