@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__, partitions  # identities only where a command needs it
 
 # largest verify --order and compute --hi: every route is polynomial, but
-# grows about x4 per doubling (verify --all takes 2.6-2.7 s at order 4000 on
+# grows about x4 per doubling (verify --all takes 2.3-2.4 s at order 4000 on
 # a shared 2-vCPU machine), so far past this a run takes hours
 MAX_ORDER = 10_000
 
@@ -32,54 +32,36 @@ def _above_ceiling(flag: str, value: int) -> bool:
     return True
 
 
-def _default_cache_dir() -> Path:
-    env = os.environ.get("SPTQ_CACHE_DIR")
-    if env:
-        return Path(env)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    root = Path(xdg) if xdg else Path.home() / ".cache"
-    return root / "sptq"
-
-
 def _cache_path(cache_dir: Path, name: str) -> Path:
     return cache_dir / f"{name}.json"
 
 
-def _cache_entry(cache_dir: Path, name: str):
-    """The cached table for ``name`` as a SequenceTable, or None when it is
-    missing, unreadable, of another name or version, or not exactly what
-    ``_cache_store`` writes: integer bounds and a list of decimal strings
-    whose count matches the range."""
+def _cache_load(cache_dir: Path, name: str, lo: int, hi: int):
+    """Return cached values for lo..hi, or None when the entry is missing,
+    unreadable, of another name or version, not exactly what ``_cache_store``
+    writes (integer bounds and a list of decimal strings whose count matches
+    the range), or does not cover the request."""
     try:
         with open(_cache_path(cache_dir, name)) as fh:
             entry = json.load(fh)
         if entry["name"] != name or entry["version"] != __version__:
             return None
-        lo, hi, values = entry["lo"], entry["hi"], entry["values"]
-        if type(lo) is not int or type(hi) is not int or type(values) is not list:
+        e_lo, e_hi, values = entry["lo"], entry["hi"], entry["values"]
+        if type(e_lo) is not int or type(e_hi) is not int or type(values) is not list:
             return None
         if not all(type(v) is str and str(int(v)) == v for v in values):
             return None
-        return partitions.SequenceTable(name, lo, hi, tuple(int(v) for v in values))
+        table = partitions.SequenceTable(name, e_lo, e_hi, tuple(int(v) for v in values))
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError):
         return None
-
-
-def _cache_load(cache_dir: Path, name: str, lo: int, hi: int):
-    """Return cached values for lo..hi, or None.  Reuse requires a valid
-    entry whose range covers the request."""
-    table = _cache_entry(cache_dir, name)
-    if table is None or not (table.lo <= lo and hi <= table.hi):
+    if not (table.lo <= lo and hi <= table.hi):
         return None
     return list(table.values[lo - table.lo : hi - table.lo + 1])
 
 
 def _cache_store(cache_dir: Path, name: str, lo: int, hi: int, values):
-    """Best effort; never fatal.  An existing valid wider entry is kept."""
+    """Best effort; never fatal.  The table replaces whatever entry was there."""
     try:
-        existing = _cache_entry(cache_dir, name)
-        if existing is not None and not (lo <= existing.lo and existing.hi <= hi):
-            return
         cache_dir.mkdir(parents=True, exist_ok=True)
         payload = {
             "name": name,
@@ -123,14 +105,15 @@ def _emit(text: str, path, code: int) -> int:
 def _cmd_compute(args) -> int:
     if _above_ceiling("--hi", args.hi):
         return 2
-    cache_dir = Path(args.cache_dir) if args.cache_dir else _default_cache_dir()
+    cache_dir = Path(args.cache_dir) if args.cache_dir else None
     try:
         partitions.check_range(args.sequence, args.lo, args.hi)  # before the cache
-        values = _cache_load(cache_dir, args.sequence, args.lo, args.hi)
+        values = (_cache_load(cache_dir, args.sequence, args.lo, args.hi)
+                  if cache_dir else None)
         if values is None:
-            table = partitions.sequence(args.sequence, args.lo, args.hi)
-            values = list(table.values)
-            _cache_store(cache_dir, args.sequence, args.lo, args.hi, values)
+            values = list(partitions.sequence(args.sequence, args.lo, args.hi).values)
+            if cache_dir:
+                _cache_store(cache_dir, args.sequence, args.lo, args.hi, values)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -265,8 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            default="json")
     p_compute.add_argument("--out", help="write to a file instead of stdout")
     p_compute.add_argument("--cache-dir",
-                           help="cache directory (default: $SPTQ_CACHE_DIR or "
-                                "the platform cache dir)")
+                           help="read and write the table's cache here "
+                                "(default: no cache)")
     p_compute.set_defaults(fn=_cmd_compute)
 
     p_verify = sub.add_parser("verify", help="run identity checks")

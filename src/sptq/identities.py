@@ -28,7 +28,7 @@ from . import partitions
 from .partitions import ENUM_CAP  # largest n any per-n table is asked for
 from .series import (  # product sides too, bound here by name
     TruncatedSeries, _m2_series, _n2_series, _p_series, _psi_series, _t4_series,
-    _theta_correction, geom_sq, lambert_sigma, monomial, one, qpoch_inf, zero,
+    geom_sq, lambert_sigma, monomial, one, qpoch_inf, zero,
 )
 
 TERMWISE_N = 12  # termwise_eq2 compares the summands n = 1..TERMWISE_N
@@ -218,11 +218,12 @@ def rhs_eq1_doubled(order: int) -> TruncatedSeries:
 def rhs_eq23(order: int) -> TruncatedSeries:
     """q (q^4;q^4)_inf^3/(q^2;q^4)_inf^5 = q psi(q^2)^5 P(q^4)^2, the odd-part
     product form, by Gauss's psi(q) = (q^2;q^2)_inf/(q;q^2)_inf and Euler's
-    P(q) = sum p(n) q^n = 1/(q;q)_inf: no inverse and no dense power."""
+    P(q) = sum p(n) q^n = 1/(q;q)_inf, so P^2 = P/(q;q)_inf: one sparse
+    division in place of a dense square, and no inverse."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    p = _p_series(order // 4)
-    odd = _psi_series(order // 2) ** 5 * (p * p).stretched(2)
+    p_squared = _p_series(order // 4) / qpoch_inf(1, 1, order // 4)
+    odd = _psi_series(order // 2) ** 5 * p_squared.stretched(2)
     return odd.stretched(2).shifted(1).truncate(order)
 
 
@@ -423,7 +424,7 @@ def _run_eq1(order):
         f"(order capped at {2 * ENUM_CAP}: N2 is enumerated)")
 def _run_eq2(order):
     used = min(order, 2 * ENUM_CAP)
-    return used, _series_mismatches(2 * lhs_eq2(used), rhs_eq2_doubled(used))
+    return used, _series_mismatches(2 * lhs_eq2(order), rhs_eq2_doubled(used))
 
 
 @_check("eq3", "series-equality",
@@ -431,7 +432,7 @@ def _run_eq2(order):
         f"M2(n) q^(2n) (order capped at {2 * ENUM_CAP}: M2 is counted per n)")
 def _run_eq3(order):
     used = min(order, 2 * ENUM_CAP)
-    return used, _series_mismatches(2 * lhs_eq3(used), rhs_eq3_doubled(used))
+    return used, _series_mismatches(2 * lhs_eq3(order), rhs_eq3_doubled(used))
 
 
 @_check("gf_note", "series-equality",

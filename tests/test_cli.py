@@ -276,12 +276,51 @@ def test_compute_unknown_name_never_reaches_the_cache(cache_dir, tmp_path):
     assert (r.returncode, r.stdout, r.stderr) == (2, "", empty.stderr)
 
 
-def test_cache_dir_env_var(tmp_path):
-    env_cache = tmp_path / "envcache"
-    r = run_cli("compute", "--sequence", "p", "--lo", "0", "--hi", "3",
-                env_extra={"SPTQ_CACHE_DIR": str(env_cache)})
-    assert r.returncode == 0
-    assert (env_cache / "p.json").exists()
+def test_compute_without_cache_dir_opens_no_cache(tmp_path):
+    # no default location: HOME, XDG_CACHE_HOME, SPTQ_CACHE_DIR and the
+    # working directory all point into one empty directory, and nothing is
+    # written there; the output is the same bytes as a cold and a warm
+    # --cache-dir run
+    import os
+
+    import sptq
+
+    home = tmp_path / "home"
+    home.mkdir()
+    env = {"HOME": str(home), "XDG_CACHE_HOME": str(home / "xdg"),
+           "SPTQ_CACHE_DIR": str(home / "sptq"),
+           "PYTHONPATH": os.path.dirname(os.path.dirname(sptq.__file__))}
+    for fmt in ("json", "csv", "text"):
+        args = ("compute", "--sequence", "spt_o_plus", "--lo", "1", "--hi", "30",
+                "--format", fmt)
+        bare = run_cli(*args, env_extra=env, cwd=home)
+        assert bare.returncode == 0
+        assert list(home.iterdir()) == []
+        cached = [run_cli(*args, "--cache-dir", str(tmp_path / f"cache-{fmt}"))
+                  for _ in ("cold", "warm")]
+        assert [r.stdout for r in cached] == [bare.stdout] * 2
+
+
+def test_compute_miss_overwrites_a_narrower_entry(cache_dir):
+    from sptq import __version__
+
+    cache_dir.mkdir(parents=True)
+    entry = {"name": "spt", "lo": 1, "hi": 10,
+             "values": ["1", "3", "5", "10", "14", "26", "35", "57", "80", "119"],
+             "version": __version__}
+    (cache_dir / "spt.json").write_text(json.dumps(entry))
+    args = ("compute", "--sequence", "spt", "--lo", "5", "--hi", "20",
+            "--cache-dir", str(cache_dir))
+    cold = run_cli(*args)
+    assert cold.returncode == 0
+    stored = json.loads((cache_dir / "spt.json").read_text())
+    assert (stored["lo"], stored["hi"]) == (5, 20)
+    assert stored["values"] == json.loads(cold.stdout)["values"]
+    # the repeat is a hit: a planted value comes back instead of spt(20)
+    stored["values"][-1] = "7"
+    (cache_dir / "spt.json").write_text(json.dumps(stored))
+    warm = run_cli(*args)
+    assert json.loads(warm.stdout)["values"][-1] == "7"
 
 
 # ----------------------------------------------------------------------

@@ -85,10 +85,11 @@ def _plant_everywhere(monkeypatch, name, fake):
 
 
 def _builder_fault(name, exponent):
-    """Bump q^exponent of whatever the series builder ``name`` returns."""
+    """Bump q^exponent of whatever the series builder ``name`` returns; a
+    builder that ``identities`` does not bind is read from ``series``."""
 
     def plant(monkeypatch):
-        real = getattr(I, name)
+        real = getattr(I if hasattr(I, name) else S, name)
         _plant_everywhere(monkeypatch, name,
                           lambda order: _bumped(real(order), exponent))
 
