@@ -424,7 +424,7 @@ def _run_eq1(order):
         f"(order capped at {2 * ENUM_CAP}: N2 is enumerated)")
 def _run_eq2(order):
     used = min(order, 2 * ENUM_CAP)
-    return used, _series_mismatches(2 * lhs_eq2(order), rhs_eq2_doubled(used))
+    return used, _series_mismatches(2 * lhs_eq2(used), rhs_eq2_doubled(used))
 
 
 @_check("eq3", "series-equality",
@@ -432,7 +432,7 @@ def _run_eq2(order):
         f"M2(n) q^(2n) (order capped at {2 * ENUM_CAP}: M2 is counted per n)")
 def _run_eq3(order):
     used = min(order, 2 * ENUM_CAP)
-    return used, _series_mismatches(2 * lhs_eq3(order), rhs_eq3_doubled(used))
+    return used, _series_mismatches(2 * lhs_eq3(used), rhs_eq3_doubled(used))
 
 
 @_check("gf_note", "series-equality",
