@@ -7,8 +7,8 @@ and crank multisets, asserted by the partition tests).
 
 The left sides are sums of q-Pochhammer quotients, each summed by Horner's
 rule from its last term down, in one right-sized list.  The right sides are
-product forms, some imported from ``series``, which serves them to
-``compute``; those of eqs. (2)/(3) take N2 from one listing, of the
+product forms, some read through the ``series`` module, which serves them
+to ``compute``; those of eqs. (2)/(3) take N2 from one listing, of the
 partitions of ENUM_CAP, and M2 from one pass that counts the crank moments
 of every n, so each check crosses two representations.  Per-n statistics
 stop at desk scale whatever the request: eq2, eq3, eq13, eq14, m2_is_2np
@@ -24,12 +24,9 @@ from functools import lru_cache
 from operator import add, sub
 from typing import Callable, Iterable, Iterator
 
-from . import partitions
+from . import partitions, series
 from .partitions import ENUM_CAP  # largest n any per-n table is asked for
-from .series import (  # product sides too, bound here by name
-    TruncatedSeries, _m2_series, _n2_series, _p_series, _psi_series, _t4_series,
-    geom_sq, lambert_sigma, monomial, one, qpoch_inf, zero,
-)
+from .series import TruncatedSeries
 
 TERMWISE_N = 12  # termwise_eq2 compares the summands n = 1..TERMWISE_N
 BAILEY_N = 8  # bailey_c1/bailey_c5 check the relation for n = 0..BAILEY_N
@@ -103,7 +100,7 @@ def _upward_walk(order: int, steps: int) -> Iterator[tuple[int, TruncatedSeries]
     """Yield (n, T_n mod q^(order-n+1)) for n = 1..min(steps, order), T_n =
     (q;q)_(n-1) / ((1-q^n) (q;q^2)_n), for ``termwise_eq2``: T_(n+1) is T_n
     truncated, times (1-q^n)^2, over (1-q^(n+1)) and (1-q^(2n+1))."""
-    term = one(order)
+    term = series.one(order)
     for n in range(1, min(steps, order) + 1):
         term = term.truncate(order - n).divided_by_one_minus(n)
         term = term.divided_by_one_minus(2 * n - 1)
@@ -148,8 +145,8 @@ def _smallest_part_lhs(order: int) -> tuple:
         raise ValueError("order must be >= 1")
     sums = {label: _horner_sum(order, pair.summand_exponent, odd=True)
             for label, pair in _BAILEY_PAIRS.items()}
-    c1, c5, even = sums["C1"], sums["C5"], qpoch_inf(2, 2, order)
-    spt = _horner_sum(order, lambda n: n, odd=False) / qpoch_inf(1, 1, order)
+    c1, c5, even = sums["C1"], sums["C5"], series.qpoch_inf(2, 2, order)
+    spt = _horner_sum(order, lambda n: n, odd=False) / series.qpoch_inf(1, 1, order)
     return c1 / even, c5 / even, (c1 - c5) / even, sums, spt
 
 
@@ -182,7 +179,7 @@ def lhs_eq1(order: int) -> TruncatedSeries:
 
 def _lambert_over_even_doubled(order: int) -> TruncatedSeries:
     """2 * Lambert/(q^2;q^2)_inf, the main term of both doubled right sides."""
-    return 2 * (qpoch_inf(2, 2, order).invert() * lambert_sigma(order))
+    return 2 * (series.qpoch_inf(2, 2, order).invert() * series.lambert_sigma(order))
 
 
 def _enumerated_series(value: Callable[[int], int], order: int) -> TruncatedSeries:
@@ -212,7 +209,7 @@ def rhs_eq1_doubled(order: int) -> TruncatedSeries:
     series minus the N2 series."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return _m2_series(order) - _n2_series(order)
+    return series._m2_series(order) - series._n2_series(order)
 
 
 def rhs_eq23(order: int) -> TruncatedSeries:
@@ -222,8 +219,8 @@ def rhs_eq23(order: int) -> TruncatedSeries:
     division in place of a dense square, and no inverse."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    p_squared = _p_series(order // 4) / qpoch_inf(1, 1, order // 4)
-    odd = _psi_series(order // 2) ** 5 * p_squared.stretched(2)
+    p_squared = series._p_series(order // 4) / series.qpoch_inf(1, 1, order // 4)
+    odd = series._psi_series(order // 2) ** 5 * p_squared.stretched(2)
     return odd.stretched(2).shifted(1).truncate(order)
 
 
@@ -258,20 +255,11 @@ class BaileyPair:
         if n == 0:
             return s
         if n % 2:
-            return zero(s.order)
+            return series.zero(s.order)
         m = n // 2
         e = self.alpha_exponent(m)
         both = s.shifted(e) + s.shifted(e + 2 * m)
         return -both if m % 2 else both
-
-    def alpha(self, n: int, order: int) -> TruncatedSeries:
-        return self.times_alpha(n, one(order))
-
-    def beta(self, n: int, order: int) -> TruncatedSeries:
-        out = monomial(self.beta_exponent(n), 1, order)
-        for k in range(1, n + 1):
-            out = out.divided_by_one_minus(k).divided_by_one_minus(2 * k - 1)
-        return out
 
 
 _BAILEY_PAIRS = {
@@ -296,7 +284,7 @@ def check_bailey_relation(pair: BaileyPair, n_max: int, order: int) -> list[Mism
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    square = base = one(order)  # 1/(q;q)_n^2 and 1/((q;q)_n (q;q^2)_n)
+    square = base = series.one(order)  # 1/(q;q)_n^2 and 1/((q;q)_n (q;q^2)_n)
     out = []
     for n in range(n_max + 1):
         if n:
@@ -322,10 +310,10 @@ def eq12_lhs(pair: BaileyPair, order: int) -> TruncatedSeries:
 
 def eq12_rhs(pair: BaileyPair, order: int) -> TruncatedSeries:
     """alpha_0 * Lambert + sum_{n>=1} alpha_n q^n/(1-q^n)^2 (even n only)."""
-    total = lambert_sigma(order)
+    total = series.lambert_sigma(order)
     m = 1
     while pair.alpha_exponent(m) + 2 * m <= order:
-        total = total + pair.times_alpha(2 * m, geom_sq(2 * m, order))
+        total = total + pair.times_alpha(2 * m, series.geom_sq(2 * m, order))
         m += 1
     return total
 
@@ -343,10 +331,10 @@ def _termwise_mismatches(order: int) -> list[Mismatch]:
     (q^(2n+1);q^2)_inf/(q^(n+1);q)_inf, steps down by P_(n-1) = P_n
     (1-q^(2n-1))/(1-q^n) from one product, P_N with N = TERMWISE_N and the
     direct Q_N = (q^(2N+1);q^2)_inf (q;q)_N / (q;q)_inf."""
-    quotient = qpoch_inf(2 * TERMWISE_N + 1, 2, order)
+    quotient = series.qpoch_inf(2 * TERMWISE_N + 1, 2, order)
     for k in range(1, TERMWISE_N + 1):
         quotient = quotient.times_one_minus(k)
-    product = qpoch_inf(2, 2, order) * (quotient / qpoch_inf(1, 1, order))
+    product = series.qpoch_inf(2, 2, order) * (quotient / series.qpoch_inf(1, 1, order))
     products = {}
     for n in range(TERMWISE_N, 0, -1):
         half = product.divided_by_one_minus(n)
@@ -414,7 +402,8 @@ def _run_eq1(order):
     # the theta correction over (q;q)_inf carries exactly -1/2 the rank
     # moments; checked against enumeration, at desk scale
     sub = min(order, ENUM_CAP)
-    mm += _series_mismatches(_n2_series(sub), _enumerated_series(partitions.n2, sub))
+    mm += _series_mismatches(series._n2_series(sub),
+                             _enumerated_series(partitions.n2, sub))
     return order, mm
 
 
@@ -471,9 +460,9 @@ def _run_thm3(order):
         f"counting route for n <= {ENUM_CAP // 2}")
 def _run_thm4(order):
     even = lhs_eq3(order).extract(0, 2)
-    series = range(1, even.order + 1)
+    by_series = range(1, even.order + 1)
     counted = range(1, min(ENUM_CAP // 2, order // 2) + 1)
-    mm = _sequence_mismatches(series, even.coeff, lambda n: 0, modulus=2)
+    mm = _sequence_mismatches(by_series, even.coeff, lambda n: 0, modulus=2)
     mm += _sequence_mismatches(
         counted, lambda n: partitions.spt_o_minus(2 * n), lambda n: 0, modulus=2
     )
@@ -556,7 +545,7 @@ def _run_sigma_doubling(order):
 
 @_check("legendre_t4", "sequence-equality", "sigma(2n+1) = t4(n)")
 def _run_legendre_t4(order):
-    t4 = _t4_series(order).coeffs
+    t4 = series._t4_series(order).coeffs
     return order, _sequence_mismatches(
         range(order + 1), lambda n: partitions.sigma(2 * n + 1), t4.__getitem__
     )

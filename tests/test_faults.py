@@ -76,29 +76,21 @@ def _statistics_fault(n_bad, field, smallest=1):
     return plant
 
 
-def _plant_everywhere(monkeypatch, name, fake):
-    """Bind ``name`` to ``fake`` in every module that binds it, ``series``
-    and ``identities``, which imports the series builders by name."""
-    for module in (S, I):
-        if hasattr(module, name):
-            monkeypatch.setattr(module, name, fake)
-
-
 def _builder_fault(name, exponent):
-    """Bump q^exponent of whatever the series builder ``name`` returns; a
-    builder that ``identities`` does not bind is read from ``series``."""
+    """Bump q^exponent of whatever the builder ``name`` returns, on the one
+    module that defines it: ``series``, else ``identities``."""
 
     def plant(monkeypatch):
-        real = getattr(I if hasattr(I, name) else S, name)
-        _plant_everywhere(monkeypatch, name,
-                          lambda order: _bumped(real(order), exponent))
+        module = S if hasattr(S, name) else I
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda order: _bumped(real(order), exponent))
 
     return plant
 
 
 def _product_fault(start, step, exponent):
-    """Bump q^exponent of (q^start;q^step)_inf wherever ``series`` or
-    ``identities`` builds it; every other q-Pochhammer product stays as built."""
+    """Bump q^exponent of (q^start;q^step)_inf wherever it is built; every
+    other q-Pochhammer product stays as built."""
 
     def plant(monkeypatch):
         real = S.qpoch_inf
@@ -107,7 +99,7 @@ def _product_fault(start, step, exponent):
             product = real(a, b, order)
             return _bumped(product, exponent) if (a, b) == (start, step) else product
 
-        _plant_everywhere(monkeypatch, "qpoch_inf", qpoch_inf)
+        monkeypatch.setattr(S, "qpoch_inf", qpoch_inf)
 
     return plant
 

@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+from sptq import cli
 from sptq import partitions as P
 from sptq import identities as I
 from sptq import series as S
@@ -125,7 +126,7 @@ def test_lhs_matches_direct_construction(lhs, summand, numerator):
 
 
 @pytest.mark.parametrize(
-    "lhs, moments", [(I.lhs_eq2, I._n2_series), (I.lhs_eq3, I._m2_series)])
+    "lhs, moments", [(I.lhs_eq2, S._n2_series), (I.lhs_eq3, S._m2_series)])
 def test_quotient_sums_match_product_forms_at_scale(lhs, moments):
     # eqs. (2)/(3) at order 400, with N2/M2 from their own series at order 200
     order = 400
@@ -231,7 +232,7 @@ def test_p_series_does_not_read_the_partition_oracle(monkeypatch):
         raise AssertionError("_p_series read partitions._partition_counts")
 
     monkeypatch.setattr(P, "_partition_counts", unreachable)
-    assert I._p_series(400).coeffs == want
+    assert S._p_series(400).coeffs == want
 
 
 def test_n2_series_divides_instead_of_multiplying(cold_memos, monkeypatch):
@@ -246,7 +247,7 @@ def test_n2_series_divides_instead_of_multiplying(cold_memos, monkeypatch):
 
     monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
     monkeypatch.setattr(TruncatedSeries, "__rmul__", counting)
-    got = I._n2_series(200)
+    got = S._n2_series(200)
     assert products["series x series"] == 0
     monkeypatch.undo()
     p = TruncatedSeries(tuple(P._partition_counts(200)))
@@ -260,15 +261,15 @@ def test_n2_series_divides_instead_of_multiplying(cold_memos, monkeypatch):
 
 def test_bailey_pair_alpha_basics():
     c1 = I.bailey_pair("C1")
-    assert c1.alpha(0, 5) == one(5)
-    assert c1.alpha(3, 10) == zero(10)
-    assert c1.alpha(2, 10) == TruncatedSeries(
+    assert c1.times_alpha(0, one(5)) == one(5)
+    assert c1.times_alpha(3, one(10)) == zero(10)
+    assert c1.times_alpha(2, one(10)) == TruncatedSeries(
         (0, 0, -1, 0, -1, 0, 0, 0, 0, 0, 0)
     )  # -q^2 - q^4
     c5 = I.bailey_pair("C5")
-    assert c5.alpha(0, 5) == one(5)
+    assert c5.times_alpha(0, one(5)) == one(5)
     # alpha_2 for C5: -q^0... exponent m(m-1) = 0, so -(1 + q^2)
-    assert c5.alpha(2, 6).coeffs == (-1, 0, -1, 0, 0, 0, 0)
+    assert c5.times_alpha(2, one(6)).coeffs == (-1, 0, -1, 0, 0, 0, 0)
 
 
 def direct_alpha(pair, n, order):
@@ -298,18 +299,10 @@ def test_times_alpha_is_the_product_with_the_direct_alpha(label, order):
 
 
 def test_bailey_pair_beta_basics():
-    c1 = I.bailey_pair("C1")
-    assert c1.beta(0, 6) == one(6)
-    c5 = I.bailey_pair("C5")
+    # anchor values of the beta_n oracle that the relation and eq. (12) use
+    assert dense_beta(I.bailey_pair("C1"), 0, 6) == one(6)
     # beta_1 = 1/((1-q)(1-q)) = sum (k+1) q^k
-    assert c5.beta(1, 6).coeffs == (1, 2, 3, 4, 5, 6, 7)
-
-
-@pytest.mark.parametrize("label", ["C1", "C5"])
-def test_bailey_pair_beta_matches_dense_inverse(label):
-    pair = I.bailey_pair(label)
-    for n in range(9):
-        assert pair.beta(n, 40) == dense_beta(pair, n, 40)
+    assert dense_beta(I.bailey_pair("C5"), 1, 6).coeffs == (1, 2, 3, 4, 5, 6, 7)
 
 
 def test_bailey_pair_unknown_label():
@@ -328,12 +321,9 @@ def test_bailey_relation_holds():
 
 def test_bailey_relation_steps_one_quotient_per_n(monkeypatch):
     # per n, 1/(q;q)_n^2 takes two divisions and each r one more plus one
-    # multiplication by (1 - q^k); the running beta_n two more, where building
-    # each beta_n afresh took 2n (124 divisions in all), and a table of
-    # 1/(q;q)_k re-divided for every (n, r) made 208.  Odd alphas vanish, so
-    # only the 16 (n, r) with even r >= 2 add a term, each by two shifts, and
-    # each beta_n is shifted once: 41 shifts and no series product, where
-    # multiplying in every even alpha_r made 25 products
+    # multiplication by (1 - q^k); the running beta_n two more.  Odd alphas
+    # vanish, so only the 16 (n, r) with even r >= 2 add a term, each by two
+    # shifts, and each beta_n is shifted once: 41 shifts and no series product
     calls = Counter()
     names = ("divided_by_one_minus", "times_one_minus", "shifted", "__mul__")
     for name in names:
@@ -351,7 +341,7 @@ def test_bailey_relation_steps_one_quotient_per_n(monkeypatch):
 @pytest.mark.parametrize("label", ["C1", "C5"])
 def test_bailey_relation_running_beta_is_the_pair_beta(label, monkeypatch):
     # the beta_n the relation compares, kept as a running quotient, equals
-    # BaileyPair.beta built from scratch for each n
+    # the dense inverse built from scratch for each n
     pair, compared = I.bailey_pair(label), []
     first_difference = I._first_difference
 
@@ -361,7 +351,7 @@ def test_bailey_relation_running_beta_is_the_pair_beta(label, monkeypatch):
 
     monkeypatch.setattr(I, "_first_difference", recording)
     assert I.check_bailey_relation(pair, I.BAILEY_N, 60) == []
-    assert compared == [(n, pair.beta(n, 60)) for n in range(I.BAILEY_N + 1)]
+    assert compared == [(n, dense_beta(pair, n, 60)) for n in range(I.BAILEY_N + 1)]
 
 
 def test_eq12_holds_for_both_pairs():
@@ -615,14 +605,14 @@ def test_registry_contents():
 
 
 def test_legendre_t4_reports_a_wrong_t4_coefficient(monkeypatch):
-    t4_series = I._t4_series
+    t4_series = S._t4_series
 
     def off_at_17(order):
         c = list(t4_series(order).coeffs)
         c[17] += 1
         return TruncatedSeries(tuple(c))
 
-    monkeypatch.setattr(I, "_t4_series", off_at_17)
+    monkeypatch.setattr(S, "_t4_series", off_at_17)
     report = I.verify("legendre_t4", 40)
     assert report.mismatches == (I.Mismatch(17, P.sigma(35), P.t4(17) + 1),)
     assert report.mismatch_total == 1
@@ -731,6 +721,27 @@ def test_verify_caps_enumeration_backed_checks():
     report = I.verify("m2_is_2np", 500)
     assert report.order == 30
     assert report.status == "pass"
+
+
+@pytest.mark.parametrize("check_id, cap", [
+    ("eq2", 60), ("eq3", 60), ("eq13", 30), ("eq14", 15), ("m2_is_2np", 30),
+    ("spt_half_diff", 30)])
+def test_capped_check_run_alone_stays_at_desk_scale(check_id, cap, cold_memos,
+                                                     monkeypatch):
+    # at the CLI ceiling, with no other check to warm a memo, a capped check
+    # builds no series past 2 * ENUM_CAP + 1: the moments of n <= ENUM_CAP
+    # stretched to q^(2n) know one coefficient more than the capped order
+    built = []
+    init = TruncatedSeries.__init__
+
+    def recording(self, coeffs):
+        init(self, coeffs)
+        built.append(self.order)
+
+    monkeypatch.setattr(TruncatedSeries, "__init__", recording)
+    report = I.verify(check_id, cli.MAX_ORDER)
+    assert (report.status, report.order) == ("pass", cap)
+    assert max(built, default=0) <= 2 * I.ENUM_CAP + 1
 
 
 def test_verify_all_runs_everything_in_order():

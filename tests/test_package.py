@@ -50,6 +50,22 @@ def test_identities_exports_load_on_first_use():
     _python("-c", probe)
 
 
+def test_each_library_function_is_bound_in_one_module():
+    # a module reads another's functions through that module, so one
+    # setattr on the defining module patches or traces every call
+    from sptq import cli, identities, partitions, series
+
+    rebound = [
+        f"{module.__name__}.{name} from {obj.__module__}"
+        for module in (series, partitions, identities, cli)
+        for name, obj in vars(module).items()
+        if callable(obj) and not isinstance(obj, type)
+        and getattr(obj, "__module__", "").startswith("sptq.")
+        and obj.__module__ != module.__name__
+    ]
+    assert rebound == []
+
+
 def test_memo_inventory_is_one_memo_per_layer(cold_memos):
     # the per-size tables of ``partitions`` and the left sides that several
     # checks share; every other result is rebuilt on request
