@@ -21,7 +21,6 @@ from .series import (
 )
 from .partitions import (
     Partition,
-    SequenceTable,
     crank,
     enumerate_partitions,
     m2,
@@ -51,8 +50,8 @@ __all__ = [
     "__version__",
     "TruncatedSeries", "geom_sq", "lambert_sigma", "monomial", "one",
     "qpoch_fin", "qpoch_inf", "zero",
-    "Partition", "SequenceTable", "crank", "enumerate_partitions", "m2",
-    "n2", "odd_condition", "p", "rank", "sequence", "sigma", "spt", "spt_o",
+    "Partition", "crank", "enumerate_partitions", "m2", "n2",
+    "odd_condition", "p", "rank", "sequence", "sigma", "spt", "spt_o",
     "spt_o_minus", "spt_o_plus", "t4",
     "BaileyPair", "IdentityCheck", "IdentityReport", "Mismatch", "REGISTRY",
     "bailey_pair", "check_bailey_relation", "check_congruence", "check_eq12",

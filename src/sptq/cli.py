@@ -49,14 +49,13 @@ def _cache_load(cache_dir: Path, name: str, lo: int, hi: int):
         e_lo, e_hi, values = entry["lo"], entry["hi"], entry["values"]
         if type(e_lo) is not int or type(e_hi) is not int or type(values) is not list:
             return None
+        if len(values) != e_hi - e_lo + 1 or not (e_lo <= lo and hi <= e_hi):
+            return None
         if not all(type(v) is str and str(int(v)) == v for v in values):
             return None
-        table = partitions.SequenceTable(name, e_lo, e_hi, tuple(int(v) for v in values))
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError):
         return None
-    if not (table.lo <= lo and hi <= table.hi):
-        return None
-    return list(table.values[lo - table.lo : hi - table.lo + 1])
+    return tuple(int(v) for v in values[lo - e_lo : hi - e_lo + 1])
 
 
 def _cache_store(cache_dir: Path, name: str, lo: int, hi: int, values):
@@ -111,7 +110,7 @@ def _cmd_compute(args) -> int:
         values = (_cache_load(cache_dir, args.sequence, args.lo, args.hi)
                   if cache_dir else None)
         if values is None:
-            values = list(partitions.sequence(args.sequence, args.lo, args.hi).values)
+            values = partitions.sequence(args.sequence, args.lo, args.hi)
             if cache_dir:
                 _cache_store(cache_dir, args.sequence, args.lo, args.hi, values)
     except ValueError as exc:

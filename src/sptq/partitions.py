@@ -327,19 +327,6 @@ def t4(n: int) -> int:
 # ----------------------------------------------------------------------
 
 
-class SequenceTable(series._FrozenSlots):
-    """Inclusive slice of one named sequence."""
-
-    __slots__ = ("name", "lo", "hi", "values")  # str, int, int, tuple of ints
-
-    def __init__(self, name: str, lo: int, hi: int, values):
-        values = tuple(values)
-        if len(values) != hi - lo + 1:
-            raise ValueError("value count does not match the index range")
-        for field, value in zip(self.__slots__, (name, lo, hi, values)):
-            object.__setattr__(self, field, value)
-
-
 # name -> (name of its generating-series builder in ``series``, smallest n)
 _SEQUENCES: dict[str, tuple[str, int]] = {
     "p": ("_p_series", 0),
@@ -373,12 +360,11 @@ def check_range(name: str, lo: int, hi: int) -> None:
         raise ValueError(f"sequence {name!r} is defined for n >= {lo_min}")
 
 
-def sequence(name: str, lo: int, hi: int) -> SequenceTable:
-    """Table of values of a registered sequence on the inclusive range lo..hi:
+def sequence(name: str, lo: int, hi: int) -> tuple[int, ...]:
+    """Values of a registered sequence on the inclusive range lo..hi:
     coefficients lo..hi of its product side in ``series``, built at order hi.
 
     Tests pin every series to the per-n function of the same name.
     """
     check_range(name, lo, hi)
-    gf = getattr(series, _SEQUENCES[name][0])(hi)
-    return SequenceTable(name, lo, hi, gf.coeffs[lo : hi + 1])
+    return getattr(series, _SEQUENCES[name][0])(hi).coeffs[lo : hi + 1]

@@ -36,10 +36,6 @@ class _FrozenSlots:
     def __reduce__(self):  # copy and pickle: rebuild through __init__
         return self.__class__, self._fields()
 
-    def __repr__(self):
-        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
-        return f"{type(self).__qualname__}({fields})"
-
 
 class TruncatedSeries(_FrozenSlots):
     """Immutable series prefix: ``coeffs[k]`` is the coefficient of q^k."""

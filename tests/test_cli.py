@@ -228,22 +228,28 @@ def test_compute_corrupt_cache_is_recomputed(cache_dir):
             "1", "3", "5"]
 
 
-def test_compute_short_cache_entry_is_recomputed(cache_dir):
+# an entry whose value count disagrees with its range 1..hi, short or long,
+# is a miss even for a request of exactly that range
+@pytest.mark.parametrize("hi, values", [
+    pytest.param(10, ["1", "3", "5"], id="short"),
+    pytest.param(3, ["1", "3", "5", "10", "14"], id="long"),
+])
+def test_compute_short_cache_entry_is_recomputed(cache_dir, hi, values):
     from sptq import __version__
 
     cache_dir.mkdir(parents=True)
-    entry = {"name": "spt", "lo": 1, "hi": 10, "values": ["1", "3", "5"],
+    entry = {"name": "spt", "lo": 1, "hi": hi, "values": values,
              "version": __version__}
     (cache_dir / "spt.json").write_text(json.dumps(entry))
-    r = run_cli("compute", "--sequence", "spt", "--lo", "1", "--hi", "10",
+    r = run_cli("compute", "--sequence", "spt", "--lo", "1", "--hi", str(hi),
                 "--format", "csv", "--cache-dir", str(cache_dir))
     assert r.returncode == 0
     assert r.stdout.splitlines() == [
         "n,value", "1,1", "2,3", "3,5", "4,10", "5,14", "6,26", "7,35",
         "8,57", "9,80", "10,119",
-    ]
+    ][: hi + 1]
     # the bad entry is replaced, so the next run reads a full table
-    assert len(json.loads((cache_dir / "spt.json").read_text())["values"]) == 10
+    assert len(json.loads((cache_dir / "spt.json").read_text())["values"]) == hi
 
 
 def test_compute_checks_the_domain_before_reading_the_cache(cache_dir, tmp_path):

@@ -404,10 +404,10 @@ def test_sigma_odd_is_t4():
 
 
 def test_sequence_tables():
-    assert P.sequence("spt", 1, 4).values == (1, 3, 5, 10)
-    assert P.sequence("sigma", 1, 3).values == (1, 3, 4)
-    assert P.sequence("p", 0, 4).values == (1, 1, 2, 3, 5)
-    assert P.sequence("t4", 0, 2).values == (1, 4, 6)
+    assert P.sequence("spt", 1, 4) == (1, 3, 5, 10)
+    assert P.sequence("sigma", 1, 3) == (1, 3, 4)
+    assert P.sequence("p", 0, 4) == (1, 1, 2, 3, 5)
+    assert P.sequence("t4", 0, 2) == (1, 4, 6)
 
 
 # p, sigma and t4 evaluate closed forms per n, cheap enough to check further
@@ -422,7 +422,7 @@ def test_series_routed_table_matches_enumeration(name):
     # so the two constructions pin each other
     lo, hi = P.sequence_domain_min(name), ORACLE_HI.get(name, 30)
     oracle = getattr(P, name)
-    assert P.sequence(name, lo, hi).values == tuple(oracle(n) for n in range(lo, hi + 1))
+    assert P.sequence(name, lo, hi) == tuple(oracle(n) for n in range(lo, hi + 1))
 
 
 def test_sequence_errors():
