@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__, partitions  # identities only where a command needs it
 
 # largest verify --order and compute --hi: every route is polynomial, but
-# grows about x4 per doubling (verify --all takes 2.2-2.9 s at order 4000 on
+# grows about x4 per doubling (verify --all takes 1.6-3.2 s at order 4000 on
 # a shared 2-vCPU machine), so far past this a run takes hours
 MAX_ORDER = 10_000
 

@@ -6,7 +6,8 @@ the rank and crank second moments are even (negation symmetry of the rank
 and crank multisets, asserted by the partition tests).
 
 The left sides are sums of q-Pochhammer quotients, each summed by Horner's
-rule from its last term down, in one right-sized list.  The right sides are
+rule from its last term down, in one right-sized list, and memoized on its
+own, so a check builds only the sums it reads.  The right sides are
 product forms, some read through the ``series`` module, which serves them
 to ``compute``; those of eqs. (2)/(3) take N2 from one listing, of the
 partitions of ENUM_CAP, and M2 from one pass that counts the crank moments
@@ -134,42 +135,44 @@ def _horner_sum(order: int, exponent: Callable, odd: bool) -> TruncatedSeries:
 
 
 @lru_cache(maxsize=None)
-def _smallest_part_lhs(order: int) -> tuple:
-    """lhs_eq2, lhs_eq3, lhs_gf_note, by label the eq. (12) sum
-    q^(n + beta_exponent(n)) T_n of each pair in ``_BAILEY_PAIRS`` at call
-    time, and lhs_eq1.  The three left sides are read off the C1 and C5 sums:
-    the eq. (2) summand is the C1 summand over (q^2;q^2)_inf, eq. (3)'s is
-    C5's (exponent n(n-1)/2), and spt_o's is their difference, so a wrong pair
-    exponent shows in all of them."""
+def _left_side(order: int, label: str) -> TruncatedSeries:
+    """One left side, built from only the entries it reads.  C1, C5: the eq.
+    (12) sum q^(n + beta_exponent(n)) T_n of that pair in ``_BAILEY_PAIRS`` at
+    call time.  eq2, eq3: the C1, C5 sum over (q^2;q^2)_inf (the eq. (3)
+    summand has exponent n(n-1)/2); gf_note (spt_o): C1 - C5 over it, so a
+    wrong pair exponent shows in all three.  eq1: the U_n sum over (q;q)_inf."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    sums = {label: _horner_sum(order, pair.summand_exponent, odd=True)
-            for label, pair in _BAILEY_PAIRS.items()}
-    c1, c5, even = sums["C1"], sums["C5"], series.qpoch_inf(2, 2, order)
-    spt = _horner_sum(order, lambda n: n, odd=False) / series.qpoch_inf(1, 1, order)
-    return c1 / even, c5 / even, (c1 - c5) / even, sums, spt
+    if label in _BAILEY_PAIRS:
+        return _horner_sum(order, _BAILEY_PAIRS[label].summand_exponent, odd=True)
+    if label == "eq1":
+        u_sum = _horner_sum(order, lambda n: n, odd=False)
+        return u_sum / series.qpoch_inf(1, 1, order)
+    numerator = (_left_side(order, "C1") - _left_side(order, "C5") if label == "gf_note"
+                 else _left_side(order, {"eq2": "C1", "eq3": "C5"}[label]))
+    return numerator / series.qpoch_inf(2, 2, order)
 
 
 def lhs_eq2(order: int) -> TruncatedSeries:
     """Generating series of spt_o_plus as a sum of Pochhammer quotients."""
-    return _smallest_part_lhs(order)[0]
+    return _left_side(order, "eq2")
 
 
 def lhs_eq3(order: int) -> TruncatedSeries:
     """Generating series of spt_o_minus (triangular-companion weights)."""
-    return _smallest_part_lhs(order)[1]
+    return _left_side(order, "eq3")
 
 
 def lhs_gf_note(order: int) -> TruncatedSeries:
     """Generating series of spt_o: the C1 sum minus the C5 sum, over
     (q^2;q^2)_inf, so each summand carries (1 - q^(n(n-1)/2))."""
-    return _smallest_part_lhs(order)[2]
+    return _left_side(order, "gf_note")
 
 
 def lhs_eq1(order: int) -> TruncatedSeries:
     """Generating series of spt: [sum_n q^n (q;q)_(n-1)/(1-q^n)]/(q;q)_inf
     (Andrews 2008), one Horner sum over U_n and one sparse division."""
-    return _smallest_part_lhs(order)[4]
+    return _left_side(order, "eq1")
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +307,7 @@ def eq12_lhs(pair: BaileyPair, order: int) -> TruncatedSeries:
     T_n = (q;q)_{n-1} / ((1-q^n) (q;q^2)_n): the memoized sum of a registered
     pair, else a Horner sum of its own."""
     if _BAILEY_PAIRS.get(pair.label) is pair:
-        return _smallest_part_lhs(order)[3][pair.label]
+        return _left_side(order, pair.label)
     return _horner_sum(order, pair.summand_exponent, odd=True)
 
 

@@ -8,6 +8,7 @@ which is the largest truncation both operands actually know.  The product
 sides at the end serve ``compute`` every named sequence without ``identities``.
 """
 
+import math
 import operator
 
 
@@ -250,17 +251,17 @@ def monomial(exp: int, coeff: int, order: int) -> TruncatedSeries:
 def qpoch_inf(start: int, step: int, order: int) -> TruncatedSeries:
     """Infinite q-Pochhammer product (q^start; q^step)_inf.
 
-    (q^k;q^k)_inf is Euler's pentagonal series sum_j (-1)^j q^(k j(3j-1)/2),
-    j over all integers: O(order), no single-factor step.  Any other product
-    multiplies in its factors (1 - q^e) with e <= order, one O(order) step
-    each; the omitted ones are congruent to 1 modulo q^(order+1).
+    (q^k;q^k)_inf is Euler's pentagonal series sum_j (-1)^j q^(k j(3j-1)/2)
+    over |j| <= isqrt(order), as j(3j-1)/2 >= j^2: O(order), no single-factor
+    step.  Any other product multiplies in its factors (1 - q^e) with e <=
+    order, one O(order) step each; the omitted ones are 1 modulo q^(order+1).
     """
     if start < 1 or step < 1:
         raise ValueError("start and step must be >= 1")
     if start == step:
         _check_order(order)
         signs = {step * (j * (3 * j - 1) // 2): 1 - 2 * (j % 2)
-                 for j in range(-order, order + 1)}
+                 for j in range(-math.isqrt(order), math.isqrt(order) + 1)}
         return TruncatedSeries(tuple(signs.get(e, 0) for e in range(order + 1)))
     return qpoch_fin(start, step, max(0, (order - start) // step + 1), order)
 

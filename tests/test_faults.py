@@ -76,6 +76,17 @@ def _statistics_fault(n_bad, field, smallest=1):
     return plant
 
 
+def _value_fault(name, n_bad):
+    """Add 1 to ``partitions.<name>(n_bad)``: sigma or p, the per-n functions
+    read outside the per-size tables."""
+
+    def plant(monkeypatch):
+        real = getattr(P, name)
+        monkeypatch.setattr(P, name, lambda n: real(n) + (n == n_bad))
+
+    return plant
+
+
 def _builder_fault(name, exponent):
     """Bump q^exponent of whatever the builder ``name`` returns, on the one
     module that defines it: ``series``, else ``identities``."""
@@ -164,6 +175,13 @@ FAULTS = {
     "statistics_n12_odd_s2": (_statistics_fault(12, 3, 2), {"eq13", "eq14", "thm2"}),
     "statistics_n12_odd_s4": (_statistics_fault(12, 3, 4),
                               {"eq13", "eq14", "thm2", "thm4"}),
+    # sigma(12) and p(12) enter eq14's convolution, which stops at n = 15;
+    # sigma(13) is an odd sigma(2n+1), and sigma(150) is past every cap
+    "sigma_n12": (_value_fault("sigma", 12), {"eq14", "sigma_doubling"}),
+    "sigma_n13": (_value_fault("sigma", 13), {"legendre_t4", "sigma_doubling"}),
+    "sigma_n150": (_value_fault("sigma", 150), {"sigma_doubling"}),
+    "p_n12": (_value_fault("p", 12), {"eq14", "m2_is_2np"}),
+    "p_n29": (_value_fault("p", 29), {"m2_is_2np"}),
 }
 
 # one coefficient of a builder's series bumped at a low, a middle and a
@@ -237,3 +255,37 @@ def test_fault_is_caught_by_exactly_these_checks(fault, cold_identities, monkeyp
     plant(monkeypatch)
     failing = {r.id for r in I.verify_all(ORDER) if r.status == "fail"}
     assert failing == caught_by
+
+
+# the checks that no row above catches, each with the reason
+UNCAUGHT = {
+    "gf_note": "compares (C1 - C5)/(q^2;q^2)_inf with C1/(q^2;q^2)_inf - "
+               "C5/(q^2;q^2)_inf: a fault in either pair sum reaches both sides "
+               "alike, so it guards only one subtraction and the division",
+}
+
+
+def test_every_check_catches_some_fault():
+    caught = set().union(*(ids for _, ids in FAULTS.values()))
+    assert set(I.REGISTRY) - caught == set(UNCAUGHT)
+
+
+@pytest.mark.parametrize("fault", [None, "summand5_q40"], ids=["clean", "summand5_q40"])
+@pytest.mark.parametrize("order", [61, 200])
+def test_a_check_run_alone_reports_as_in_verify_all(order, fault, cold_memos, monkeypatch):
+    # the left-side memo holds one entry per (order, sum), shared by the
+    # checks of one verify_all; each check run alone with every memo cold
+    # must report the same, passing or failing (at 61, eq2 and eq3 run at 60)
+    if fault:
+        FAULTS[fault][0](monkeypatch)
+
+    def report(check_id):
+        for memo in cold_memos:
+            memo.cache_clear()
+        r = I.verify(check_id, order)
+        return r.id, r.order, r.mismatch_total, r.mismatches
+
+    together = [(r.id, r.order, r.mismatch_total, r.mismatches)
+                for r in I.verify_all(order)]
+    assert [report(check_id) for check_id in I.REGISTRY] == together
+    assert any(total for _, _, total, _ in together) == bool(fault)

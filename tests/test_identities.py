@@ -456,38 +456,72 @@ def test_termwise_identity():
     assert I._termwise_mismatches(30) == []
 
 
-def test_verify_all_makes_one_horner_pass_per_order_and_sum(cold_memos, monkeypatch):
-    # the one left-side memo sums U_n for lhs_eq1 and T_n once per registered
-    # pair at each order it is asked for: the requested 200, and 60, where eq2
-    # and eq3 run capped; both eq12 checks read that pass, and termwise_eq2
-    # walks its 12 T_n once
-    passes, walks = Counter(), Counter()
-    horner, walk, eq12_lhs = I._horner_sum, I._upward_walk, I.eq12_lhs
+# each left-side Horner sum by its first four exponents and its summand
+HORNER_SUM_NAMES = {(False, (1, 2, 3, 4)): "U", (True, (1, 2, 3, 4)): "C1",
+                    (True, (1, 3, 6, 10)): "C5"}
+
+
+@pytest.fixture
+def horner_passes(monkeypatch):
+    """A Counter of the Horner passes made from here on, by (order, sum)."""
+    passes, horner = Counter(), I._horner_sum
 
     def counting(order, exponent, odd):
-        passes[order, odd, tuple(map(exponent, range(1, 5)))] += 1
+        passes[order, HORNER_SUM_NAMES[odd, tuple(map(exponent, range(1, 5)))]] += 1
         return horner(order, exponent, odd)
+
+    monkeypatch.setattr(I, "_horner_sum", counting)
+    return passes
+
+
+def test_verify_all_makes_one_horner_pass_per_order_and_sum(
+        cold_memos, horner_passes, monkeypatch):
+    # the left-side memo sums U_n for lhs_eq1 and T_n once per registered
+    # pair at the requested 200, and T_n once per pair at 60, where eq2 and
+    # eq3 run capped and read no U sum; both eq12 checks read the memoized
+    # pair sum, and termwise_eq2 walks its 12 T_n once
+    walks = Counter()
+    walk, eq12_lhs = I._upward_walk, I.eq12_lhs
 
     def counting_walk(order, steps):
         walks[order, steps] += 1
         return walk(order, steps)
 
     def eq12_counting(pair, order):
-        before = passes.total()
+        before = horner_passes.total()
         lhs = eq12_lhs(pair, order)
-        eq12_passes.append(passes.total() - before)
+        eq12_passes.append(horner_passes.total() - before)
         return lhs
 
     eq12_passes = []
-    monkeypatch.setattr(I, "_horner_sum", counting)
     monkeypatch.setattr(I, "_upward_walk", counting_walk)
     monkeypatch.setattr(I, "eq12_lhs", eq12_counting)
     assert all(r.status == "pass" for r in I.verify_all(200))
-    u, c1, c5 = (False, (1, 2, 3, 4)), (True, (1, 2, 3, 4)), (True, (1, 3, 6, 10))
-    assert passes == Counter([(200, *u), (200, *c1), (200, *c5),
-                              (60, *u), (60, *c1), (60, *c5)])
+    assert horner_passes == Counter([(200, "U"), (200, "C1"), (200, "C5"),
+                                     (60, "C1"), (60, "C5")])
     assert walks == {(200, I.TERMWISE_N): 1}
     assert eq12_passes == [0, 0]  # eq12_c1 and eq12_c5 read the pass
+
+
+# the Horner sums each check reads, run alone at order 200: lhs_eq2 reads C1,
+# lhs_eq3 C5, lhs_gf_note both, lhs_eq1 U; eq2 and eq3 run capped at 60
+SUMS_READ = {
+    "eq1": {"U"}, "eq2": {"C1"}, "eq3": {"C5"}, "gf_note": {"C1", "C5"},
+    "thm2": {"C1", "C5", "U"}, "thm3": {"C1"}, "thm4": {"C5"}, "thm5": {"C1", "C5"},
+    "eq13": set(), "eq14": set(), "eq23": {"C5"}, "m2_is_2np": set(),
+    "spt_half_diff": set(), "sigma_doubling": set(), "legendre_t4": set(),
+    "bailey_c1": set(), "bailey_c5": set(), "eq12_c1": {"C1"}, "eq12_c5": {"C5"},
+    "cong5": {"C1", "C5"}, "cong7": {"C1", "C5"}, "cong13": {"C1", "C5"},
+    "termwise_eq2": set(),
+}
+
+
+@pytest.mark.parametrize("check_id", list(I.REGISTRY))
+def test_a_check_run_alone_builds_only_the_sums_it_reads(
+        check_id, cold_memos, horner_passes):
+    report = I.verify(check_id, 200)
+    assert report.status == "pass"
+    assert horner_passes == Counter((report.order, name) for name in SUMS_READ[check_id])
 
 
 def test_termwise_catches_a_wrong_beta_exponent(cold_memos, monkeypatch):

@@ -67,10 +67,10 @@ def test_each_library_function_is_bound_in_one_module():
 
 
 def test_memo_inventory_is_one_memo_per_layer(cold_memos):
-    # the per-size tables of ``partitions`` and the left sides that several
-    # checks share; every other result is rebuilt on request
-    assert sorted(memo.__name__ for memo in cold_memos) == [
-        "_smallest_part_lhs", "_tables"]
+    # the per-size tables of ``partitions`` and the left-side sums that
+    # several checks share, one entry per (order, sum); every other result
+    # is rebuilt on request
+    assert sorted(memo.__name__ for memo in cold_memos) == ["_left_side", "_tables"]
 
 
 def test_version_matches_pyproject():
