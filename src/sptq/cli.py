@@ -70,9 +70,12 @@ def _cache_store(cache_dir: Path, name: str, lo: int, hi: int, values):
             "version": __version__,
         }
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, _cache_path(cache_dir, name))  # atomic: one writer wins
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(payload, fh)
+            os.replace(tmp, _cache_path(cache_dir, name))  # atomic: one writer wins
+        except OSError:
+            os.unlink(tmp)  # a failed store leaves no temp file behind
     except OSError:
         pass
 

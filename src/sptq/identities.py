@@ -9,9 +9,10 @@ The left sides are sums of q-Pochhammer quotients, each summed by Horner's
 rule from its last term down, in one right-sized list, and memoized on its
 own, so a check builds only the sums it reads.  The right sides are
 product forms, some read through the ``series`` module, which serves them
-to ``compute``; those of eqs. (2)/(3) take N2 from one listing, of the
-partitions of ENUM_CAP, and M2 from one pass that counts the crank moments
-of every n, so each check crosses two representations.  Per-n statistics
+to ``compute`` (eq1 and gf_note cross its spt and spt_o tables); those of
+eqs. (2)/(3) take N2 from one listing, of the partitions of ENUM_CAP, and
+M2 from one pass that counts the crank moments of every n, so each check
+crosses two representations.  Per-n statistics
 stop at desk scale whatever the request: eq2, eq3, eq13, eq14, m2_is_2np
 and spt_half_diff run at a capped order and report it; eq1 and thm2-thm4
 report the requested order and cap only their per-n half, at ENUM_CAP or
@@ -139,8 +140,8 @@ def _left_side(order: int, label: str) -> TruncatedSeries:
     """One left side, built from only the entries it reads.  C1, C5: the eq.
     (12) sum q^(n + beta_exponent(n)) T_n of that pair in ``_BAILEY_PAIRS`` at
     call time.  eq2, eq3: the C1, C5 sum over (q^2;q^2)_inf (the eq. (3)
-    summand has exponent n(n-1)/2); gf_note (spt_o): C1 - C5 over it, so a
-    wrong pair exponent shows in all three.  eq1: the U_n sum over (q;q)_inf."""
+    summand has exponent n(n-1)/2), so a wrong pair exponent shows in both.
+    eq1: the U_n sum over (q;q)_inf."""
     if order < 1:
         raise ValueError("order must be >= 1")
     if label in _BAILEY_PAIRS:
@@ -148,9 +149,8 @@ def _left_side(order: int, label: str) -> TruncatedSeries:
     if label == "eq1":
         u_sum = _horner_sum(order, lambda n: n, odd=False)
         return u_sum / series.qpoch_inf(1, 1, order)
-    numerator = (_left_side(order, "C1") - _left_side(order, "C5") if label == "gf_note"
-                 else _left_side(order, {"eq2": "C1", "eq3": "C5"}[label]))
-    return numerator / series.qpoch_inf(2, 2, order)
+    pair_sum = _left_side(order, {"eq2": "C1", "eq3": "C5"}[label])
+    return pair_sum / series.qpoch_inf(2, 2, order)
 
 
 def lhs_eq2(order: int) -> TruncatedSeries:
@@ -164,9 +164,9 @@ def lhs_eq3(order: int) -> TruncatedSeries:
 
 
 def lhs_gf_note(order: int) -> TruncatedSeries:
-    """Generating series of spt_o: the C1 sum minus the C5 sum, over
-    (q^2;q^2)_inf, so each summand carries (1 - q^(n(n-1)/2))."""
-    return _left_side(order, "gf_note")
+    """Generating series of spt_o = spt_o_plus - spt_o_minus: by linearity,
+    (C1 - C5)/(q^2;q^2)_inf, each summand carrying (1 - q^(n(n-1)/2))."""
+    return lhs_eq2(order) - lhs_eq3(order)
 
 
 def lhs_eq1(order: int) -> TruncatedSeries:
@@ -398,10 +398,11 @@ def _check(check_id: str, kind: str, description: str):
 
 @_check("eq1", "series-equality",
         "doubled spt gf: 2*sum q^n/((1-q^n)(q^n;q)_inf) vs 2*sum n p(n) q^n "
-        "+ 2*pentagonal theta correction/(q;q)_inf; sub-check: the correction "
-        "term carries -N2(n)/2 at q^n (desk scale)")
+        "+ 2*pentagonal theta correction/(q;q)_inf, undoubled vs the spt table; "
+        "sub-check: the correction term carries -N2(n)/2 at q^n (desk scale)")
 def _run_eq1(order):
     mm = _series_mismatches(2 * lhs_eq1(order), rhs_eq1_doubled(order))
+    mm += _series_mismatches(lhs_eq1(order), series._spt_series(order))
     # the theta correction over (q;q)_inf carries exactly -1/2 the rank
     # moments; checked against enumeration, at desk scale
     sub = min(order, ENUM_CAP)
@@ -428,11 +429,9 @@ def _run_eq3(order):
 
 
 @_check("gf_note", "series-equality",
-        "spt_o gf built with (1 - q^(n(n-1)/2)) factors equals lhs_eq2 - lhs_eq3")
+        "spt_o gf lhs_eq2 - lhs_eq3 vs the spt_o table: spt(n) at q^(2n), 0 at odd q^k")
 def _run_gf_note(order):
-    direct = lhs_gf_note(order)
-    difference = lhs_eq2(order) - lhs_eq3(order)
-    return order, _series_mismatches(direct, difference)
+    return order, _series_mismatches(lhs_gf_note(order), series._spt_o_series(order))
 
 
 @_check("thm2", "sequence-equality",
@@ -444,7 +443,7 @@ def _run_thm2(order):
         lambda n: partitions.spt_o(2 * n),
         partitions.spt,
     )
-    even = (lhs_eq2(order) - lhs_eq3(order)).extract(0, 2)
+    even = lhs_gf_note(order).extract(0, 2)
     mm += _series_mismatches(even, lhs_eq1(order).truncate(even.order))
     return order, mm
 

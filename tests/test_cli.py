@@ -329,6 +329,18 @@ def test_compute_miss_overwrites_a_narrower_entry(cache_dir):
     assert json.loads(warm.stdout)["values"][-1] == "7"
 
 
+def test_compute_failed_cache_store_leaves_no_temp_file(cache_dir):
+    # a directory where the entry should go: the store fails at os.replace,
+    # the run still succeeds, and neither run leaves its temp file behind
+    (cache_dir / "spt.json").mkdir(parents=True)
+    for _ in range(2):
+        r = run_cli("compute", "--sequence", "spt", "--lo", "1", "--hi", "3",
+                    "--cache-dir", str(cache_dir))
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["values"] == ["1", "3", "5"]
+    assert [p.name for p in cache_dir.iterdir()] == ["spt.json"]
+
+
 # ----------------------------------------------------------------------
 # verify
 # ----------------------------------------------------------------------
@@ -508,7 +520,7 @@ COMPUTE_DIGESTS = {  # --format csv over COMPUTE_RANGES, else --lo 1 --hi 400
 }
 COMPUTE_RANGES = {"p": (0, 1500), "sigma": (0, 5000), "t4": (0, 600)}
 LISTING_DIGESTS = {
-    "list": "0a6048fefef59a886585b8151173ac1097e7a611f1df44d205ac47d4f3844c75",
+    "list": "d53a46772678447aa0a5caec2f7e19803bc0a61bb38ba9c094656c8ce885adea",
     "examples": "4cdbc3374d140280c0495e13747c91fac23fe514088cae777c5761d321cf28f8",
 }
 

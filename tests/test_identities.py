@@ -688,14 +688,17 @@ def _bump_odd_count(n_bad, smallest):
 # (index, lhs, rhs) of every reported mismatch, per failing check, at order
 # 120; every check not named here passes
 FAILING_REPORTS = {
+    # lhs_gf_note is lhs_eq2 - lhs_eq3, read through this module, so a bump
+    # in either reaches gf_note and the congruence at that exponent; thm2
+    # reads the even part of lhs_gf_note
     "lhs_eq2_q8": (_bump_builder("lhs_eq2", 8), {
-        "eq2": [(8, 82, 80)], "gf_note": [(8, 10, 11)],
+        "eq2": [(8, 82, 80)], "gf_note": [(8, 11, 10)], "cong5": [(8, 1, 0)],
         "thm2": [(4, 11, 10)], "thm3": [(4, 41, 10)]}),
     "lhs_eq3_q10": (_bump_builder("lhs_eq3", 10), {
-        "eq3": [(10, 118, 116)], "gf_note": [(10, 14, 13)],
+        "eq3": [(10, 118, 116)], "gf_note": [(10, 13, 14)], "cong7": [(10, 6, 0)],
         "thm2": [(5, 13, 14)], "thm4": [(5, 59, 0)]}),
     "lhs_gf_note_q18": (_bump_builder("lhs_gf_note", 18), {
-        "gf_note": [(18, 81, 80)], "cong5": [(18, 1, 0)]}),
+        "gf_note": [(18, 81, 80)], "cong5": [(18, 1, 0)], "thm2": [(9, 81, 80)]}),
     "statistics_n12_odd_s4": (_bump_odd_count(12, 4), {
         "thm4": [(9, 431, 0)], "thm2": [(6, 27, 26), (9, 79, 80)],
         "eq13": [(12, 258, 256)], "eq14": [(6, 258, 256)]}),
@@ -736,6 +739,18 @@ def test_verify_unknown_id():
 def test_verify_bad_order():
     with pytest.raises(ValueError):
         I.verify("eq2", 0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda order: I._left_side(order, "C1"), I.rhs_eq1_doubled,
+    I.rhs_eq2_doubled, I.rhs_eq3_doubled, I.rhs_eq23,
+], ids=["_left_side", "rhs_eq1_doubled", "rhs_eq2_doubled", "rhs_eq3_doubled",
+        "rhs_eq23"])
+def test_builders_reject_order_zero(build):
+    # verify rejects such an order before any builder runs, so only a
+    # direct call reaches each builder's own guard
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        build(0)
 
 
 def test_verify_thm5_at_odd_order():
