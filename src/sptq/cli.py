@@ -4,7 +4,8 @@ worked-example table.
 Exit codes: 0 all good, 1 at least one verification failed, 2 usage error
 (``verify --order`` or ``compute --hi`` above ``MAX_ORDER``, or ``verify``
 given both ``--all`` and ``--identity``, among them) or an output file, or
-a stdout closed early by its reader, that cannot be written.
+a stdout closed early by its reader, that cannot be written; a stderr so
+closed drops what would go there and changes no exit code.
 Big integers are serialized as decimal strings in JSON output.
 """
 
@@ -17,18 +18,32 @@ from pathlib import Path
 
 from . import __version__, partitions  # identities only where a command needs it
 
-# largest verify --order and compute --hi: every route is polynomial, but
-# grows about x4 per doubling (verify --all takes 1.6-3.2 s at order 4000 on
-# a shared 2-vCPU machine), so far past this a run takes hours
+# largest verify --order and compute --hi: every route is polynomial, but grows
+# about x4 per doubling (verify --all: 1.7-2.2 s at order 4000, 9.4-10.4 s at
+# 10 000, on a shared 2-vCPU machine), so far past this a run takes hours
 MAX_ORDER = 10_000
+
+
+def _print(text: str, stream=None):
+    """Print a line to ``stream``, stderr by default; once its reader has
+    closed it, point the stream at os.devnull, so that later lines and the
+    exit-time flush are dropped quietly, and return the BrokenPipeError."""
+    stream = stream or sys.stderr
+    try:
+        print(text, file=stream, flush=True)
+    except BrokenPipeError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        return exc
+    return None
 
 
 def _above_ceiling(flag: str, value: int) -> bool:
     """Report and return True when ``value`` is past MAX_ORDER."""
     if value <= MAX_ORDER:
         return False
-    print(f"error: {flag} {value} is above the ceiling MAX_ORDER = {MAX_ORDER}",
-          file=sys.stderr)
+    _print(f"error: {flag} {value} is above the ceiling MAX_ORDER = {MAX_ORDER}")
     return True
 
 
@@ -84,22 +99,13 @@ def _emit(text: str, path, code: int) -> int:
     """Write ``text`` to the file ``path``, or print it when there is none,
     and return ``code``; a file, or a stdout pipe closed early by its
     reader, that cannot be written is exit 2."""
-    if not path:
-        try:
-            print(text, flush=True)
-        except BrokenPipeError as exc:
-            # the exit-time flush of what is still buffered would raise again
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            print(f"error: cannot write stdout: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return 2
-        return code
     try:
-        Path(path).write_text(text + "\n")
+        if path:
+            Path(path).write_text(text + "\n")
+        elif broken := _print(text, sys.stdout):
+            raise broken  # reported below, as an unwritable file is
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        _print(f"error: cannot write {path or 'stdout'}: {exc.strerror or exc}")
         return 2
     return code
 
@@ -117,7 +123,7 @@ def _cmd_compute(args) -> int:
             if cache_dir:
                 _cache_store(cache_dir, args.sequence, args.lo, args.hi, values)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print(f"error: {exc}")
         return 2
 
     if args.format == "json":
@@ -158,12 +164,12 @@ def _report_payload(report) -> dict:
 def _cmd_verify(args) -> int:
     from . import identities
     if args.order < 1:
-        print("error: --order must be >= 1", file=sys.stderr)
+        _print("error: --order must be >= 1")
         return 2
     if _above_ceiling("--order", args.order):
         return 2
     if args.all and args.identity:
-        print("error: give --all or --identity, not both", file=sys.stderr)
+        _print("error: give --all or --identity, not both")
         return 2
     if args.all:
         ids = list(identities.REGISTRY)
@@ -171,20 +177,19 @@ def _cmd_verify(args) -> int:
         ids = args.identity
         unknown = [i for i in ids if i not in identities.REGISTRY]
         if unknown:
-            print(f"error: unknown identity check(s): {', '.join(unknown)}",
-                  file=sys.stderr)
+            _print(f"error: unknown identity check(s): {', '.join(unknown)}")
             return 2
         ids = list(dict.fromkeys(ids))  # a repeated id runs and reports once
     else:
-        print("error: give --all or at least one --identity", file=sys.stderr)
+        _print("error: give --all or at least one --identity")
         return 2
 
     reports = []
     for check_id in ids:
         report = identities.verify(check_id, args.order)
         reports.append(report)
-        print(f"{report.id}: {report.status} "
-              f"(order {report.order}, {report.elapsed:.3f} s)", file=sys.stderr)
+        _print(f"{report.id}: {report.status} "
+               f"(order {report.order}, {report.elapsed:.3f} s)")
 
     text = json.dumps([_report_payload(r) for r in reports], indent=2)
     passed = all(r.status == "pass" for r in reports)

@@ -328,28 +328,22 @@ def check_eq12(pair: BaileyPair, order: int) -> list[Mismatch]:
 
 def _termwise_mismatches(order: int) -> list[Mismatch]:
     """Each differentiated-lemma summand q^(n + beta_exponent(n)) T_n, T_n
-    from ``_upward_walk``, equals (q^2;q^2)_inf times the literal quotient
-    summand q^n Q_n/(1-q^n)^2 shifted by the stated 0 (C1) or n(n-1)/2 (C5),
-    so a wrong beta_exponent shows.  P_n = (q^2;q^2)_inf Q_n, Q_n =
-    (q^(2n+1);q^2)_inf/(q^(n+1);q)_inf, steps down by P_(n-1) = P_n
-    (1-q^(2n-1))/(1-q^n) from one product, P_N with N = TERMWISE_N and the
-    direct Q_N = (q^(2N+1);q^2)_inf (q;q)_N / (q;q)_inf."""
-    quotient = series.qpoch_inf(2 * TERMWISE_N + 1, 2, order)
-    for k in range(1, TERMWISE_N + 1):
-        quotient = quotient.times_one_minus(k)
-    product = series.qpoch_inf(2, 2, order) * (quotient / series.qpoch_inf(1, 1, order))
-    products = {}
-    for n in range(TERMWISE_N, 0, -1):
-        half = product.divided_by_one_minus(n)
-        products[n] = half.divided_by_one_minus(n).shifted(n)
-        product = half.times_one_minus(2 * n - 1)
-    kept, out = tuple(_upward_walk(order, TERMWISE_N)), []
-    for label, shift in (("C1", lambda n: 0), ("C5", lambda n: n * (n - 1) // 2)):
-        pair = bailey_pair(label)
-        for n, term in kept:
-            lhs = TruncatedSeries((0,) * pair.summand_exponent(n) + term.coeffs)
-            out += _first_difference(n, lhs, products[n].shifted(shift(n)))
-    return out
+    from ``_upward_walk``, equals the literal quotient summand q^n P_n/(1-q^n)^2
+    shifted by the stated 0 (C1) or n(n-1)/2 (C5), so a wrong beta_exponent
+    shows.  P_n = (q^2;q^2)_inf (q^(2n+1);q^2)_inf/(q^(n+1);q)_inf = P_(n-1)
+    (1-q^n)/(1-q^(2n-1)) steps up with the walk from P_0, the series 1 built
+    as (q^2;q^2)_inf^2/psi(q)/(q;q)_inf by Gauss's psi(q) = (q^2;q^2)_inf/
+    (q;q^2)_inf, so that the check guards all three products."""
+    even = series.qpoch_inf(2, 2, order)
+    product = even * even / series._psi_series(order) / series.qpoch_inf(1, 1, order)
+    c1, c5 = [], []
+    for n, term in _upward_walk(order, TERMWISE_N):
+        product = product.times_one_minus(n).divided_by_one_minus(2 * n - 1)
+        summand = product.divided_by_one_minus(n).divided_by_one_minus(n).shifted(n)
+        for out, label, shift in ((c1, "C1", 0), (c5, "C5", n * (n - 1) // 2)):
+            lhs = (0,) * bailey_pair(label).summand_exponent(n) + term.coeffs
+            out += _first_difference(n, TruncatedSeries(lhs), summand.shifted(shift))
+    return c1 + c5
 
 
 # ----------------------------------------------------------------------

@@ -126,6 +126,43 @@ def test_listing_into_a_closed_pipe_is_exit_two(command):
     assert "error: cannot write stdout" in r.stderr
 
 
+def run_into_closed_stderr(*args, stdout_too):
+    """Run the CLI with stderr, and stdout too when ``stdout_too``, on a pipe
+    whose read end is closed before the child starts, so every write there
+    fails; stdout is otherwise captured."""
+    import os
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "sptq", *args],
+                              stdout=write_end if stdout_too else subprocess.PIPE,
+                              stderr=write_end, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--all", "--order", "40"),
+    ("compute", "--sequence", "p", "--lo", "0", "--hi", "4000", "--format", "text"),
+], ids=["verify", "compute"])
+def test_closed_stdout_and_stderr_is_exit_two(args):
+    # as in `sptq ... 2>&1 | head -1`: verify's progress lines and the
+    # "cannot write stdout" message are dropped, so the exit code is the
+    # closed stdout's 2, not the 1 of an uncaught BrokenPipeError
+    assert run_into_closed_stderr(*args, stdout_too=True).returncode == 2
+
+
+def test_closed_stderr_drops_only_the_progress_lines():
+    from sptq import identities
+
+    r = run_into_closed_stderr("verify", "--all", "--order", "40", stdout_too=False)
+    assert r.returncode == 0
+    reports = json.loads(r.stdout)
+    assert [report["id"] for report in reports] == list(identities.REGISTRY)
+    assert {report["status"] for report in reports} == {"pass"}
+
+
 def test_compute_cold_and_warm_cache_are_byte_identical(cache_dir):
     # spt_o is read off its generating series on a miss, p off its closed form
     cases = [("p", "0", "json")] + [("spt_o", "1", fmt) for fmt in ("json", "csv", "text")]

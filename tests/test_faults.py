@@ -31,10 +31,10 @@ def _bumped(series, exponent):
     return TruncatedSeries(tuple(c))
 
 
-def _summand_fault(n_bad, exponent):
+def _summand_fault(n_bad, exponent, sums=True):
     """Bump q^exponent of the n_bad-th eq. (2) numerator term q^n T_n: in
-    each pair's Horner sum over T_n, where the pair places that term, and in
-    the T_n that termwise_eq2 walks up."""
+    the T_n that termwise_eq2 walks up and, unless ``sums`` is False, in
+    each pair's Horner sum over T_n, where the pair places that term."""
 
     def plant(monkeypatch):
         real_sum, real_walk = I._horner_sum, I._upward_walk
@@ -49,7 +49,8 @@ def _summand_fault(n_bad, exponent):
             for n, term in real_walk(order, steps):
                 yield n, _bumped(term, exponent - n) if n == n_bad else term
 
-        monkeypatch.setattr(I, "_horner_sum", horner_sum)
+        if sums:
+            monkeypatch.setattr(I, "_horner_sum", horner_sum)
         monkeypatch.setattr(I, "_upward_walk", walk)
 
     return plant
@@ -142,6 +143,8 @@ FAULTS = {
     "summand5_q40": (_summand_fault(5, 40),
                      {"cong7", "cong13", "eq2", "eq3", "eq12_c1", "eq12_c5",
                       "gf_note", "termwise_eq2", "thm2", "thm3", "thm4"}),
+    # the same T_5 in the walk alone, which no other check reads
+    "walk5_q40": (_summand_fault(5, 40, sums=False), {"termwise_eq2"}),
     "summand70_q151": (_summand_fault(70, 151), {"eq12_c1", "gf_note", "thm5"}),
     "summand70_q148": (_summand_fault(70, 148),
                        {"cong5", "cong7", "cong13", "eq12_c1", "gf_note", "thm2"}),
@@ -194,8 +197,10 @@ BUILDER_FAULTS = {
     "_t4_series": ({"legendre_t4"}, {"legendre_t4"}, {"legendre_t4"}),
     "rhs_eq23": ({"eq23"}, {"eq23"}, {"eq23"}),
     "_p_series": ({"eq1", "eq23", "gf_note"}, {"eq1", "gf_note"}, {"eq1"}),
-    "_psi_series": ({"eq23", "legendre_t4"}, {"eq23", "legendre_t4"},
-                    {"legendre_t4"}),
+    # psi(q) enters termwise_eq2's P_0 = (q^2;q^2)_inf^2/psi(q)/(q;q)_inf
+    "_psi_series": ({"eq23", "legendre_t4", "termwise_eq2"},
+                    {"eq23", "legendre_t4", "termwise_eq2"},
+                    {"legendre_t4", "termwise_eq2"}),
     "lambert_sigma": ({"eq12_c1", "eq12_c5", "eq13", "eq2", "eq3"},
                       {"eq12_c1", "eq12_c5"}, {"eq12_c1", "eq12_c5"}),
     "_theta_correction": ({"eq1", "gf_note"}, {"eq1", "gf_note"}, {"eq1"}),
@@ -207,8 +212,8 @@ BUILDER_FAULTS = {
     "_spt_o_minus_series": (set(), set(), set()),
 }
 # the same three exponents in the products (q;q)_inf (Euler's series, the
-# eq. (1) quotient), (q^2;q^2)_inf (the eq. (2)/(3) quotient and Lambert
-# denominator) and termwise_eq2's literal tail (q^25;q^2)_inf
+# eq. (1) quotient) and (q^2;q^2)_inf (the eq. (2)/(3) quotient and Lambert
+# denominator), both also in termwise_eq2's P_0
 PRODUCT_FAULTS = {
     "euler_series": ((1, 1), ({"eq1", "eq23", "gf_note", "termwise_eq2", "thm2"},
                               {"eq1", "gf_note", "termwise_eq2", "thm2"},
@@ -220,7 +225,6 @@ PRODUCT_FAULTS = {
                                     "thm4", "thm5"},
                                    {"eq23", "gf_note", "termwise_eq2", "thm4",
                                     "thm5"})),
-    "termwise_tail": ((2 * I.TERMWISE_N + 1, 2), ({"termwise_eq2"},) * 3),
 }
 FAULTS.update(
     (f"{name}_q{e}", (_product_fault(*product, e), caught))

@@ -531,6 +531,25 @@ def test_termwise_catches_a_wrong_beta_exponent(cold_memos, monkeypatch):
     assert mismatches and mismatches[0].index == 1
 
 
+def test_termwise_steps_do_not_grow_with_the_order(monkeypatch):
+    # P_0 is built from pentagonal and triangular series, with no factor
+    # (1 - q^k) of its own; per n, the walk takes two divisions and two
+    # multiplications by (1 - q^k), and P_n one multiplication and three
+    # divisions, whatever the order
+    steps = Counter()
+    for name in ("times_one_minus", "divided_by_one_minus"):
+        real = getattr(TruncatedSeries, name)
+
+        def counting(self, exp, real=real):
+            steps[order] += 1
+            return real(self, exp)
+
+        monkeypatch.setattr(TruncatedSeries, name, counting)
+    for order in (200, 2000):
+        assert I._termwise_mismatches(order) == []
+    assert steps == {200: 8 * I.TERMWISE_N, 2000: 8 * I.TERMWISE_N}
+
+
 def is_two_term(x):
     """True for a series with at most two nonzero coefficients, such as q^e,
     1 - q^k or an alpha_n, other than 1 itself (``__pow__`` starts from 1)."""
@@ -545,7 +564,7 @@ def test_finite_pochhammer_checks_invert_no_dense_product(cold_memos, monkeypatc
     # infinite tails down from 1 at the truncation order, and every shift by
     # q^e, alpha_n's two included, is a slice: only right sides invert, no
     # product has a factor of at most two terms, the Bailey checks make no
-    # product at all, and termwise_eq2 multiplies (q^2;q^2)_inf in once
+    # product at all, and termwise_eq2 makes one, (q^2;q^2)_inf squared
     calls, products = Counter(), Counter()
     invert, mul = TruncatedSeries.invert, TruncatedSeries.__mul__
 
@@ -751,6 +770,31 @@ def test_builders_reject_order_zero(build):
     # direct call reaches each builder's own guard
     with pytest.raises(ValueError, match="order must be >= 1"):
         build(0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: I.check_bailey_relation(I.bailey_pair("C1"), -1, 10), ValueError,
+     "n_max must be >= 0"),
+    (lambda: I.check_congruence(P.spt, 1, 0, 1, 5), ValueError,
+     "modulus must be >= 2"),
+    (lambda: one(5).times_one_minus(0), ValueError, "exponent must be >= 1"),
+    (lambda: one(5).divided_by_one_minus(0), ValueError, "exponent must be >= 1"),
+    (lambda: zero(-1), ValueError, "truncation order must be >= 0"),
+    (lambda: monomial(-1, 1, 5), ValueError, "exponent must be >= 0"),
+    (lambda: qpoch_fin(0, 1, 3, 5), ValueError, "start and step must be >= 1"),
+    (lambda: qpoch_fin(1, 1, -1, 5), ValueError, "factor count must be >= 0"),
+    (lambda: S.geom_sq(0, 5), ValueError, "part size must be >= 1"),
+    (lambda: one(5) + 1, TypeError, "unsupported operand"),
+    (lambda: one(5) - 1, TypeError, "unsupported operand"),
+    (lambda: one(5) * "x", TypeError, "multiply"),
+], ids=["bailey_n_max", "congruence_modulus", "times_one_minus",
+        "divided_by_one_minus", "check_order", "monomial_exponent",
+        "qpoch_fin_start", "qpoch_fin_count", "geom_sq_part", "add_int",
+        "sub_int", "mul_str"])
+def test_guards_reject_bad_arguments(call, error, message):
+    # no check reaches these guards: every caller passes arguments in range
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_verify_thm5_at_odd_order():
