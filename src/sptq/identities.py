@@ -104,10 +104,11 @@ def _upward_walk(order: int, steps: int) -> Iterator[tuple[int, TruncatedSeries]
     truncated, times (1-q^n)^2, over (1-q^(n+1)) and (1-q^(2n+1))."""
     term = series.one(order)
     for n in range(1, min(steps, order) + 1):
-        term = term.truncate(order - n).divided_by_one_minus(n)
-        term = term.divided_by_one_minus(2 * n - 1)
+        term = term.truncate(order - n)
+        if n > 1:  # T_(n-1) times (1-q^(n-1))^2, taken only once T_n is read
+            term = term.times_one_minus(n - 1).times_one_minus(n - 1)
+        term = term.divided_by_one_minus(n).divided_by_one_minus(2 * n - 1)
         yield n, term
-        term = term.times_one_minus(n).times_one_minus(n)
 
 
 def _horner_sum(order: int, exponent: Callable, odd: bool) -> TruncatedSeries:
@@ -136,31 +137,29 @@ def _horner_sum(order: int, exponent: Callable, odd: bool) -> TruncatedSeries:
 
 
 @lru_cache(maxsize=None)
-def _left_side(order: int, label: str) -> TruncatedSeries:
-    """One left side, built from only the entries it reads.  C1, C5: the eq.
-    (12) sum q^(n + beta_exponent(n)) T_n of that pair in ``_BAILEY_PAIRS`` at
-    call time.  eq2, eq3: the C1, C5 sum over (q^2;q^2)_inf (the eq. (3)
-    summand has exponent n(n-1)/2), so a wrong pair exponent shows in both.
-    eq1: the U_n sum over (q;q)_inf."""
+def _left_side(order: int, pair: "BaileyPair | None", step: int) -> TruncatedSeries:
+    """One left side, memoized by what it builds: the eq. (12) Horner sum
+    q^(n + beta_exponent(n)) T_n of ``pair``, or the sum q^n U_n when
+    ``pair`` is None, over (q^step;q^step)_inf unless ``step`` is 0.  A pair
+    keys by its label and exponents, so an equal copy shares its entry; a
+    quotient reads the step-0 entry, so eq. (2) and eq. (12) share a sum."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    if label in _BAILEY_PAIRS:
-        return _horner_sum(order, _BAILEY_PAIRS[label].summand_exponent, odd=True)
-    if label == "eq1":
-        u_sum = _horner_sum(order, lambda n: n, odd=False)
-        return u_sum / series.qpoch_inf(1, 1, order)
-    pair_sum = _left_side(order, {"eq2": "C1", "eq3": "C5"}[label])
-    return pair_sum / series.qpoch_inf(2, 2, order)
+    if step:
+        return _left_side(order, pair, 0) / series.qpoch_inf(step, step, order)
+    if pair is None:
+        return _horner_sum(order, lambda n: n, odd=False)
+    return _horner_sum(order, pair.summand_exponent, odd=True)
 
 
 def lhs_eq2(order: int) -> TruncatedSeries:
     """Generating series of spt_o_plus as a sum of Pochhammer quotients."""
-    return _left_side(order, "eq2")
+    return _left_side(order, _BAILEY_PAIRS["C1"], 2)
 
 
 def lhs_eq3(order: int) -> TruncatedSeries:
     """Generating series of spt_o_minus (triangular-companion weights)."""
-    return _left_side(order, "eq3")
+    return _left_side(order, _BAILEY_PAIRS["C5"], 2)
 
 
 def lhs_gf_note(order: int) -> TruncatedSeries:
@@ -172,7 +171,7 @@ def lhs_gf_note(order: int) -> TruncatedSeries:
 def lhs_eq1(order: int) -> TruncatedSeries:
     """Generating series of spt: [sum_n q^n (q;q)_(n-1)/(1-q^n)]/(q;q)_inf
     (Andrews 2008), one Horner sum over U_n and one sparse division."""
-    return _left_side(order, "eq1")
+    return _left_side(order, None, 1)
 
 
 # ----------------------------------------------------------------------
@@ -304,11 +303,8 @@ def check_bailey_relation(pair: BaileyPair, n_max: int, order: int) -> list[Mism
 
 def eq12_lhs(pair: BaileyPair, order: int) -> TruncatedSeries:
     """sum_{n>=1} (q;q)_{n-1}^2 beta_n q^n = sum q^(n + beta_exponent(n)) T_n,
-    T_n = (q;q)_{n-1} / ((1-q^n) (q;q^2)_n): the memoized sum of a registered
-    pair, else a Horner sum of its own."""
-    if _BAILEY_PAIRS.get(pair.label) is pair:
-        return _left_side(order, pair.label)
-    return _horner_sum(order, pair.summand_exponent, odd=True)
+    T_n = (q;q)_{n-1} / ((1-q^n) (q;q^2)_n), memoized by the pair."""
+    return _left_side(order, pair, 0)
 
 
 def eq12_rhs(pair: BaileyPair, order: int) -> TruncatedSeries:

@@ -100,6 +100,16 @@ def _builder_fault(name, exponent):
     return plant
 
 
+def _joint_builder_fault(names, exponent):
+    """``_builder_fault`` planted in every builder of ``names`` at once."""
+
+    def plant(monkeypatch):
+        for name in names:
+            _builder_fault(name, exponent)(monkeypatch)
+
+    return plant
+
+
 def _product_fault(start, step, exponent):
     """Bump q^exponent of (q^start;q^step)_inf wherever it is built; every
     other q-Pochhammer product stays as built."""
@@ -243,6 +253,14 @@ FAULTS.update(
                              (CAPPED_EXPONENTS, CAPPED_FAULTS))
     for name, sets in table.items()
     for e, caught in zip(exponents, sets)
+)
+# a known gap: eq1 reads the N2 and M2 series only through M2 - N2, and its
+# N2 sub-check stops at n = 30, so the same bump in both tables, which
+# `compute --sequence n2` and `m2` serve, fails no check above q^30.  A
+# change that crosses either table on its own must re-pin these rows
+FAULTS.update(
+    (f"n2_m2_series_q{e}", (_joint_builder_fault(("_n2_series", "_m2_series"), e), caught))
+    for e, caught in zip(BUILDER_EXPONENTS, ({"eq1"}, set(), set()))
 )
 
 

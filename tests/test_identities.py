@@ -413,9 +413,9 @@ def test_horner_sum_rejects_a_bad_exponent(exponent):
         I._horner_sum(10, exponent, True)
 
 
-def test_an_unregistered_pair_sums_over_its_own_walk():
-    # the same exponents in a pair object that _BAILEY_PAIRS does not hold:
-    # eq12_lhs makes a Horner sum of its own and must agree with the memoized one
+def test_an_unregistered_pair_reads_the_entry_of_its_equal():
+    # a copy of a registered pair, not the object _BAILEY_PAIRS holds, is
+    # equal to it field by field, so eq12_lhs reads the same memo entry
     for label in ("C1", "C5"):
         pair = I.bailey_pair(label)
         copy = dataclasses.replace(pair)
@@ -458,6 +458,7 @@ def test_termwise_identity():
 
 # each left-side Horner sum by its first four exponents and its summand
 HORNER_SUM_NAMES = {(False, (1, 2, 3, 4)): "U", (True, (1, 2, 3, 4)): "C1",
+                    (True, (1, 2, 4, 4)): "C1_late_beta3",
                     (True, (1, 3, 6, 10)): "C5"}
 
 
@@ -472,6 +473,16 @@ def horner_passes(monkeypatch):
 
     monkeypatch.setattr(I, "_horner_sum", counting)
     return passes
+
+
+def test_the_left_side_memo_is_keyed_by_the_pair_not_its_label(
+        cold_memos, horner_passes):
+    # C1_LATE_BETA3 keeps the label C1 but places beta_3 one power later: it
+    # gets an entry of its own, while a field-for-field copy of C1 reads C1's
+    assert I.eq12_lhs(C1, 40) != I.eq12_lhs(C1_LATE_BETA3, 40)
+    assert I.eq12_lhs(C1_LATE_BETA3, 40) == direct_eq12_sum(C1_LATE_BETA3, 40)
+    assert I.eq12_lhs(dataclasses.replace(C1), 40) == I.eq12_lhs(C1, 40)
+    assert horner_passes == {(40, "C1"): 1, (40, "C1_late_beta3"): 1}
 
 
 def test_verify_all_makes_one_horner_pass_per_order_and_sum(
@@ -533,9 +544,10 @@ def test_termwise_catches_a_wrong_beta_exponent(cold_memos, monkeypatch):
 
 def test_termwise_steps_do_not_grow_with_the_order(monkeypatch):
     # P_0 is built from pentagonal and triangular series, with no factor
-    # (1 - q^k) of its own; per n, the walk takes two divisions and two
-    # multiplications by (1 - q^k), and P_n one multiplication and three
-    # divisions, whatever the order
+    # (1 - q^k) of its own; per n, the walk takes two divisions and, from
+    # n = 2 on, two multiplications by (1 - q^k), and P_n one multiplication
+    # and three divisions, whatever the order: 8 steps per n, less the two
+    # multiplications at n = 1, where the walk starts from 1
     steps = Counter()
     for name in ("times_one_minus", "divided_by_one_minus"):
         real = getattr(TruncatedSeries, name)
@@ -547,7 +559,7 @@ def test_termwise_steps_do_not_grow_with_the_order(monkeypatch):
         monkeypatch.setattr(TruncatedSeries, name, counting)
     for order in (200, 2000):
         assert I._termwise_mismatches(order) == []
-    assert steps == {200: 8 * I.TERMWISE_N, 2000: 8 * I.TERMWISE_N}
+    assert steps == {200: 8 * I.TERMWISE_N - 2, 2000: 8 * I.TERMWISE_N - 2}
 
 
 def is_two_term(x):
@@ -761,7 +773,7 @@ def test_verify_bad_order():
 
 
 @pytest.mark.parametrize("build", [
-    lambda order: I._left_side(order, "C1"), I.rhs_eq1_doubled,
+    lambda order: I._left_side(order, C1, 0), I.rhs_eq1_doubled,
     I.rhs_eq2_doubled, I.rhs_eq3_doubled, I.rhs_eq23,
 ], ids=["_left_side", "rhs_eq1_doubled", "rhs_eq2_doubled", "rhs_eq3_doubled",
         "rhs_eq23"])
