@@ -23,7 +23,6 @@ two ints differ or, given a modulus, are incongruent modulo it.
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, sub
 from typing import Callable, Iterable, Iterator
 
 from . import partitions, series
@@ -126,13 +125,11 @@ def _horner_sum(order: int, exponent: Callable, odd: bool) -> TruncatedSeries:
         exponents.append(e)
     exponents[-1], k = order + 1, []  # the top K_n starts as zeros of full size
     for n in range(len(exponents) - 2, 0, -1):
-        k[n:] = map(sub, k[n:], k)  # times (1 - q^n), reading the old k
+        series._times_one_minus_into(k, n)
         k[:0] = [0] * (exponents[n + 1] - exponents[n])  # times the q-shift
         k[::n] = map((1).__add__, k[::n])  # plus 1/(1 - q^n)
-        if odd:  # over (1 - q^m), one block of m coefficients at a time
-            m = 2 * n - 1
-            for i in range(m, len(k), m):
-                k[i:i + m] = map(add, k[i:i + m], k[i - m:i])
+        if odd:
+            series._over_one_minus_into(k, 2 * n - 1)
     return TruncatedSeries((0,) * (order + 1 - len(k)) + tuple(k))
 
 
@@ -389,15 +386,17 @@ def _check(check_id: str, kind: str, description: str):
 @_check("eq1", "series-equality",
         "doubled spt gf: 2*sum q^n/((1-q^n)(q^n;q)_inf) vs 2*sum n p(n) q^n "
         "+ 2*pentagonal theta correction/(q;q)_inf, undoubled vs the spt table; "
-        "sub-check: the correction term carries -N2(n)/2 at q^n (desk scale)")
+        "sub-checks: the correction carries -N2(n)/2 (desk scale), M2 table = 2n p(n)")
 def _run_eq1(order):
     mm = _series_mismatches(2 * lhs_eq1(order), rhs_eq1_doubled(order))
     mm += _series_mismatches(lhs_eq1(order), series._spt_series(order))
-    # the theta correction over (q;q)_inf carries exactly -1/2 the rank
-    # moments; checked against enumeration, at desk scale
+    # N2 against enumeration at desk scale (the theta correction over (q;q)_inf
+    # carries -N2(n)/2), M2 against 2 n p(n) by the recurrence at full order
     sub = min(order, ENUM_CAP)
     mm += _series_mismatches(series._n2_series(sub),
                              _enumerated_series(partitions.n2, sub))
+    two_np = [2 * n * c for n, c in enumerate(partitions._partition_counts(order))]
+    mm += _series_mismatches(series._m2_series(order), TruncatedSeries(two_np))
     return order, mm
 
 

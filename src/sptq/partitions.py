@@ -3,9 +3,9 @@
 The per-n counting functions are the ground truth here, independent of the
 generating-function machinery they are used to cross-check.  spt(n) and
 N2(n) are literal sums over a listing of partitions; the crank moment and
-the odd-condition smallest-part counts are counted by exact int passes over
-the allowed parts, and tested against the listing sums of ``crank`` and
-``odd_condition``.  Only p(n) (pentagonal-number recurrence), sigma(n)
+the odd-condition smallest-part counts add and remove parts with the two
+list kernels of ``series``, tested against the listing sums of ``crank``
+and ``odd_condition``.  Only p(n) (pentagonal-number recurrence), sigma(n)
 (divisor sums) and t4(n) use closed forms.
 
 Tables are another matter: ``sequence`` reads every one of the nine off
@@ -170,18 +170,6 @@ def sigma(n: int) -> int:
     return total
 
 
-def _add_part(table: list[int], part: int) -> None:
-    """Let a table of partition counts by size use ``part`` as often as it likes."""
-    for m in range(part, len(table)):
-        table[m] += table[m - part]
-
-
-def _remove_part(table: list[int], part: int) -> None:
-    """Undo ``_add_part(table, part)``."""
-    for m in range(len(table) - 1, part - 1, -1):
-        table[m] -= table[m - part]
-
-
 def _crank_moments(top: int) -> list[int]:
     """Indexed by m, the sum of crank(pi)^2 over the partitions pi of m (1 at
     m = 1), for every m <= top in one pass down omega = top..1.  ``low``
@@ -193,7 +181,7 @@ def _crank_moments(top: int) -> list[int]:
     never moves: part omega only passes from the uncounted to the counted."""
     low = [1] + [0] * top
     for part in range(2, top + 1):
-        _add_part(low, part)
+        series._over_one_minus_into(low, part)
     y0, y1, y2 = low[:], [0] * (top + 1), [0] * (top + 1)
     total = [0] * (top + 1)
     for omega in range(top, 0, -1):
@@ -202,9 +190,9 @@ def _crank_moments(top: int) -> list[int]:
         if omega > 1:
             for r in range(top - omega + 1):
                 total[omega + r] += omega * omega * low[r]
-            _remove_part(low, omega)
-        _remove_part(y1, omega)
-        _remove_part(y2, omega)
+            series._times_one_minus_into(low, omega)
+        series._times_one_minus_into(y1, omega)
+        series._times_one_minus_into(y2, omega)
         for m in range(omega, top + 1):  # count parts of size omega in mu
             y2[m] += y2[m - omega] + 2 * y1[m - omega] + y0[m - omega]
             y1[m] += y1[m - omega] + y0[m - omega]
@@ -219,15 +207,15 @@ def _odd_smallest_parts(top: int) -> list[tuple[int, ...]]:
     parts; R_(s+1) is R_s without s + 1, with 2s + 1."""
     rest = [1] + [0] * top
     for part in range(2, top + 1, 2):
-        _add_part(rest, part)
+        series._over_one_minus_into(rest, part)
     columns = [[0] * (top + 1)]  # indexed by s, then by m
     for s in range(1, top + 1):
         column = [0] * s + rest[: top + 1 - s]
-        _add_part(column, s)
-        _add_part(column, s)
+        series._over_one_minus_into(column, s)
+        series._over_one_minus_into(column, s)
         columns.append(column)
-        _remove_part(rest, s + 1)
-        _add_part(rest, 2 * s + 1)
+        series._times_one_minus_into(rest, s + 1)
+        series._over_one_minus_into(rest, 2 * s + 1)
     return [tuple(column[m] for column in columns[: m + 1]) for m in range(top + 1)]
 
 

@@ -8,6 +8,7 @@ which is the largest truncation both operands actually know.  The product
 sides at the end serve ``compute`` every named sequence without ``identities``.
 """
 
+import itertools
 import math
 import operator
 
@@ -36,6 +37,21 @@ class _FrozenSlots:
 
     def __reduce__(self):  # copy and pickle: rebuild through __init__
         return self.__class__, self._fields()
+
+
+def _times_one_minus_into(c: list, m: int) -> None:
+    """Multiply the coefficient list ``c`` by (1 - q^m) in place, m >= 1."""
+    c[m:] = map(operator.sub, c[m:], c)
+
+
+def _over_one_minus_into(c: list, m: int) -> None:
+    """Divide ``c`` by (1 - q^m) in place: per residue mod m, or by blocks of m."""
+    if m * m < len(c):  # residue classes longer than m: one running sum each
+        for r in range(m):
+            c[r::m] = itertools.accumulate(c[r::m])
+    else:  # few short classes: add the block of m below, one block at a time
+        for i in range(m, len(c), m):
+            c[i:i + m] = map(operator.add, c[i:i + m], c[i - m:i])
 
 
 class TruncatedSeries(_FrozenSlots):
@@ -205,17 +221,17 @@ class TruncatedSeries(_FrozenSlots):
         """Multiply by (1 - q^exp)."""
         if exp < 1:
             raise ValueError("exponent must be >= 1")
-        c = self.coeffs
-        return TruncatedSeries(c[:exp] + tuple(map(operator.sub, c[exp:], c)))
+        c = list(self.coeffs)
+        _times_one_minus_into(c, exp)
+        return TruncatedSeries(c)
 
     def divided_by_one_minus(self, exp: int) -> "TruncatedSeries":
         """Divide by (1 - q^exp), i.e. multiply by 1 + q^exp + q^(2 exp) + ..."""
         if exp < 1:
             raise ValueError("exponent must be >= 1")
         c = list(self.coeffs)
-        for k in range(exp, self.order + 1):
-            c[k] += c[k - exp]
-        return TruncatedSeries(tuple(c))
+        _over_one_minus_into(c, exp)
+        return TruncatedSeries(c)
 
 
 # ----------------------------------------------------------------------

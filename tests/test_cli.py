@@ -557,7 +557,7 @@ COMPUTE_DIGESTS = {  # --format csv over COMPUTE_RANGES, else --lo 1 --hi 400
 }
 COMPUTE_RANGES = {"p": (0, 1500), "sigma": (0, 5000), "t4": (0, 600)}
 LISTING_DIGESTS = {
-    "list": "d53a46772678447aa0a5caec2f7e19803bc0a61bb38ba9c094656c8ce885adea",
+    "list": "ef4fca2e6a44a30d3ea8547de14d8dea9d90e6393f98445d1d9aa56a5637f3cd",
     "examples": "4cdbc3374d140280c0495e13747c91fac23fe514088cae777c5761d321cf28f8",
 }
 

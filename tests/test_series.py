@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from sptq import partitions
 from sptq.series import (
     TruncatedSeries,
+    _over_one_minus_into,
+    _times_one_minus_into,
     geom_sq,
     lambert_sigma,
     monomial,
@@ -336,6 +338,38 @@ def test_one_minus_round_trip():
     assert s.times_one_minus(3).divided_by_one_minus(3) == s
 
 
+def scalar_times_one_minus(c, m):
+    # reference loop for (1 - q^m): each coefficient less the one m below it
+    return [c[k] - (c[k - m] if k >= m else 0) for k in range(len(c))]
+
+
+def scalar_over_one_minus(c, m):
+    # reference loop for 1/(1 - q^m): one coefficient at a time, bottom up
+    out = list(c)
+    for k in range(m, len(out)):
+        out[k] += out[k - m]
+    return out
+
+
+# (length, m) around the kernel's size rule: running sums per residue class
+# while m*m < length, blocks of m at m*m = length and above, no-op at m >= length
+KERNEL_SIZES = [(m * m + d, m) for m in (1, 2, 3, 5, 8) for d in (-1, 0, 1)
+                if m * m + d >= 1] + [(1, 1), (1, 4), (6, 6), (6, 7), (6, 40)]
+
+
+@pytest.mark.parametrize("length, m", KERNEL_SIZES)
+def test_one_minus_kernels_match_the_scalar_loops(length, m):
+    c = [(k * 37 % 19 - 9) * 2**64 + k for k in range(length)]
+    up, down = list(c), list(c)
+    _times_one_minus_into(up, m)
+    _over_one_minus_into(down, m)
+    assert up == scalar_times_one_minus(c, m)
+    assert down == scalar_over_one_minus(c, m)
+    _over_one_minus_into(up, m)
+    _times_one_minus_into(down, m)
+    assert up == down == c
+
+
 # ----------------------------------------------------------------------
 # pentagonal-number pattern of (q;q)_inf
 # ----------------------------------------------------------------------
@@ -460,6 +494,21 @@ def test_add_and_sub_are_indexwise_at_the_smaller_order(a, b):
 def test_times_one_minus_is_a_one_factor_product(x, data):
     e = data.draw(st.integers(1, x.order + 2))
     assert x.times_one_minus(e) == x * qpoch_fin(e, 1, 1, x.order)
+
+
+# up to 80 coefficients: residue classes mod e long enough for the kernel's
+# running-sum branch, short enough for its block branch, and e > order, a no-op
+# (the length is drawn first, since hypothesis keeps most lists short)
+long_wide_series_st = st.integers(1, 80).flatmap(
+    lambda n: st.lists(wide_coeff_st, min_size=n, max_size=n)
+).map(lambda c: TruncatedSeries(tuple(c)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_wide_series_st, st.data())
+def test_divided_by_one_minus_is_a_one_factor_quotient(x, data):
+    e = data.draw(st.integers(1, x.order + 2))
+    assert x.divided_by_one_minus(e) == x / qpoch_fin(e, 1, 1, x.order)
 
 
 @settings(max_examples=200, deadline=None)
