@@ -6,23 +6,22 @@ the rank and crank second moments are even (negation symmetry of the rank
 and crank multisets, asserted by the partition tests).
 
 The left sides are sums of q-Pochhammer quotients, each summed by Horner's
-rule from its last term down, in one right-sized list, and memoized on its
-own, so a check builds only the sums it reads.  The right sides are
-product forms, some read through the ``series`` module, which serves them
-to ``compute`` (eq1 and gf_note cross its spt and spt_o tables); those of
-eqs. (2)/(3) take N2 from one listing, of the partitions of ENUM_CAP, and
-M2 from one pass that counts the crank moments of every n, so each check
-crosses two representations.  Per-n statistics
-stop at desk scale whatever the request: eq2, eq3, eq13, eq14, m2_is_2np
-and spt_half_diff run at a capped order and report it; eq1 and thm2-thm4
-report the requested order and cap only their per-n half, at ENUM_CAP or
-ENUM_CAP // 2.  One rule decides every mismatch, ``_sequence_mismatches``:
-two ints differ or, given a modulus, are incongruent modulo it.
+rule from its last term down, in one right-sized list, and kept in the
+``series._quotient`` memo, so a check builds only the sums it reads.  The
+right sides are product forms, some read through the ``series`` module, which
+serves them to ``compute`` (eq1-eq3 and gf_note cross its spt table and the
+three of spt_o); those of eqs. (2)/(3) take N2 from one listing, of the
+partitions of ENUM_CAP, and M2 from one pass that counts the crank moments of
+every n, so each check crosses two representations.  Per-n statistics stop at
+desk scale whatever the request: eq13, eq14, m2_is_2np and spt_half_diff run
+at a capped order and report it; eq1-eq3 and thm2-thm4 report the requested
+order and cap only their per-n half, at 2 ENUM_CAP, ENUM_CAP or half of it.
+One rule decides every mismatch, ``_sequence_mismatches``: two ints differ
+or, given a modulus, are incongruent modulo it.
 """
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from . import partitions, series
@@ -64,7 +63,7 @@ class IdentityReport:
 class IdentityCheck:
     """A named lhs/rhs builder pair; ``run(order)`` returns the order it
     reports plus every mismatch found: the capped order, or the requested
-    one for eq1 and thm2-thm4, whose per-n half is capped on its own."""
+    one for eq1-eq3 and thm2-thm4, whose per-n half is capped on its own."""
 
     id: str
     description: str
@@ -117,6 +116,8 @@ def _horner_sum(order: int, exponent: Callable, odd: bool) -> TruncatedSeries:
     exponent(n)) K_(n+1), over (1-q^(2n-1)) for T; the sum is q^exponent(1) K_1.
     Each K_n is one list of order - exponent(n) + 1 coefficients, updated in
     place.  ``exponent`` must be nondecreasing and >= n, else ValueError."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
     exponents = [0]
     while exponents[-1] <= order:
         n, e = len(exponents), exponent(len(exponents))
@@ -133,30 +134,19 @@ def _horner_sum(order: int, exponent: Callable, odd: bool) -> TruncatedSeries:
     return TruncatedSeries((0,) * (order + 1 - len(k)) + tuple(k))
 
 
-@lru_cache(maxsize=None)
-def _left_side(order: int, pair: "BaileyPair | None", step: int) -> TruncatedSeries:
-    """One left side, memoized by what it builds: the eq. (12) Horner sum
-    q^(n + beta_exponent(n)) T_n of ``pair``, or the sum q^n U_n when
-    ``pair`` is None, over (q^step;q^step)_inf unless ``step`` is 0.  A pair
-    keys by its label and exponents, so an equal copy shares its entry; a
-    quotient reads the step-0 entry, so eq. (2) and eq. (12) share a sum."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if step:
-        return _left_side(order, pair, 0) / series.qpoch_inf(step, step, order)
-    if pair is None:
-        return _horner_sum(order, lambda n: n, odd=False)
-    return _horner_sum(order, pair.summand_exponent, odd=True)
+def _u_sum(order: int) -> TruncatedSeries:
+    """sum_{n>=1} q^n U_n, U_n = (q;q)_(n-1)/(1-q^n): the eq. (1) numerator."""
+    return _horner_sum(order, lambda n: n, odd=False)
 
 
 def lhs_eq2(order: int) -> TruncatedSeries:
     """Generating series of spt_o_plus as a sum of Pochhammer quotients."""
-    return _left_side(order, _BAILEY_PAIRS["C1"], 2)
+    return series._quotient(order, _BAILEY_PAIRS["C1"], 2)
 
 
 def lhs_eq3(order: int) -> TruncatedSeries:
     """Generating series of spt_o_minus (triangular-companion weights)."""
-    return _left_side(order, _BAILEY_PAIRS["C5"], 2)
+    return series._quotient(order, _BAILEY_PAIRS["C5"], 2)
 
 
 def lhs_gf_note(order: int) -> TruncatedSeries:
@@ -168,7 +158,7 @@ def lhs_gf_note(order: int) -> TruncatedSeries:
 def lhs_eq1(order: int) -> TruncatedSeries:
     """Generating series of spt: [sum_n q^n (q;q)_(n-1)/(1-q^n)]/(q;q)_inf
     (Andrews 2008), one Horner sum over U_n and one sparse division."""
-    return _left_side(order, None, 1)
+    return series._quotient(order, _u_sum, 1)
 
 
 # ----------------------------------------------------------------------
@@ -245,6 +235,10 @@ class BaileyPair:
     alpha_exponent: Callable[[int], int]
     beta_exponent: Callable[[int], int]
 
+    def __call__(self, order: int) -> TruncatedSeries:
+        """The eq. (12) Horner sum, a ``series._quotient`` numerator keyed by value."""
+        return _horner_sum(order, self.summand_exponent, odd=True)
+
     def summand_exponent(self, n: int) -> int:
         """The eq. (12) summand (q;q)_(n-1)^2 beta_n q^n is q^(this) T_n."""
         return n + self.beta_exponent(n)
@@ -301,7 +295,7 @@ def check_bailey_relation(pair: BaileyPair, n_max: int, order: int) -> list[Mism
 def eq12_lhs(pair: BaileyPair, order: int) -> TruncatedSeries:
     """sum_{n>=1} (q;q)_{n-1}^2 beta_n q^n = sum q^(n + beta_exponent(n)) T_n,
     T_n = (q;q)_{n-1} / ((1-q^n) (q;q^2)_n), memoized by the pair."""
-    return _left_side(order, pair, 0)
+    return series._quotient(order, pair, 0)
 
 
 def eq12_rhs(pair: BaileyPair, order: int) -> TruncatedSeries:
@@ -403,18 +397,20 @@ def _run_eq1(order):
 @_check("eq2", "series-equality",
         "doubled spt_o_plus gf: 2*sum q^n (q^(2n+1);q^2)_inf/((1-q^n)^2 "
         "(q^(n+1);q)_inf) vs 2*Lambert/(q^2;q^2)_inf - sum N2(n) q^(2n) "
-        f"(order capped at {2 * ENUM_CAP}: N2 is enumerated)")
+        f"to order {2 * ENUM_CAP} (N2 enumerated), undoubled vs the spt_o_plus table")
 def _run_eq2(order):
     used = min(order, 2 * ENUM_CAP)
-    return used, _series_mismatches(2 * lhs_eq2(used), rhs_eq2_doubled(used))
+    table = _series_mismatches(lhs_eq2(order), series._spt_o_plus_series(order))
+    return order, _series_mismatches(2 * lhs_eq2(used), rhs_eq2_doubled(used)) + table
 
 
 @_check("eq3", "series-equality",
         "doubled spt_o_minus gf: numerators q^(n(n+1)/2), crank moments "
-        f"M2(n) q^(2n) (order capped at {2 * ENUM_CAP}: M2 is counted per n)")
+        f"M2(n) q^(2n) to order {2 * ENUM_CAP}, undoubled vs the spt_o_minus table")
 def _run_eq3(order):
     used = min(order, 2 * ENUM_CAP)
-    return used, _series_mismatches(2 * lhs_eq3(used), rhs_eq3_doubled(used))
+    table = _series_mismatches(lhs_eq3(order), series._spt_o_minus_series(order))
+    return order, _series_mismatches(2 * lhs_eq3(used), rhs_eq3_doubled(used)) + table
 
 
 @_check("gf_note", "series-equality",

@@ -40,6 +40,7 @@ from . import series
 
 Partition = tuple[int, ...]
 ENUM_CAP = 30  # the per-size statistics of every n <= ENUM_CAP come from one listing
+STATISTICS_CAP = 70  # _tables(70) lists p(70) = 4,087,968 partitions; p(n + 10) ~ 4 p(n)
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
@@ -247,9 +248,9 @@ def _tables(top: int) -> tuple:
 def _statistics(n: int) -> tuple[int, int, int, tuple[int, ...]]:
     """spt(n), N2(n), the bare crank moment of n (1 at n = 1) and, indexed by
     smallest part, the odd-condition smallest-part counts, read off the
-    tables of max(n, ENUM_CAP)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    tables of max(n, ENUM_CAP); ValueError at once past STATISTICS_CAP."""
+    if not 1 <= n <= STATISTICS_CAP:
+        raise ValueError(f"n must be >= 1 and <= STATISTICS_CAP = {STATISTICS_CAP}")
     return _tables(max(n, ENUM_CAP))[n]
 
 

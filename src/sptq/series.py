@@ -11,6 +11,7 @@ sides at the end serve ``compute`` every named sequence without ``identities``.
 import itertools
 import math
 import operator
+from functools import lru_cache
 
 
 class _FrozenSlots:
@@ -314,10 +315,20 @@ def geom_sq(part: int, order: int) -> TruncatedSeries:
     return ramp.stretched(part).truncate(order)
 
 
+@lru_cache(maxsize=None)
+def _quotient(order: int, numerator, step: int) -> TruncatedSeries:
+    """numerator(order) at step 0, else its quotient by (q^step;q^step)_inf,
+    one sparse division of the step-0 entry: the library's one memo of
+    series, keyed by what it builds, so each numerator must hash by value."""
+    if not step:
+        return numerator(order)
+    return _quotient(order, numerator, 0) / qpoch_inf(step, step, order)
+
+
 def _p_series(order: int) -> TruncatedSeries:
     """sum p(n) q^n = 1/qpoch_inf(1, 1, order), one sparse division by Euler's
     series, so the pentagonal recurrence of ``partitions.p`` stays independent."""
-    return one(order) / qpoch_inf(1, 1, order)
+    return _quotient(order, one, 1)
 
 
 def _psi_series(order: int) -> TruncatedSeries:
@@ -343,14 +354,9 @@ def _theta_correction(order: int) -> TruncatedSeries:
     return total
 
 
-def _theta_quotient(order: int) -> TruncatedSeries:
-    """theta correction / (q;q)_inf, one sparse division: -N2(n)/2 at q^n."""
-    return _theta_correction(order) / qpoch_inf(1, 1, order)
-
-
 def _n2_series(order: int) -> TruncatedSeries:
     """-2 * theta correction / (q;q)_inf: the rank moment N2(n) at q^n."""
-    return -2 * _theta_quotient(order)
+    return -2 * _quotient(order, _theta_correction, 1)
 
 
 def _np_series(order: int) -> TruncatedSeries:
@@ -365,19 +371,19 @@ def _m2_series(order: int) -> TruncatedSeries:
 
 def _spt_series(order: int) -> TruncatedSeries:
     """sum n p(n) q^n + theta/(q;q)_inf: spt(n) = n p(n) - N2(n)/2 (Andrews 2008)."""
-    return _np_series(order) + _theta_quotient(order)
+    return _np_series(order) + _quotient(order, _theta_correction, 1)
 
 
 def _spt_o_plus_series(order: int) -> TruncatedSeries:
     """Lambert/(q^2;q^2)_inf - N2(n)/2 at q^(2n): spt_o_plus by eq. (2)."""
-    moments = _theta_quotient(order // 2).stretched(2).truncate(order)
-    return lambert_sigma(order) / qpoch_inf(2, 2, order) + moments
+    moments = _quotient(order // 2, _theta_correction, 1).stretched(2).truncate(order)
+    return _quotient(order, lambert_sigma, 2) + moments
 
 
 def _spt_o_minus_series(order: int) -> TruncatedSeries:
     """Lambert/(q^2;q^2)_inf - M2(n)/2 at q^(2n): spt_o_minus by eq. (3)."""
     moments = _np_series(order // 2).stretched(2).truncate(order)
-    return lambert_sigma(order) / qpoch_inf(2, 2, order) - moments
+    return _quotient(order, lambert_sigma, 2) - moments
 
 
 def _spt_o_series(order: int) -> TruncatedSeries:

@@ -540,9 +540,9 @@ def test_verify_exit_code_one_on_failed_check(monkeypatch, capsys):
 VERIFY_ALL_DIGESTS = {  # JSON with every elapsed_ms removed, indent 2
     1: "3302bab5ffb5494fa9c949eb3bfda9bccd73a44c28aec4ef90b52b0841d92754",
     12: "8b094d737e0449b4b4e214d16b30b0c56ea2c37a81e82533337add2c86c37002",
-    61: "92ad4f09ce03fe12509f4b427e516baa4805842b6755810bbc3b2b8d8071db75",
-    200: "db95d4b165af282bcb7d1c75afdf23753e011755280bbef0953a107c0ec44e8e",
-    480: "a785c3d2770ecf10572c7199a97b8a58fe01e0a56c00013aca5bb118aa6ffae3",
+    61: "eb0a6124bd674d6b0e87f28e3ec616cfdf7587360ab2e22621c5508814d545d5",
+    200: "5b324d0fca7f921c6cd358fff33194e2f2d455c81ca42f1fcb28bf04c43ad605",
+    480: "d23b38722441daedcc54af55465aae94d31ca339b28bb80a460e18bc10d5a0e8",
 }
 COMPUTE_DIGESTS = {  # --format csv over COMPUTE_RANGES, else --lo 1 --hi 400
     "spt": "2ecaaf765ad45f141cc8ccd478418796dd61c2a6298082c225f0101a380c8c15",
@@ -557,7 +557,7 @@ COMPUTE_DIGESTS = {  # --format csv over COMPUTE_RANGES, else --lo 1 --hi 400
 }
 COMPUTE_RANGES = {"p": (0, 1500), "sigma": (0, 5000), "t4": (0, 600)}
 LISTING_DIGESTS = {
-    "list": "ef4fca2e6a44a30d3ea8547de14d8dea9d90e6393f98445d1d9aa56a5637f3cd",
+    "list": "e0532eb8fc1cb41bf6efe5ea4f0ba53b6c39bdf88ed6d44ff36f6825538cca68",
     "examples": "4cdbc3374d140280c0495e13747c91fac23fe514088cae777c5761d321cf28f8",
 }
 

@@ -155,13 +155,15 @@ FAULTS = {
                       "gf_note", "termwise_eq2", "thm2", "thm3", "thm4"}),
     # the same T_5 in the walk alone, which no other check reads
     "walk5_q40": (_summand_fault(5, 40, sums=False), {"termwise_eq2"}),
-    "summand70_q151": (_summand_fault(70, 151), {"eq12_c1", "gf_note", "thm5"}),
+    "summand70_q151": (_summand_fault(70, 151), {"eq12_c1", "eq2", "gf_note", "thm5"}),
     "summand70_q148": (_summand_fault(70, 148),
-                       {"cong5", "cong7", "cong13", "eq12_c1", "gf_note", "thm2"}),
+                       {"cong5", "cong7", "cong13", "eq12_c1", "eq2", "gf_note",
+                        "thm2"}),
     "summand70_q150": (_summand_fault(70, 150),
-                       {"cong7", "cong13", "eq12_c1", "gf_note", "thm2"}),
+                       {"cong7", "cong13", "eq12_c1", "eq2", "gf_note", "thm2"}),
     "summand70_q142": (_summand_fault(70, 142),
-                       {"cong5", "cong7", "cong13", "eq12_c1", "gf_note", "thm2"}),
+                       {"cong5", "cong7", "cong13", "eq12_c1", "eq2", "gf_note",
+                        "thm2"}),
     "theta_q150": (_builder_fault("_theta_correction", 150), {"eq1"}),
     "c1_alpha_m2": (_bailey_fault("C1", "alpha_exponent", 2),
                     {"bailey_c1", "eq12_c1"}),
@@ -206,35 +208,41 @@ BUILDER_FAULTS = {
     "_m2_series": ({"eq1"}, {"eq1"}, {"eq1"}),
     "_t4_series": ({"legendre_t4"}, {"legendre_t4"}, {"legendre_t4"}),
     "rhs_eq23": ({"eq23"}, {"eq23"}, {"eq23"}),
-    "_p_series": ({"eq1", "eq23", "gf_note"}, {"eq1", "gf_note"}, {"eq1"}),
+    # eq2 and eq3 cross the spt_o_plus and spt_o_minus tables at full order,
+    # and those read theta/(q;q)_inf and n p(n) at half of it, not at q^151
+    "_p_series": ({"eq1", "eq23", "eq3", "gf_note"}, {"eq1", "eq3", "gf_note"},
+                  {"eq1"}),
     # psi(q) enters termwise_eq2's P_0 = (q^2;q^2)_inf^2/psi(q)/(q;q)_inf
     "_psi_series": ({"eq23", "legendre_t4", "termwise_eq2"},
                     {"eq23", "legendre_t4", "termwise_eq2"},
                     {"legendre_t4", "termwise_eq2"}),
     "lambert_sigma": ({"eq12_c1", "eq12_c5", "eq13", "eq2", "eq3"},
-                      {"eq12_c1", "eq12_c5"}, {"eq12_c1", "eq12_c5"}),
-    "_theta_correction": ({"eq1", "gf_note"}, {"eq1", "gf_note"}, {"eq1"}),
+                      {"eq12_c1", "eq12_c5", "eq2", "eq3"},
+                      {"eq12_c1", "eq12_c5", "eq2", "eq3"}),
+    "_theta_correction": ({"eq1", "eq2", "gf_note"}, {"eq1", "eq2", "gf_note"},
+                          {"eq1"}),
     # the tables compute serves: spt_o is spt(n) at q^(2n), built from
     # _spt_series at half the order, so q^151 of spt reaches eq1 alone
     "_spt_series": ({"eq1", "gf_note"}, {"eq1", "gf_note"}, {"eq1"}),
     "_spt_o_series": ({"gf_note"}, {"gf_note"}, {"gf_note"}),
-    "_spt_o_plus_series": (set(), set(), set()),
-    "_spt_o_minus_series": (set(), set(), set()),
+    "_spt_o_plus_series": ({"eq2"}, {"eq2"}, {"eq2"}),
+    "_spt_o_minus_series": ({"eq3"}, {"eq3"}, {"eq3"}),
 }
 # the same three exponents in the products (q;q)_inf (Euler's series, the
 # eq. (1) quotient) and (q^2;q^2)_inf (the eq. (2)/(3) quotient and Lambert
 # denominator), both also in termwise_eq2's P_0
 PRODUCT_FAULTS = {
-    "euler_series": ((1, 1), ({"eq1", "eq23", "gf_note", "termwise_eq2", "thm2"},
-                              {"eq1", "gf_note", "termwise_eq2", "thm2"},
+    "euler_series": ((1, 1), ({"eq1", "eq2", "eq23", "eq3", "gf_note", "termwise_eq2",
+                               "thm2"},
+                              {"eq1", "eq3", "gf_note", "termwise_eq2", "thm2"},
                               {"eq1", "termwise_eq2"})),
     "even_euler_series": ((2, 2), ({"cong5", "cong7", "cong13", "eq13", "eq2",
                                     "eq23", "eq3", "gf_note", "termwise_eq2",
                                     "thm2", "thm3", "thm4", "thm5"},
-                                   {"eq23", "gf_note", "termwise_eq2", "thm2",
-                                    "thm4", "thm5"},
-                                   {"eq23", "gf_note", "termwise_eq2", "thm4",
-                                    "thm5"})),
+                                   {"eq2", "eq23", "eq3", "gf_note", "termwise_eq2",
+                                    "thm2", "thm4", "thm5"},
+                                   {"eq2", "eq23", "eq3", "gf_note", "termwise_eq2",
+                                    "thm4", "thm5"})),
 }
 FAULTS.update(
     (f"{name}_q{e}", (_product_fault(*product, e), caught))
@@ -265,12 +273,14 @@ FAULTS.update(
 
 @pytest.fixture
 def cold_identities():
-    """Empty the per-order memos of ``identities`` before and after the test.
-    The per-size partition walk stays warm from row to row: no fault here
-    changes what its memo holds (the ``statistics_*`` rows bump a copy of a
-    memoized value on its way out), and rebuilding it would be 40 % of each
-    row."""
-    memos = [obj for obj in vars(I).values() if hasattr(obj, "cache_info")]
+    """Empty the per-order memos of ``series`` and ``identities`` before and
+    after the test, so no series built under one row's fault reaches the
+    next.  The per-size partition walk stays warm from row to row: no fault
+    here changes what its memo holds (the ``statistics_*`` rows bump a copy
+    of a memoized value on its way out), and rebuilding it would be 40 % of
+    each row."""
+    memos = [obj for module in (S, I) for obj in vars(module).values()
+             if hasattr(obj, "cache_info")]
     for memo in memos:
         memo.cache_clear()
     yield
@@ -291,28 +301,21 @@ def test_every_check_catches_some_fault():
     assert set(I.REGISTRY) - caught == set()
 
 
-# the compute tables that no check reads at q^151, each with the reason
-UNCROSSED_TABLES = {
-    name: "eq2 and eq3, the checks on this series, stop at order 60, where "
-          "N2 and M2 are enumerated, and no check reads this table above it"
-    for name in ("_spt_o_plus_series", "_spt_o_minus_series")
-}
-
-
 def test_every_compute_table_is_crossed_at_full_order():
     # a bump at q^151 of each table partitions.sequence serves fails some
     # check at order 200, so no table can land that verify does not read
     builders = {builder for builder, _ in P._SEQUENCES.values()}
     crossed = {name for name, sets in BUILDER_FAULTS.items() if sets[-1]}
-    assert builders - crossed == set(UNCROSSED_TABLES)
+    assert builders - crossed == set()
 
 
 @pytest.mark.parametrize("fault", [None, "summand5_q40"], ids=["clean", "summand5_q40"])
 @pytest.mark.parametrize("order", [61, 200])
 def test_a_check_run_alone_reports_as_in_verify_all(order, fault, cold_memos, monkeypatch):
-    # the left-side memo holds one entry per (order, sum), shared by the
+    # the quotient memo holds one entry per (order, sum), shared by the
     # checks of one verify_all; each check run alone with every memo cold
-    # must report the same, passing or failing (at 61, eq2 and eq3 run at 60)
+    # must report the same, passing or failing (at 61, eq2 and eq3 run their
+    # N2/M2 half at 60)
     if fault:
         FAULTS[fault][0](monkeypatch)
 

@@ -515,7 +515,9 @@ def test_verify_all_makes_one_horner_pass_per_order_and_sum(
 
 
 # the Horner sums each check reads, run alone at order 200: lhs_eq2 reads C1,
-# lhs_eq3 C5, lhs_gf_note both, lhs_eq1 U; eq2 and eq3 run capped at 60
+# lhs_eq3 C5, lhs_gf_note both, lhs_eq1 U; eq2 and eq3 read their sum at 60
+# too, for the half capped where N2 and M2 are enumerated
+CAPPED_SUMS = {"eq2": [(60, "C1")], "eq3": [(60, "C5")]}
 SUMS_READ = {
     "eq1": {"U"}, "eq2": {"C1"}, "eq3": {"C5"}, "gf_note": {"C1", "C5"},
     "thm2": {"C1", "C5", "U"}, "thm3": {"C1"}, "thm4": {"C5"}, "thm5": {"C1", "C5"},
@@ -532,7 +534,8 @@ def test_a_check_run_alone_builds_only_the_sums_it_reads(
         check_id, cold_memos, horner_passes):
     report = I.verify(check_id, 200)
     assert report.status == "pass"
-    assert horner_passes == Counter((report.order, name) for name in SUMS_READ[check_id])
+    want = [(report.order, name) for name in SUMS_READ[check_id]]
+    assert horner_passes == Counter(want + CAPPED_SUMS.get(check_id, []))
 
 
 def test_termwise_catches_a_wrong_beta_exponent(cold_memos, monkeypatch):
@@ -721,13 +724,14 @@ def _bump_odd_count(n_bad, smallest):
 FAILING_REPORTS = {
     # lhs_gf_note is lhs_eq2 - lhs_eq3, read through this module, so a bump
     # in either reaches gf_note and the congruence at that exponent; thm2
-    # reads the even part of lhs_gf_note
+    # reads the even part of lhs_gf_note; eq2 and eq3 report it twice, doubled
+    # against the right side, then against the compute table
     "lhs_eq2_q8": (_bump_builder("lhs_eq2", 8), {
-        "eq2": [(8, 82, 80)], "gf_note": [(8, 11, 10)], "cong5": [(8, 1, 0)],
-        "thm2": [(4, 11, 10)], "thm3": [(4, 41, 10)]}),
+        "eq2": [(8, 82, 80), (8, 41, 40)], "gf_note": [(8, 11, 10)],
+        "cong5": [(8, 1, 0)], "thm2": [(4, 11, 10)], "thm3": [(4, 41, 10)]}),
     "lhs_eq3_q10": (_bump_builder("lhs_eq3", 10), {
-        "eq3": [(10, 118, 116)], "gf_note": [(10, 13, 14)], "cong7": [(10, 6, 0)],
-        "thm2": [(5, 13, 14)], "thm4": [(5, 59, 0)]}),
+        "eq3": [(10, 118, 116), (10, 59, 58)], "gf_note": [(10, 13, 14)],
+        "cong7": [(10, 6, 0)], "thm2": [(5, 13, 14)], "thm4": [(5, 59, 0)]}),
     "lhs_gf_note_q18": (_bump_builder("lhs_gf_note", 18), {
         "gf_note": [(18, 81, 80)], "cong5": [(18, 1, 0)], "thm2": [(9, 81, 80)]}),
     "statistics_n12_odd_s4": (_bump_odd_count(12, 4), {
@@ -748,7 +752,7 @@ def test_failing_reports_keep_their_values(fault, cold_memos, monkeypatch):
         if r.status == "fail"
     }
     assert got == want
-    assert reports["eq2"].order == 60
+    assert reports["eq2"].order == 120
 
 
 def test_bailey_relation_reports_the_first_differing_coefficients():
@@ -773,9 +777,8 @@ def test_verify_bad_order():
 
 
 @pytest.mark.parametrize("build", [
-    lambda order: I._left_side(order, C1, 0), I.rhs_eq1_doubled,
-    I.rhs_eq2_doubled, I.rhs_eq3_doubled, I.rhs_eq23,
-], ids=["_left_side", "rhs_eq1_doubled", "rhs_eq2_doubled", "rhs_eq3_doubled",
+    I._u_sum, C1, I.rhs_eq1_doubled, I.rhs_eq2_doubled, I.rhs_eq3_doubled, I.rhs_eq23,
+], ids=["_u_sum", "C1", "rhs_eq1_doubled", "rhs_eq2_doubled", "rhs_eq3_doubled",
         "rhs_eq23"])
 def test_builders_reject_order_zero(build):
     # verify rejects such an order before any builder runs, so only a
@@ -829,8 +832,7 @@ def test_verify_caps_enumeration_backed_checks():
 
 
 @pytest.mark.parametrize("check_id, cap", [
-    ("eq2", 60), ("eq3", 60), ("eq13", 30), ("eq14", 15), ("m2_is_2np", 30),
-    ("spt_half_diff", 30)])
+    ("eq13", 30), ("eq14", 15), ("m2_is_2np", 30), ("spt_half_diff", 30)])
 def test_capped_check_run_alone_stays_at_desk_scale(check_id, cap, cold_memos,
                                                      monkeypatch):
     # at the CLI ceiling, with no other check to warm a memo, a capped check

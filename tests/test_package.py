@@ -66,11 +66,21 @@ def test_each_library_function_is_bound_in_one_module():
     assert rebound == []
 
 
-def test_memo_inventory_is_one_memo_per_layer(cold_memos):
-    # the per-size tables of ``partitions`` and the left-side sums that
-    # several checks share, one entry per (order, sum); every other result
-    # is rebuilt on request
-    assert sorted(memo.__name__ for memo in cold_memos) == ["_left_side", "_tables"]
+def test_memo_inventory_is_the_quotient_memo_and_the_partition_tables(cold_memos):
+    # the per-size tables of ``partitions`` and the quotients that several
+    # checks and tables share, one entry per (order, numerator, step); every
+    # other result is rebuilt on request
+    assert sorted(memo.__name__ for memo in cold_memos) == ["_quotient", "_tables"]
+
+
+def test_cold_memos_clears_every_memo_of_the_library(cold_memos):
+    # a memo the fixture missed would carry series from one test (or one
+    # planted fault) into the next, so it scans every module that could hold one
+    from sptq import cli, identities, partitions, series
+
+    memos = [obj for module in (series, partitions, identities, cli)
+             for obj in vars(module).values() if hasattr(obj, "cache_info")]
+    assert sorted(map(id, memos)) == sorted(map(id, cold_memos))
 
 
 def test_version_matches_pyproject():

@@ -316,6 +316,20 @@ def test_no_check_tests_partitions_one_at_a_time(cold_memos, monkeypatch):
     assert {r.status for r in verify_all(80)} == {"pass"}
 
 
+@pytest.mark.parametrize("statistic", [P.spt, P.n2, P.m2, P.spt_o_minus],
+                         ids=["spt", "n2", "m2", "spt_o_minus"])
+def test_statistics_past_the_ceiling_raise_before_listing(statistic, cold_memos,
+                                                          monkeypatch):
+    # spt(150) would list the 4 x 10^10 partitions of 150, for about 18 h:
+    # past STATISTICS_CAP each per-n statistic refuses before any listing
+    def unreachable(n):
+        raise AssertionError(f"listed the partitions of {n}")
+
+    monkeypatch.setattr(P, "enumerate_partitions", unreachable)
+    with pytest.raises(ValueError, match="STATISTICS_CAP = 70"):
+        statistic(P.STATISTICS_CAP + 1)
+
+
 def test_enumerated_statistics_walk_each_size_once(cold_memos, monkeypatch):
     walked = Counter()
     enumerate_partitions = P.enumerate_partitions
