@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__, partitions  # identities only where a command needs it
 
 # largest verify --order and compute --hi: every route is polynomial, but grows
-# about x4 per doubling (verify --all: 1.7-2.2 s at order 4000, 9.4-10.4 s at
+# about x4 per doubling (verify --all: 1.9-2.5 s at order 4000, 7.9-10.5 s at
 # 10 000, on a shared 2-vCPU machine), so far past this a run takes hours
 MAX_ORDER = 10_000
 

@@ -12,16 +12,21 @@ right sides are product forms, some read through the ``series`` module, which
 serves them to ``compute`` (eq1-eq3 and gf_note cross its spt table and the
 three of spt_o); those of eqs. (2)/(3) take N2 from one listing, of the
 partitions of ENUM_CAP, and M2 from one pass that counts the crank moments of
-every n, so each check crosses two representations.  Per-n statistics stop at
-desk scale whatever the request: eq13, eq14, m2_is_2np and spt_half_diff run
-at a capped order and report it; eq1-eq3 and thm2-thm4 report the requested
-order and cap only their per-n half, at 2 ENUM_CAP, ENUM_CAP or half of it.
-One rule decides every mismatch, ``_sequence_mismatches``: two ints differ
-or, given a modulus, are incongruent modulo it.
+every n, so each check crosses two representations.
+
+Each check yields its parts: an order and two thunks building the series it
+compares to that order, or one thunk listing a composite's mismatches.  One
+runner applies the one rule, ``_series_mismatches``: two coefficients differ
+or, given a modulus, are incongruent modulo it.  Per-n statistics stop at
+desk scale whatever the request: eq13, eq14, m2_is_2np and spt_half_diff
+declare a cap, at which they run and which they report; eq1-eq3 and thm2-thm4
+report the requested order and cap only their per-n parts, at 2 ENUM_CAP,
+ENUM_CAP or half of it.
 """
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
 from . import partitions, series
@@ -61,9 +66,9 @@ class IdentityReport:
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """A named lhs/rhs builder pair; ``run(order)`` returns the order it
-    reports plus every mismatch found: the capped order, or the requested
-    one for eq1-eq3 and thm2-thm4, whose per-n half is capped on its own."""
+    """A registered check; ``run(order)`` returns the order it reports, the
+    one its registration caps it to, if any, plus every mismatch found, and
+    ``run.parts(order)`` lists the parts it compares, building no series."""
 
     id: str
     description: str
@@ -80,15 +85,20 @@ def _sequence_mismatches(indices: Iterable[int], lhs, rhs, modulus=0) -> list[Mi
             if ((a - b) % modulus if modulus else a != b)]
 
 
-def _series_mismatches(lhs: TruncatedSeries, rhs: TruncatedSeries) -> list[Mismatch]:
-    indices = range(min(lhs.order, rhs.order) + 1)
-    return _sequence_mismatches(indices, lhs.coeffs.__getitem__, rhs.coeffs.__getitem__)
+def _series_mismatches(order: int, lhs: TruncatedSeries, rhs: TruncatedSeries,
+                       modulus: int = 0) -> list[Mismatch]:
+    """The one rule over the coefficients 0..order of two series, each known
+    that far (else IndexError): none, at C speed, when the prefixes are equal."""
+    if min(lhs.order, rhs.order) >= order and lhs.coeffs[: order + 1] == rhs.coeffs[: order + 1]:
+        return []
+    return _sequence_mismatches(range(order + 1), lhs.coeff, rhs.coeff, modulus)
 
 
 def _first_difference(index: int, lhs, rhs) -> list[Mismatch]:
-    """[] when the two series agree; otherwise one Mismatch at ``index``
-    holding the first differing coefficient of each side."""
-    return [Mismatch(index, m.lhs, m.rhs) for m in _series_mismatches(lhs, rhs)[:1]]
+    """[] when the two series agree to the lower order; otherwise one Mismatch
+    at ``index`` holding the first differing coefficient of each side."""
+    mismatches = _series_mismatches(min(lhs.order, rhs.order), lhs, rhs)
+    return [Mismatch(index, m.lhs, m.rhs) for m in mismatches[:1]]
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +320,7 @@ def eq12_rhs(pair: BaileyPair, order: int) -> TruncatedSeries:
 
 def check_eq12(pair: BaileyPair, order: int) -> list[Mismatch]:
     """The differentiated-lemma identity for one pair, coefficientwise."""
-    return _series_mismatches(eq12_lhs(pair, order), eq12_rhs(pair, order))
+    return _series_mismatches(order, eq12_lhs(pair, order), eq12_rhs(pair, order))
 
 
 def _termwise_mismatches(order: int) -> list[Mismatch]:
@@ -367,12 +377,30 @@ def even_parity_report(order: int) -> tuple[int, int]:
 REGISTRY: dict[str, IdentityCheck] = {}
 
 
-def _check(check_id: str, kind: str, description: str):
-    """Decorator: register ``run`` as check ``check_id`` and return it as is."""
+def _runner(parts: Callable[[int], Iterable[tuple]], cap: int | None = None):
+    """``run`` for the check whose parts ``parts(order)`` yields: each (order,
+    lhs, rhs[, modulus]), lhs and rhs thunks that build series, or (order, a
+    thunk listing mismatches, None).  ``run(order)`` compares the parts at
+    min(order, cap) in turn by the one rule, ``_series_mismatches``, and
+    reports that order; ``run.parts(order)`` lists them alike, building no series."""
 
-    def register(run):
-        REGISTRY[check_id] = IdentityCheck(check_id, description, kind, run)
-        return run
+    def run(order):
+        mismatches = []
+        for n, lhs, rhs, *modulus in run.parts(order):
+            mismatches += lhs() if rhs is None else _series_mismatches(n, lhs(), rhs(), *modulus)
+        return min(order, cap or order), mismatches
+
+    run.parts = lambda order: parts(min(order, cap or order))
+    return run
+
+
+def _check(check_id: str, kind: str, description: str, cap: int | None = None):
+    """Decorator: register the parts generator ``parts`` as check ``check_id``,
+    run at min(order, cap), and return it as is."""
+
+    def register(parts):
+        REGISTRY[check_id] = IdentityCheck(check_id, description, kind, _runner(parts, cap))
+        return parts
 
     return register
 
@@ -381,212 +409,177 @@ def _check(check_id: str, kind: str, description: str):
         "doubled spt gf: 2*sum q^n/((1-q^n)(q^n;q)_inf) vs 2*sum n p(n) q^n "
         "+ 2*pentagonal theta correction/(q;q)_inf, undoubled vs the spt table; "
         "sub-checks: the correction carries -N2(n)/2 (desk scale), M2 table = 2n p(n)")
-def _run_eq1(order):
-    mm = _series_mismatches(2 * lhs_eq1(order), rhs_eq1_doubled(order))
-    mm += _series_mismatches(lhs_eq1(order), series._spt_series(order))
+def _eq1_parts(order):
+    yield order, lambda: 2 * lhs_eq1(order), lambda: rhs_eq1_doubled(order)
+    yield order, lambda: lhs_eq1(order), lambda: series._spt_series(order)
     # N2 against enumeration at desk scale (the theta correction over (q;q)_inf
     # carries -N2(n)/2), M2 against 2 n p(n) by the recurrence at full order
     sub = min(order, ENUM_CAP)
-    mm += _series_mismatches(series._n2_series(sub),
-                             _enumerated_series(partitions.n2, sub))
-    two_np = [2 * n * c for n, c in enumerate(partitions._partition_counts(order))]
-    mm += _series_mismatches(series._m2_series(order), TruncatedSeries(two_np))
-    return order, mm
+    yield sub, lambda: series._n2_series(sub), lambda: _enumerated_series(partitions.n2, sub)
+    yield order, lambda: series._m2_series(order), lambda: TruncatedSeries(
+        2 * n * c for n, c in enumerate(partitions._partition_counts(order)))
 
 
 @_check("eq2", "series-equality",
         "doubled spt_o_plus gf: 2*sum q^n (q^(2n+1);q^2)_inf/((1-q^n)^2 "
         "(q^(n+1);q)_inf) vs 2*Lambert/(q^2;q^2)_inf - sum N2(n) q^(2n) "
         f"to order {2 * ENUM_CAP} (N2 enumerated), undoubled vs the spt_o_plus table")
-def _run_eq2(order):
+def _eq2_parts(order):
     used = min(order, 2 * ENUM_CAP)
-    table = _series_mismatches(lhs_eq2(order), series._spt_o_plus_series(order))
-    return order, _series_mismatches(2 * lhs_eq2(used), rhs_eq2_doubled(used)) + table
+    yield used, lambda: 2 * lhs_eq2(used), lambda: rhs_eq2_doubled(used)
+    yield order, lambda: lhs_eq2(order), lambda: series._spt_o_plus_series(order)
 
 
 @_check("eq3", "series-equality",
         "doubled spt_o_minus gf: numerators q^(n(n+1)/2), crank moments "
         f"M2(n) q^(2n) to order {2 * ENUM_CAP}, undoubled vs the spt_o_minus table")
-def _run_eq3(order):
+def _eq3_parts(order):
     used = min(order, 2 * ENUM_CAP)
-    table = _series_mismatches(lhs_eq3(order), series._spt_o_minus_series(order))
-    return order, _series_mismatches(2 * lhs_eq3(used), rhs_eq3_doubled(used)) + table
+    yield used, lambda: 2 * lhs_eq3(used), lambda: rhs_eq3_doubled(used)
+    yield order, lambda: lhs_eq3(order), lambda: series._spt_o_minus_series(order)
 
 
 @_check("gf_note", "series-equality",
         "spt_o gf lhs_eq2 - lhs_eq3 vs the spt_o table: spt(n) at q^(2n), 0 at odd q^k")
-def _run_gf_note(order):
-    return order, _series_mismatches(lhs_gf_note(order), series._spt_o_series(order))
+def _gf_note_parts(order):
+    yield order, lambda: lhs_gf_note(order), lambda: series._spt_o_series(order)
 
 
 @_check("thm2", "sequence-equality",
         f"spt_o(2n) = spt(n): by listing and counting for n <= {ENUM_CAP // 2} "
         "and by series (even part of lhs_eq2 - lhs_eq3 vs the spt series)")
-def _run_thm2(order):
-    mm = _sequence_mismatches(
-        range(1, min(ENUM_CAP // 2, order // 2) + 1),
-        lambda n: partitions.spt_o(2 * n),
-        partitions.spt,
-    )
-    even = lhs_gf_note(order).extract(0, 2)
-    mm += _series_mismatches(even, lhs_eq1(order).truncate(even.order))
-    return order, mm
+def _thm2_parts(order):
+    counted = min(ENUM_CAP // 2, order // 2)
+    yield (counted, lambda: _enumerated_series(lambda n: partitions.spt_o(2 * n), counted),
+           lambda: _enumerated_series(partitions.spt, counted))
+    yield order // 2, lambda: lhs_gf_note(order).extract(0, 2), lambda: lhs_eq1(order)
 
 
 @_check("thm3", "congruence",
         "spt_o_plus(2n) == spt(n) (mod 2): series coefficients vs "
         f"enumeration (n capped at {ENUM_CAP})")
-def _run_thm3(order):
-    even = lhs_eq2(order).extract(0, 2)
-    indices = range(1, min(even.order, ENUM_CAP) + 1)
-    return order, _sequence_mismatches(indices, even.coeff, partitions.spt, modulus=2)
+def _thm3_parts(order):
+    counted = min(order // 2, ENUM_CAP)
+    yield (counted, lambda: lhs_eq2(order).extract(0, 2),
+           lambda: _enumerated_series(partitions.spt, counted), 2)
 
 
 @_check("thm4", "congruence",
         "spt_o_minus(2n) == 0 (mod 2): series route for 2n <= order, "
         f"counting route for n <= {ENUM_CAP // 2}")
-def _run_thm4(order):
-    even = lhs_eq3(order).extract(0, 2)
-    by_series = range(1, even.order + 1)
-    counted = range(1, min(ENUM_CAP // 2, order // 2) + 1)
-    mm = _sequence_mismatches(by_series, even.coeff, lambda n: 0, modulus=2)
-    mm += _sequence_mismatches(
-        counted, lambda n: partitions.spt_o_minus(2 * n), lambda n: 0, modulus=2
-    )
-    return order, mm
+def _thm4_parts(order):
+    counted = min(ENUM_CAP // 2, order // 2)
+    yield order // 2, lambda: lhs_eq3(order).extract(0, 2), lambda: series.zero(order // 2), 2
+    yield (counted, lambda: _enumerated_series(lambda n: partitions.spt_o_minus(2 * n), counted),
+           lambda: series.zero(counted), 2)
 
 
 @_check("thm5", "series-equality",
         "odd-exponent coefficients of lhs_eq2 and lhs_eq3 agree "
         "(spt_o_plus(2n+1) = spt_o_minus(2n+1))")
-def _run_thm5(order):
-    odd2 = lhs_eq2(order).extract(1, 2)
-    odd3 = lhs_eq3(order).extract(1, 2)
-    return order, _series_mismatches(odd2, odd3)
+def _thm5_parts(order):
+    yield ((order - 1) // 2, lambda: lhs_eq2(order).extract(1, 2),
+           lambda: lhs_eq3(order).extract(1, 2))
 
 
 @_check("eq13", "series-equality",
         "doubled spt_o_plus gf from the counting DP vs 2*(sigma series)/"
-        "(q^2;q^2)_inf - sum N2(n) q^(2n) (desk scale)")
-def _run_eq13(order):
-    used = min(order, ENUM_CAP)
-    lhs = 2 * _enumerated_series(partitions.spt_o_plus, used)
-    return used, _series_mismatches(lhs, rhs_eq2_doubled(used))
+        "(q^2;q^2)_inf - sum N2(n) q^(2n) (desk scale)", cap=ENUM_CAP)
+def _eq13_parts(order):
+    yield (order, lambda: 2 * _enumerated_series(partitions.spt_o_plus, order),
+           lambda: rhs_eq2_doubled(order))
 
 
 @_check("eq14", "sequence-equality",
         "2 spt_o_plus(2n) = 2 sum_k p(k) sigma(2(n-k)) - N2(n) "
-        f"for n <= {ENUM_CAP // 2}")
-def _run_eq14(order):
-    bound = min(order, ENUM_CAP // 2)  # spt_o_plus(2n) is counted per n
-
+        f"for n <= {ENUM_CAP // 2}", cap=ENUM_CAP // 2)  # spt_o_plus(2n) is counted per n
+def _eq14_parts(order):
     def rhs(n):
         conv = sum(
             partitions.p(k) * partitions.sigma(2 * (n - k)) for k in range(n + 1)
         )
         return 2 * conv - partitions.n2(n)
 
-    return bound, _sequence_mismatches(
-        range(1, bound + 1), lambda n: 2 * partitions.spt_o_plus(2 * n), rhs
-    )
+    yield (order, lambda: _enumerated_series(lambda n: 2 * partitions.spt_o_plus(2 * n), order),
+           lambda: _enumerated_series(rhs, order))
 
 
 @_check("eq23", "series-equality",
         "odd part of lhs_eq3 vs q (q^4;q^4)_inf^3/(q^2;q^4)_inf^5")
-def _run_eq23(order):
-    odd3 = lhs_eq3(order).extract(1, 2)
-    odd_product = rhs_eq23(order).extract(1, 2)
-    return order, _series_mismatches(odd3, odd_product)
+def _eq23_parts(order):
+    yield ((order - 1) // 2, lambda: lhs_eq3(order).extract(1, 2),
+           lambda: rhs_eq23(order).extract(1, 2))
 
 
 @_check("m2_is_2np", "sequence-equality",
-        f"M2(n) = 2 n p(n) (n capped at {ENUM_CAP})")
-def _run_m2_is_2np(order):
-    used = min(order, ENUM_CAP)
-    return used, _sequence_mismatches(
-        range(1, used + 1), partitions.m2, lambda n: 2 * n * partitions.p(n)
-    )
+        f"M2(n) = 2 n p(n) (n capped at {ENUM_CAP})", cap=ENUM_CAP)
+def _m2_is_2np_parts(order):
+    yield (order, lambda: _enumerated_series(partitions.m2, order),
+           lambda: _enumerated_series(lambda n: 2 * n * partitions.p(n), order))
 
 
 @_check("spt_half_diff", "sequence-equality",
-        f"2 spt(n) = M2(n) - N2(n) (n capped at {ENUM_CAP})")
-def _run_spt_half_diff(order):
-    used = min(order, ENUM_CAP)
-    return used, _sequence_mismatches(
-        range(1, used + 1),
-        lambda n: 2 * partitions.spt(n),
-        lambda n: partitions.m2(n) - partitions.n2(n),
-    )
+        f"2 spt(n) = M2(n) - N2(n) (n capped at {ENUM_CAP})", cap=ENUM_CAP)
+def _spt_half_diff_parts(order):
+    yield (order, lambda: _enumerated_series(lambda n: 2 * partitions.spt(n), order),
+           lambda: _enumerated_series(lambda n: partitions.m2(n) - partitions.n2(n), order))
 
 
 @_check("sigma_doubling", "sequence-equality",
         "sigma(2n) = 3 sigma(n) - 2 sigma(n/2), the last term only for even n")
-def _run_sigma_doubling(order):
+def _sigma_doubling_parts(order):
     def rhs(n):
         return 3 * partitions.sigma(n) - (0 if n % 2 else 2 * partitions.sigma(n // 2))
 
-    return order, _sequence_mismatches(
-        range(1, order + 1), lambda n: partitions.sigma(2 * n), rhs
-    )
+    yield (order, lambda: _enumerated_series(lambda n: partitions.sigma(2 * n), order),
+           lambda: _enumerated_series(rhs, order))
 
 
 @_check("legendre_t4", "sequence-equality", "sigma(2n+1) = t4(n)")
-def _run_legendre_t4(order):
-    t4 = series._t4_series(order).coeffs
-    return order, _sequence_mismatches(
-        range(order + 1), lambda n: partitions.sigma(2 * n + 1), t4.__getitem__
-    )
+def _legendre_t4_parts(order):
+    yield (order, lambda: TruncatedSeries(partitions.sigma(2 * n + 1) for n in range(order + 1)),
+           lambda: series._t4_series(order))
 
 
-def _run_bailey(label):
-    def run(order):
-        return order, check_bailey_relation(bailey_pair(label), BAILEY_N, order)
-
-    return run
+def _bailey_parts(label, order):
+    yield order, lambda: check_bailey_relation(bailey_pair(label), BAILEY_N, order), None
 
 
-def _run_eq12(label):
-    def run(order):
-        return order, check_eq12(bailey_pair(label), order)
-
-    return run
+def _eq12_parts(label, order):
+    yield (order, lambda: eq12_lhs(bailey_pair(label), order),
+           lambda: eq12_rhs(bailey_pair(label), order))
 
 
-def _run_cong(step, offset, modulus):
+def _cong_parts(step, offset, modulus, order):
     """spt_o(2(step k + offset)) == 0 (mod modulus) for 2(step k + offset) <= order."""
-
-    def run(order):
-        k_max = (order // 2 - offset) // step
-        return order, check_congruence(
-            lhs_gf_note(order).coeff, 2 * step, 2 * offset, modulus, k_max
-        )
-
-    return run
+    k_max = (order // 2 - offset) // step
+    yield order, lambda: check_congruence(
+        lhs_gf_note(order).coeff, 2 * step, 2 * offset, modulus, k_max), None
 
 
 _check("bailey_c1", "series-equality",
        "beta_n = sum_r alpha_r/((q;q)_(n+r) (q;q)_(n-r)) for pair C1, "
-       f"n <= {BAILEY_N}")(_run_bailey("C1"))
+       f"n <= {BAILEY_N}")(partial(_bailey_parts, "C1"))
 _check("bailey_c5", "series-equality",
-       f"same summation relation for pair C5, n <= {BAILEY_N}")(_run_bailey("C5"))
+       f"same summation relation for pair C5, n <= {BAILEY_N}")(partial(_bailey_parts, "C5"))
 _check("eq12_c1", "series-equality",
        "sum (q;q)_(n-1)^2 beta_n q^n = Lambert + sum alpha_n q^n/(1-q^n)^2 "
-       "for pair C1")(_run_eq12("C1"))
+       "for pair C1")(partial(_eq12_parts, "C1"))
 _check("eq12_c5", "series-equality",
-       "same differentiated-lemma identity for pair C5")(_run_eq12("C5"))
+       "same differentiated-lemma identity for pair C5")(partial(_eq12_parts, "C5"))
 _check("cong5", "congruence",
-       "spt_o(2(5k+4)) == 0 (mod 5), series route")(_run_cong(5, 4, 5))
+       "spt_o(2(5k+4)) == 0 (mod 5), series route")(partial(_cong_parts, 5, 4, 5))
 _check("cong7", "congruence",
-       "spt_o(2(7k+5)) == 0 (mod 7), series route")(_run_cong(7, 5, 7))
+       "spt_o(2(7k+5)) == 0 (mod 7), series route")(partial(_cong_parts, 7, 5, 7))
 _check("cong13", "congruence",
-       "spt_o(2(13k+6)) == 0 (mod 13), series route")(_run_cong(13, 6, 13))
+       "spt_o(2(13k+6)) == 0 (mod 13), series route")(partial(_cong_parts, 13, 6, 13))
 
 
 @_check("termwise_eq2", "series-equality",
         "summandwise: differentiated-lemma terms over (q^2;q^2)_inf equal "
         f"the matching quotient summands (C1<->eq2, C5<->eq3), n <= {TERMWISE_N}")
-def _run_termwise(order):
-    return order, _termwise_mismatches(order)
+def _termwise_parts(order):
+    yield order, lambda: _termwise_mismatches(order), None
 
 
 def verify(check_id: str, order: int) -> IdentityReport:

@@ -540,6 +540,11 @@ def test_verify_exit_code_one_on_failed_check(monkeypatch, capsys):
 VERIFY_ALL_DIGESTS = {  # JSON with every elapsed_ms removed, indent 2
     1: "3302bab5ffb5494fa9c949eb3bfda9bccd73a44c28aec4ef90b52b0841d92754",
     12: "8b094d737e0449b4b4e214d16b30b0c56ea2c37a81e82533337add2c86c37002",
+    15: "ce9abb1ff7cf55357819fe678b8e688221d8fd200481cc5048bfed256a63772f",
+    16: "c60e3320cb01a28f197a304c7f0aeb41b617f25dbb81175dc0bb48f207e79580",
+    30: "8e372400b4275080bbde56b18fd0f96a2bfdb7c0115a0db112c7f2c3719c702d",
+    31: "cbe0f19304e14376419c6be98c011b291f1bc5744a4b29976b3f70367eddac79",
+    60: "751d0102094c16ee5a5fc2c628efd9f50febf2ab3c7a22551bd5a4443eec5a64",
     61: "eb0a6124bd674d6b0e87f28e3ec616cfdf7587360ab2e22621c5508814d545d5",
     200: "5b324d0fca7f921c6cd358fff33194e2f2d455c81ca42f1fcb28bf04c43ad605",
     480: "d23b38722441daedcc54af55465aae94d31ca339b28bb80a460e18bc10d5a0e8",

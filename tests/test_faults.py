@@ -177,7 +177,8 @@ FAULTS = {
     "c1_beta_n3": (_bailey_fault("C1", "beta_exponent", 3),
                    {"bailey_c1", "cong5", "cong7", "cong13", "eq12_c1", "eq2",
                     "gf_note", "termwise_eq2", "thm2", "thm3", "thm5"}),
-    "cong5_offset3": (_registration_fault("cong5", I._run_cong(5, 3, 5)), {"cong5"}),
+    "cong5_offset3": (_registration_fault(
+        "cong5", I._runner(lambda order: I._cong_parts(5, 3, 5, order))), {"cong5"}),
     "statistics_n12_spt": (_statistics_fault(12, 0),
                            {"spt_half_diff", "thm2", "thm3"}),
     "statistics_n12_n2": (_statistics_fault(12, 1),

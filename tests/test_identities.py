@@ -851,6 +851,66 @@ def test_capped_check_run_alone_stays_at_desk_scale(check_id, cap, cold_memos,
     assert max(built, default=0) <= 2 * I.ENUM_CAP + 1
 
 
+# the order of each part of each check at the requested order N, as the
+# README's "Per-n partition statistics" paragraph states them: per-n parts
+# stop at 60 (eq2, eq3), 30 or 15; a check not listed has one part at N
+PART_ORDERS = {
+    "eq1": lambda N: [N, N, min(N, 30), N],
+    "eq2": lambda N: [min(N, 60), N],
+    "eq3": lambda N: [min(N, 60), N],
+    "thm2": lambda N: [min(N // 2, 15), N // 2],
+    "thm3": lambda N: [min(N // 2, 30)],
+    "thm4": lambda N: [N // 2, min(N // 2, 15)],
+    "thm5": lambda N: [(N - 1) // 2],
+    "eq13": lambda N: [min(N, 30)],
+    "eq14": lambda N: [min(N, 15)],
+    "eq23": lambda N: [(N - 1) // 2],
+    "m2_is_2np": lambda N: [min(N, 30)],
+    "spt_half_diff": lambda N: [min(N, 30)],
+}
+
+
+@pytest.mark.parametrize("order", [15, 16, 30, 31, 60, 61, 200, cli.MAX_ORDER])
+def test_each_check_lists_its_part_orders_without_building_a_series(order, monkeypatch):
+    built = []
+    init = TruncatedSeries.__init__
+
+    def recording(self, coeffs):
+        init(self, coeffs)
+        built.append(self.order)
+
+    monkeypatch.setattr(TruncatedSeries, "__init__", recording)
+    listed = {check_id: [part[0] for part in check.run.parts(order)]
+              for check_id, check in I.REGISTRY.items()}
+    assert built == []
+    assert listed == {check_id: PART_ORDERS.get(check_id, lambda N: [N])(order)
+                      for check_id in I.REGISTRY}
+
+
+def test_the_runner_applies_the_one_rule_to_each_part_in_turn():
+    a, b = TruncatedSeries((0, 1, 2, 3, 4)), TruncatedSeries((0, 1, 5, 3, 7))
+    longer, composite = TruncatedSeries((0, 1, 2, 9, 4, 5)), [I.Mismatch(7, 1, 2)]
+    parts = [
+        (4, lambda: a, lambda: a),  # equal
+        (4, lambda: a, lambda: b, 3),  # unequal but congruent modulo 3
+        (4, lambda: a, lambda: b),  # differing at q^2 and q^4
+        (3, lambda: longer, lambda: a),  # of different lengths, compared to q^3
+        (4, lambda: composite, None),  # a thunk that lists its own mismatches
+    ]
+    want = (I._sequence_mismatches(range(5), a.coeff, b.coeff)
+            + I._sequence_mismatches(range(4), longer.coeff, a.coeff) + composite)
+    assert I._sequence_mismatches(range(5), a.coeff, b.coeff, 3) == []
+    assert [m.index for m in want] == [2, 4, 3, 7]
+    assert I._runner(lambda order: parts)(4) == (4, want)
+    # the cap sets the order the parts are asked for and the order reported
+    asked = []
+    capped = I._runner(lambda order: asked.append(order) or [], cap=3)
+    assert (capped(10), capped(2), asked) == ((3, []), (2, []), [3, 2])
+    # a side that stops short of its part's order is an error, not a pass
+    with pytest.raises(IndexError):
+        I._runner(lambda order: [(5, lambda: a, lambda: a)])(5)
+
+
 def test_verify_all_runs_everything_in_order():
     reports = I.verify_all(12)
     assert [r.id for r in reports] == list(I.REGISTRY)
