@@ -12,13 +12,13 @@ Tables are another matter: ``sequence`` reads every one of the nine off
 its product side in ``series``, built once at order hi, and leaves the
 per-n functions to the checks and tests that pin those series.
 
-``_statistics(m)`` reads the per-size statistics off ``_tables(top)``, top =
-max(m, ENUM_CAP): one walk over the partitions of top lists those of every
-size up to top for spt and N2, and one pass each over all sizes counts the
-bare crank moment and, per smallest part s, the odd-condition count, which
-spt_o_plus(m) totals.  A pair counted by spt_o_minus(n) is a partition pi
-with smallest part s plus the staircase (s-1, ..., 1), which s fixes, so
-spt_o_minus(n) sums over s the count at s of m = n - s(s-1)/2.
+Each per-n statistic of n reads one table, ``_tables(top)`` with top =
+max(n, ENUM_CAP), through ``_statistics(n)``: one walk over the partitions of
+top lists spt and N2 of every size up to top, and one pass each over all sizes
+counts the bare crank moment and, per smallest part s, the odd-condition
+count, which spt_o_plus totals.  A pair counted by spt_o_minus(n) is a
+partition pi with smallest part s plus the staircase (s-1, ..., 1), which s
+fixes, so spt_o_minus(n) sums over s the count at s of row n - s(s-1)/2.
 
 Partitions are plain weakly decreasing tuples of positive ints; n = 0 has
 exactly the empty partition.  Enumeration order is lexicographically
@@ -222,7 +222,7 @@ def _odd_smallest_parts(top: int) -> list[tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _tables(top: int) -> tuple:
-    """The ``_statistics`` of every m = 1..top, indexed by m.  One walk over
+    """The per-size statistics of every m = 1..top, indexed by m.  One walk over
     the partitions of top gives spt and N2 of every m: taking r <= t of the t
     ones off a partition rho of top leaves a partition of top - r with rank
     rank(rho) + r whose smallest parts are the t - r ones left or, at r = t,
@@ -245,23 +245,23 @@ def _tables(top: int) -> tuple:
     return tuple(tables)
 
 
-def _statistics(n: int) -> tuple[int, int, int, tuple[int, ...]]:
-    """spt(n), N2(n), the bare crank moment of n (1 at n = 1) and, indexed by
-    smallest part, the odd-condition smallest-part counts, read off the
-    tables of max(n, ENUM_CAP); ValueError at once past STATISTICS_CAP."""
+def _statistics(n: int) -> tuple:
+    """_tables(max(n, ENUM_CAP)), whose row m is spt(m), N2(m), the bare crank
+    moment of m (1 at m = 1) and the odd-condition counts by smallest part;
+    ValueError at once unless 1 <= n <= STATISTICS_CAP."""
     if not 1 <= n <= STATISTICS_CAP:
         raise ValueError(f"n must be >= 1 and <= STATISTICS_CAP = {STATISTICS_CAP}")
-    return _tables(max(n, ENUM_CAP))[n]
+    return _tables(max(n, ENUM_CAP))
 
 
 def spt(n: int) -> int:
     """Total number of smallest parts over all partitions of n."""
-    return _statistics(n)[0]
+    return _statistics(n)[n][0]
 
 
 def n2(n: int) -> int:
     """Second rank moment: sum of rank(pi)^2 over partitions of n."""
-    return _statistics(n)[1]
+    return _statistics(n)[n][1]
 
 
 def m2(n: int) -> int:
@@ -271,21 +271,20 @@ def m2(n: int) -> int:
     the moment relation M2(n) = 2 n p(n) is only an identity with the
     standard adjusted crank counts at n = 1.
     """
-    return 2 if n == 1 else _statistics(n)[2]
+    return 2 if n == 1 else _statistics(n)[n][2]
 
 
 def spt_o_plus(n: int) -> int:
     """Smallest-part count over partitions of n satisfying the odd condition."""
-    return sum(_statistics(n)[3])
+    return sum(_statistics(n)[n][3])
 
 
 def spt_o_minus(n: int) -> int:
     """Smallest-part count over pairs (pi, delta_s) of total size n, where
     pi satisfies the odd condition, s is its smallest part and delta_s is
     the staircase (s-1, ..., 1) of size s(s-1)/2."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return sum(_statistics(n - s * (s - 1) // 2)[3][s]
+    tables = _statistics(n)
+    return sum(tables[n - s * (s - 1) // 2][3][s]
                for s in range(1, n + 1) if s * (s + 1) // 2 <= n)
 
 

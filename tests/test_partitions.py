@@ -255,9 +255,9 @@ def test_statistics_per_size_match_the_listing_sums():
             crank_sq += P.crank(pi) ** 2
             if P.odd_condition(pi):
                 odd[pi[-1]] += count
-        assert P._statistics(n) == (smallest, rank_sq, crank_sq, tuple(odd))
+        assert P._statistics(n)[n] == (smallest, rank_sq, crank_sq, tuple(odd))
         # a value does not depend on the size of the table it is read from
-        assert P._tables(ENUM_CAP + 8)[n] == P._statistics(n)
+        assert P._tables(ENUM_CAP + 8)[n] == P._statistics(n)[n]
 
 
 @cache
@@ -316,8 +316,9 @@ def test_no_check_tests_partitions_one_at_a_time(cold_memos, monkeypatch):
     assert {r.status for r in verify_all(80)} == {"pass"}
 
 
-@pytest.mark.parametrize("statistic", [P.spt, P.n2, P.m2, P.spt_o_minus],
-                         ids=["spt", "n2", "m2", "spt_o_minus"])
+@pytest.mark.parametrize(
+    "statistic", [P.spt, P.n2, P.m2, P.spt_o_plus, P.spt_o_minus, P.spt_o],
+    ids=["spt", "n2", "m2", "spt_o_plus", "spt_o_minus", "spt_o"])
 def test_statistics_past_the_ceiling_raise_before_listing(statistic, cold_memos,
                                                           monkeypatch):
     # spt(150) would list the 4 x 10^10 partitions of 150, for about 18 h:
@@ -343,6 +344,16 @@ def test_enumerated_statistics_walk_each_size_once(cold_memos, monkeypatch):
         for statistic in (P.spt, P.n2, P.m2, P.spt_o_plus, P.spt_o_minus):
             statistic(n)
     assert walked == Counter([ENUM_CAP])  # one walk at ENUM_CAP serves every n
+
+
+def test_spt_o_minus_past_enum_cap_reads_the_one_table_of_its_n(cold_memos):
+    # each row spt_o_minus(n) sums, n - s(s-1)/2 for s = 1, 2, ..., lies in
+    # the table of n, so a cold call builds that table and no smaller one
+    want = _spt_o_minus_series(40).coeffs
+    for n in range(ENUM_CAP + 1, 41):
+        P._tables.cache_clear()
+        assert P.spt_o_minus(n) == want[n]
+        assert P._tables.cache_info().misses == 1
 
 
 def test_t4():
