@@ -162,7 +162,6 @@ def _report_payload(report) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    from . import identities
     if args.order < 1:
         _print("error: --order must be >= 1")
         return 2
@@ -171,21 +170,18 @@ def _cmd_verify(args) -> int:
     if args.all and args.identity:
         _print("error: give --all or --identity, not both")
         return 2
-    if args.all:
-        ids = list(identities.REGISTRY)
-    elif args.identity:
-        ids = args.identity
-        unknown = [i for i in ids if i not in identities.REGISTRY]
-        if unknown:
-            _print(f"error: unknown identity check(s): {', '.join(unknown)}")
-            return 2
-        ids = list(dict.fromkeys(ids))  # a repeated id runs and reports once
-    else:
+    if not (args.all or args.identity):
         _print("error: give --all or at least one --identity")
+        return 2
+    from . import identities  # after every check that needs no check id
+    ids = list(identities.REGISTRY) if args.all else args.identity
+    unknown = [i for i in ids if i not in identities.REGISTRY]
+    if unknown:
+        _print(f"error: unknown identity check(s): {', '.join(unknown)}")
         return 2
 
     reports = []
-    for check_id in ids:
+    for check_id in dict.fromkeys(ids):  # a repeated id runs and reports once
         report = identities.verify(check_id, args.order)
         reports.append(report)
         _print(f"{report.id}: {report.status} "

@@ -25,13 +25,12 @@ ENUM_CAP or half of it.
 """
 
 import time
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator
 
 from . import partitions, series
 from .partitions import ENUM_CAP  # largest n any per-n table is asked for
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _FrozenSlots
 
 TERMWISE_N = 12  # termwise_eq2 compares the summands n = 1..TERMWISE_N
 BAILEY_N = 8  # bailey_c1/bailey_c5 check the relation for n = 0..BAILEY_N
@@ -42,38 +41,26 @@ BAILEY_N = 8  # bailey_c1/bailey_c5 check the relation for n = 0..BAILEY_N
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(_FrozenSlots):
     """One disagreeing position: exponent (or sequence index), both values."""
 
-    index: int
-    lhs: int
-    rhs: int
+    __slots__ = ("index", "lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    id: str
-    order: int
-    mismatch_total: int
-    mismatches: tuple[Mismatch, ...]  # capped at 20 entries
-    elapsed: float
+class IdentityReport(_FrozenSlots):
+    __slots__ = ("id", "order", "mismatch_total", "mismatches", "elapsed")
 
     @property
     def status(self) -> str:
         return "pass" if self.mismatch_total == 0 else "fail"
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    """A registered check; ``run(order)`` returns the order it reports, the
-    one its registration caps it to, if any, plus every mismatch found, and
-    ``run.parts(order)`` lists the parts it compares, building no series."""
+class IdentityCheck(_FrozenSlots):
+    """A registered series-equality, sequence-equality or congruence check;
+    ``run(order)`` returns the order it reports, its registered cap if any, and
+    every mismatch found; ``run.parts(order)`` lists what it compares, lazily."""
 
-    id: str
-    description: str
-    kind: str  # series-equality | sequence-equality | congruence
-    run: Callable[[int], tuple[int, list[Mismatch]]]
+    __slots__ = ("id", "description", "kind", "run")
 
 
 def _sequence_mismatches(indices: Iterable[int], lhs, rhs, modulus=0) -> list[Mismatch]:
@@ -228,8 +215,7 @@ def rhs_eq23(order: int) -> TruncatedSeries:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BaileyPair:
+class BaileyPair(_FrozenSlots):
     """A Bailey pair relative to a = 1, given by two exponents:
 
     alpha_0 = 1, odd-index alphas vanish,
@@ -241,9 +227,7 @@ class BaileyPair:
     series through ``times_alpha``, two shifts and no series product.
     """
 
-    label: str
-    alpha_exponent: Callable[[int], int]
-    beta_exponent: Callable[[int], int]
+    __slots__ = ("label", "alpha_exponent", "beta_exponent")  # a str, two int -> int maps
 
     def __call__(self, order: int) -> TruncatedSeries:
         """The eq. (12) Horner sum, a ``series._quotient`` numerator keyed by value."""

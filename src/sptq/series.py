@@ -14,11 +14,38 @@ import operator
 from functools import lru_cache
 
 
+class _DataclassFields:
+    """Built on first read, then kept on the class: ``dataclasses.replace`` reads it."""
+
+    def __get__(self, value, cls):
+        if not cls.__slots__:  # the base: no fields, and the descriptor stays
+            raise AttributeError("__dataclass_fields__")
+        from dataclasses import make_dataclass
+        fields = make_dataclass(cls.__name__, cls.__slots__).__dataclass_fields__
+        cls.__dataclass_fields__ = fields  # in the class's own dict: built once
+        return fields
+
+
 class _FrozenSlots:
     """Frozen-dataclass behaviour over the fields in ``__slots__``, without
-    importing ``dataclasses``, which would slow every ``compute`` start."""
+    importing ``dataclasses``, which would slow every command's start."""
 
     __slots__ = ()
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init__(self, *args, **kwargs):
+        """Take each field once, by position or by name, as a dataclass does."""
+        names = self.__slots__
+        given = dict(zip(names, args), **kwargs)  # counted below: none is doubled
+        if len(args) + len(kwargs) != len(names) or given.keys() != set(names):
+            raise TypeError(f"{type(self).__qualname__}() takes each of "
+                            f"{', '.join(names)} once, by position or by name")
+        for name in names:
+            object.__setattr__(self, name, given[name])
+
+    def __repr__(self):
+        pairs = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({', '.join(pairs)})"
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -15,25 +15,61 @@ def test_every_export_resolves_once():
     assert missing == []
 
 
-# what only ``verify``, ``list`` and ``examples`` need; with them,
+# ``sptq.identities`` is what only ``verify``, ``list`` and ``examples`` need,
+# and no command needs ``dataclasses`` with its ``inspect``; with both,
 # ``import sptq.cli`` took about twice as long
-LAZY_MODULES = ("dataclasses", "sptq.identities")
+UNUSED_BY_COMMANDS = ("dataclasses", "inspect")
+LAZY_MODULES = ("sptq.identities", *UNUSED_BY_COMMANDS)
 
 
-def _python(*args):
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          check=True)
+def _python(*args, exit_code=0):
+    run = subprocess.run([sys.executable, *args], capture_output=True, text=True)
+    assert run.returncode == exit_code, run.stderr
+    return run
+
+
+def _imported_by(*command, exit_code=0):
+    """The modules a ``python -X importtime -m sptq`` run of ``command``
+    imports, and the rest of its stderr."""
+    run = _python("-X", "importtime", "-m", "sptq", *command, exit_code=exit_code)
+    lines = run.stderr.splitlines()
+    imported = {line.rsplit("|", 1)[-1].strip() for line in lines
+                if line.startswith("import time:")}
+    return imported, [line for line in lines if not line.startswith("import time:")]
 
 
 def test_compute_loads_neither_identities_nor_dataclasses(tmp_path):
     probe = "import sys, sptq.cli; print(*sorted(set(sys.argv[1:]) & set(sys.modules)))"
     assert _python("-c", probe, *LAZY_MODULES).stdout.split() == []
-    run = _python("-X", "importtime", "-m", "sptq", "compute", "--sequence", "spt",
-                  "--lo", "1", "--hi", "40", "--cache-dir", str(tmp_path))
-    imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
-                if line.startswith("import time:")}
+    imported, _ = _imported_by("compute", "--sequence", "spt", "--lo", "1", "--hi", "40",
+                               "--cache-dir", str(tmp_path))
     assert "sptq.partitions" in imported  # the listing shows the job's imports
     assert imported.isdisjoint(LAZY_MODULES)
+
+
+@pytest.mark.parametrize("command", [("verify", "--all", "--order", "20"),
+                                     ("list",), ("examples",)])
+def test_identity_commands_load_identities_but_not_dataclasses(command):
+    # the four value classes of ``identities`` take ``series._FrozenSlots``,
+    # which imports ``dataclasses`` only when something reads its fields
+    imported, _ = _imported_by(*command)
+    assert "sptq.identities" in imported
+    assert imported.isdisjoint(UNUSED_BY_COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--all", "--order", "0"],
+    ["--all", "--order", "10001"],  # cli.MAX_ORDER + 1
+    ["--all", "--identity", "eq2", "--order", "10"],
+    ["--order", "10"],
+])
+def test_verify_usage_errors_exit_before_loading_identities(argv):
+    from sptq import cli
+
+    assert cli.MAX_ORDER == 10_000
+    imported, messages = _imported_by("verify", *argv, exit_code=2)
+    assert "sptq.cli" in imported and "sptq.identities" not in imported
+    assert [line.split(":")[0] for line in messages] == ["error"]  # not argparse's usage
 
 
 def test_identities_exports_load_on_first_use():

@@ -1,14 +1,17 @@
 """Series ring: frozen examples, error contracts, and randomized ring axioms."""
 
 import copy
+import dataclasses
+import operator
 import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sptq import partitions
+from sptq import identities as I, partitions
 from sptq.series import (
     TruncatedSeries,
+    _FrozenSlots,
     _over_one_minus_into,
     _times_one_minus_into,
     geom_sq,
@@ -85,33 +88,97 @@ def test_series_is_immutable():
         s.coeffs = (9,)
 
 
-# each slot class: (constructor, field names, fields, the same fields in
-# another form, other fields, its repr); a frozen dataclass hashes the tuple
-# of its fields
+# each slot class: (constructor, fields, other fields, the repr of the first);
+# a frozen dataclass compares and hashes the tuple of its fields and reprs as
+# Cls(name=value, ...), which ``TruncatedSeries`` shortens to its coefficients
 VALUE_CLASSES = {
-    "TruncatedSeries": (TruncatedSeries, ("coeffs",), ((1, 2, 3),), ([1, 2, 3],),
-                        ((1, 2, 4),), "TruncatedSeries([1, 2, 3] order=2)"),
+    "TruncatedSeries": (TruncatedSeries, ((1, 2, 3),), ((1, 2, 4),),
+                        "TruncatedSeries([1, 2, 3] order=2)"),
+    "Mismatch": (I.Mismatch, (1, 2, 3), (1, 2, 4), "Mismatch(index=1, lhs=2, rhs=3)"),
+    "IdentityReport": (
+        I.IdentityReport, ("eq1", 5, 1, (I.Mismatch(1, 2, 3),), 0.5),
+        ("eq1", 5, 0, (), 0.5),
+        "IdentityReport(id='eq1', order=5, mismatch_total=1, "
+        "mismatches=(Mismatch(index=1, lhs=2, rhs=3),), elapsed=0.5)"),
+    "IdentityCheck": (
+        I.IdentityCheck, ("eq1", "a check", "congruence", abs),
+        ("eq1", "a check", "congruence", len),
+        "IdentityCheck(id='eq1', description='a check', kind='congruence', "
+        "run=<built-in function abs>)"),
+    "BaileyPair": (I.BaileyPair, ("C1", abs, operator.neg), ("C5", abs, operator.neg),
+                   "BaileyPair(label='C1', alpha_exponent=<built-in function abs>, "
+                   "beta_exponent=<built-in function neg>)"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(VALUE_CLASSES))
 def test_value_classes_keep_the_frozen_dataclass_contract(name):
-    cls, names, fields, coerced, other, text = VALUE_CLASSES[name]
+    cls, fields, other, text = VALUE_CLASSES[name]
+    names = cls.__slots__
     value = cls(*fields)
     assert tuple(getattr(value, field) for field in names) == fields
-    assert value == cls(*coerced)  # a list is stored as a tuple
+    assert value == cls(**dict(zip(names, fields)))  # by name, or by both
+    assert value == cls(*fields[:1], **dict(zip(names[1:], fields[1:])))
     assert value != cls(*other)
     assert value != fields and value != other
-    assert hash(value) == hash(cls(*coerced)) == hash(fields)
+    assert hash(value) == hash(cls(*fields)) == hash(fields)
     assert repr(value) == text
-    assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
+    assert copy.copy(value) == copy.deepcopy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
     for attr in (*names, "extra"):
         with pytest.raises(AttributeError):
             setattr(value, attr, 0)
     with pytest.raises(AttributeError):
         delattr(value, names[0])
+    for args, kwargs in [(fields[:-1], {}),  # missing
+                         (fields + (0,), {}),  # one too many
+                         (fields, {names[0]: fields[0]}),  # doubled
+                         (fields, {"extra": 0}),  # unknown
+                         (fields[:-1], {"extra": 0})]:  # unknown in a missing one's place
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_CLASSES))
+def test_value_classes_serve_the_dataclasses_functions(name):
+    # perfbench's tracer and the fault tests swap one field with
+    # ``dataclasses.replace``; no command imports ``dataclasses``
+    cls, fields, other, _ = VALUE_CLASSES[name]
+    names = cls.__slots__
+    value = cls(*fields)
+    assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(value)
+    assert tuple(field.name for field in dataclasses.fields(value)) == names
+    assert tuple(dataclasses.asdict(value)) == names
+    assert dataclasses.replace(value) == value
+    changed = dataclasses.replace(value, **{names[-1]: other[-1]})
+    assert changed == cls(*fields[:-1], other[-1]) and type(changed) is cls
+    with pytest.raises(TypeError):
+        dataclasses.replace(value, extra=0)
+
+
+def test_asdict_recurses_into_a_report_s_mismatches():
+    report = I.IdentityReport("eq1", 5, 1, (I.Mismatch(1, 2, 3),), 0.5)
+    assert dataclasses.asdict(report)["mismatches"] == ({"index": 1, "lhs": 2, "rhs": 3},)
+
+
+def test_dataclass_fields_are_built_on_first_read_once_per_class():
+    class Pair(_FrozenSlots):
+        __slots__ = ("a", "b")
+
+    assert not dataclasses.is_dataclass(_FrozenSlots)  # the base has no fields
+    assert "__dataclass_fields__" not in vars(Pair)
+    assert dataclasses.replace(Pair(1, 2), b=3) == Pair(1, 3)
+    built = vars(Pair)["__dataclass_fields__"]  # stored on the class
+    assert tuple(built) == ("a", "b")
+    assert dataclasses.fields(Pair) == tuple(built.values())
+    assert Pair.__dataclass_fields__ is built
+    assert "__dataclass_fields__" in vars(_FrozenSlots)  # the descriptor stays
+
+
+def test_series_stores_a_tuple_and_needs_a_constant_term():
+    assert ts(1, 2) == TruncatedSeries([1, 2]) and TruncatedSeries([1, 2]).coeffs == (1, 2)
     with pytest.raises(ValueError):  # no values: no constant term
-        cls(*fields[:-1], ())
+        TruncatedSeries(())
 
 
 def test_truncate():
