@@ -2,10 +2,10 @@
 worked-example table.
 
 Exit codes: 0 all good, 1 at least one verification failed, 2 usage error
-(``verify --order`` or ``compute --hi`` above ``MAX_ORDER``, or ``verify``
-given both ``--all`` and ``--identity``, among them) or an output file, or
-a stdout closed early by its reader, that cannot be written; a stderr so
-closed drops what would go there and changes no exit code.
+(``verify --order`` or ``compute --hi`` above ``partitions.MAX_ORDER``, or
+``verify`` given both ``--all`` and ``--identity``, among them) or an output
+file, or a stdout closed early by its reader, that cannot be written; a
+stderr so closed drops what would go there and changes no exit code.
 Big integers are serialized as decimal strings in JSON output.
 """
 
@@ -14,14 +14,8 @@ import json
 import os
 import sys
 import tempfile
-from pathlib import Path
 
 from . import __version__, partitions  # identities only where a command needs it
-
-# largest verify --order and compute --hi: every route is polynomial, but grows
-# about x4 per doubling (verify --all: 1.9-2.5 s at order 4000, 7.9-10.5 s at
-# 10 000, on a shared 2-vCPU machine), so far past this a run takes hours
-MAX_ORDER = 10_000
 
 
 def _print(text: str, stream=None):
@@ -40,18 +34,19 @@ def _print(text: str, stream=None):
 
 
 def _above_ceiling(flag: str, value: int) -> bool:
-    """Report and return True when ``value`` is past MAX_ORDER."""
-    if value <= MAX_ORDER:
+    """Report and return True when ``value`` is past partitions.MAX_ORDER."""
+    if value <= partitions.MAX_ORDER:
         return False
-    _print(f"error: {flag} {value} is above the ceiling MAX_ORDER = {MAX_ORDER}")
+    _print(f"error: {flag} {value} is above the ceiling "
+           f"MAX_ORDER = {partitions.MAX_ORDER}")
     return True
 
 
-def _cache_path(cache_dir: Path, name: str) -> Path:
-    return cache_dir / f"{name}.json"
+def _cache_path(cache_dir: str, name: str) -> str:
+    return os.path.join(cache_dir, f"{name}.json")
 
 
-def _cache_load(cache_dir: Path, name: str, lo: int, hi: int):
+def _cache_load(cache_dir: str, name: str, lo: int, hi: int):
     """Return cached values for lo..hi, or None when the entry is missing,
     unreadable, of another name or version, not exactly what ``_cache_store``
     writes (integer bounds and a list of decimal strings whose count matches
@@ -73,10 +68,10 @@ def _cache_load(cache_dir: Path, name: str, lo: int, hi: int):
     return tuple(int(v) for v in values[lo - e_lo : hi - e_lo + 1])
 
 
-def _cache_store(cache_dir: Path, name: str, lo: int, hi: int, values):
+def _cache_store(cache_dir: str, name: str, lo: int, hi: int, values):
     """Best effort; never fatal.  The table replaces whatever entry was there."""
     try:
-        cache_dir.mkdir(parents=True, exist_ok=True)
+        os.makedirs(cache_dir, exist_ok=True)
         payload = {
             "name": name,
             "lo": lo,
@@ -101,7 +96,8 @@ def _emit(text: str, path, code: int) -> int:
     reader, that cannot be written is exit 2."""
     try:
         if path:
-            Path(path).write_text(text + "\n")
+            with open(path, "w") as fh:
+                fh.write(text + "\n")
         elif broken := _print(text, sys.stdout):
             raise broken  # reported below, as an unwritable file is
     except OSError as exc:
@@ -113,7 +109,7 @@ def _emit(text: str, path, code: int) -> int:
 def _cmd_compute(args) -> int:
     if _above_ceiling("--hi", args.hi):
         return 2
-    cache_dir = Path(args.cache_dir) if args.cache_dir else None
+    cache_dir = args.cache_dir
     try:
         partitions.check_range(args.sequence, args.lo, args.hi)  # before the cache
         values = (_cache_load(cache_dir, args.sequence, args.lo, args.hi)
@@ -277,7 +273,3 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     return args.fn(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -25,8 +25,8 @@ ENUM_CAP or half of it.
 """
 
 import time
+from collections.abc import Callable, Iterable, Iterator
 from functools import partial
-from typing import Callable, Iterable, Iterator
 
 from . import partitions, series
 from .partitions import ENUM_CAP  # largest n any per-n table is asked for
@@ -440,12 +440,14 @@ def _thm2_parts(order):
 
 
 @_check("thm3", "congruence",
-        "spt_o_plus(2n) == spt(n) (mod 2): series coefficients vs "
-        f"enumeration (n capped at {ENUM_CAP})")
+        "spt_o_plus(2n) == spt(n) (mod 2): even part of lhs_eq2 vs enumeration "
+        f"for n <= {ENUM_CAP} and vs the spt series")
 def _thm3_parts(order):
     counted = min(order // 2, ENUM_CAP)
     yield (counted, lambda: lhs_eq2(order).extract(0, 2),
            lambda: _enumerated_series(partitions.spt, counted), 2)
+    yield (order // 2, lambda: lhs_eq2(order).extract(0, 2),
+           lambda: series._spt_series(order // 2), 2)
 
 
 @_check("thm4", "congruence",
@@ -567,13 +569,16 @@ def _termwise_parts(order):
 
 
 def verify(check_id: str, order: int) -> IdentityReport:
-    """Run one registered check at the given order/bound."""
+    """Run one registered check at the given order/bound, 1..MAX_ORDER."""
     if check_id not in REGISTRY:
         raise ValueError(
             f"unknown identity check {check_id!r}; known: {', '.join(REGISTRY)}"
         )
     if order < 1:
         raise ValueError("order must be >= 1")
+    if order > partitions.MAX_ORDER:
+        raise ValueError(f"order {order} is above the ceiling "
+                         f"MAX_ORDER = {partitions.MAX_ORDER}")
     t0 = time.perf_counter()
     used, mismatches = REGISTRY[check_id].run(order)
     elapsed = time.perf_counter() - t0

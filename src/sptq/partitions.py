@@ -24,23 +24,30 @@ Partitions are plain weakly decreasing tuples of positive ints; n = 0 has
 exactly the empty partition.  Enumeration order is lexicographically
 decreasing, e.g. (4), (3,1), (2,2), (2,1,1), (1,1,1,1).  The walk is the
 iterative ZS1 algorithm: O(1) amortized steps per partition plus the tuple
-copy, about 3 ms for the 5,604 partitions of 30 on one core of a 2-vCPU
-machine.  ``rank``, ``crank`` and ``odd_condition`` rely on the
+copy, about 2 ms for the 5,604 partitions of 30 on one core of a 2-vCPU
+machine; ``_tables(30)`` takes about 5 ms, 4 ms of it that walk with the sums
+it makes per partition.  ``rank``, ``crank`` and ``odd_condition`` rely on the
 decreasing order (the parts above a bound form a prefix, which ``crank``
 and ``odd_condition`` find by bisection), so they take only such tuples.
 """
 
 import math
 from bisect import bisect_left
+from collections.abc import Iterator
 from functools import lru_cache
 from operator import neg
-from typing import Iterator
 
 from . import series
 
 Partition = tuple[int, ...]
 ENUM_CAP = 30  # the per-size statistics of every n <= ENUM_CAP come from one listing
 STATISTICS_CAP = 70  # _tables(70) lists p(70) = 4,087,968 partitions; p(n + 10) ~ 4 p(n)
+# largest order the library builds for ``sequence`` and ``identities.verify``,
+# and so the largest ``compute --hi`` and ``verify --order``: every route is
+# polynomial, but grows about x4 per doubling (verify --all: 1.9-2.5 s at order
+# 4000, 7.9-10.5 s at 10 000, on a shared 2-vCPU machine), so far past this a
+# run takes hours
+MAX_ORDER = 10_000
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
@@ -340,12 +347,15 @@ def sequence_domain_min(name: str) -> int:
 
 
 def check_range(name: str, lo: int, hi: int) -> None:
-    """ValueError unless lo..hi is non-empty and inside the domain of ``name``."""
+    """ValueError unless lo..hi is non-empty, inside the domain of ``name``
+    and no higher than MAX_ORDER."""
     if lo > hi:
         raise ValueError(f"empty range {lo}..{hi}")
     lo_min = sequence_domain_min(name)
     if lo < lo_min:
         raise ValueError(f"sequence {name!r} is defined for n >= {lo_min}")
+    if hi > MAX_ORDER:
+        raise ValueError(f"hi {hi} is above the ceiling MAX_ORDER = {MAX_ORDER}")
 
 
 def sequence(name: str, lo: int, hi: int) -> tuple[int, ...]:

@@ -441,7 +441,7 @@ def test_orders_above_the_ceiling_fail_before_any_build(
         command, tmp_path, monkeypatch, capsys):
     from sptq import cli, identities, partitions, series
 
-    assert cli.MAX_ORDER >= 5000  # compute --sequence sigma --hi 5000 is in use
+    assert partitions.MAX_ORDER >= 5000  # compute --sequence sigma --hi 5000 is in use
     built = []
 
     def refuse(name):
@@ -457,14 +457,14 @@ def test_orders_above_the_ceiling_fail_before_any_build(
     for check_id, check in identities.REGISTRY.items():
         monkeypatch.setitem(identities.REGISTRY, check_id,
                             dataclasses.replace(check, run=refuse(check_id)))
-    argv = CEILING_ARGS[command] + [str(cli.MAX_ORDER + 1)]
+    argv = CEILING_ARGS[command] + [str(partitions.MAX_ORDER + 1)]
     if command == "compute":
         argv += ["--cache-dir", str(tmp_path)]
     assert cli.main(argv) == 2
     assert built == []
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"ceiling MAX_ORDER = {cli.MAX_ORDER}" in captured.err
+    assert f"ceiling MAX_ORDER = {partitions.MAX_ORDER}" in captured.err
 
 
 def test_verify_requires_selection():
@@ -562,7 +562,7 @@ COMPUTE_DIGESTS = {  # --format csv over COMPUTE_RANGES, else --lo 1 --hi 400
 }
 COMPUTE_RANGES = {"p": (0, 1500), "sigma": (0, 5000), "t4": (0, 600)}
 LISTING_DIGESTS = {
-    "list": "e0532eb8fc1cb41bf6efe5ea4f0ba53b6c39bdf88ed6d44ff36f6825538cca68",
+    "list": "e140a1d0af6810ccb6ae3ac1d6814a26a1e3dba879dee83b350e8c2b62851def",
     "examples": "4cdbc3374d140280c0495e13747c91fac23fe514088cae777c5761d321cf28f8",
 }
 

@@ -162,12 +162,13 @@ FAULTS = {
     "summand70_q151": (_summand_fault(70, 151), {"eq12_c1", "eq2", "gf_note", "thm5"}),
     "summand70_q148": (_summand_fault(70, 148),
                        {"cong5", "cong7", "cong13", "eq12_c1", "eq2", "gf_note",
-                        "thm2"}),
+                        "thm2", "thm3"}),
     "summand70_q150": (_summand_fault(70, 150),
-                       {"cong7", "cong13", "eq12_c1", "eq2", "gf_note", "thm2"}),
+                       {"cong7", "cong13", "eq12_c1", "eq2", "gf_note", "thm2",
+                        "thm3"}),
     "summand70_q142": (_summand_fault(70, 142),
                        {"cong5", "cong7", "cong13", "eq12_c1", "eq2", "gf_note",
-                        "thm2"}),
+                        "thm2", "thm3"}),
     "theta_q150": (_builder_fault("_theta_correction", 150), {"eq1"}),
     "c1_alpha_m2": (_bailey_fault("C1", "alpha_exponent", 2),
                     {"bailey_c1", "eq12_c1"}),
@@ -215,8 +216,8 @@ BUILDER_FAULTS = {
     "rhs_eq23": ({"eq23"}, {"eq23"}, {"eq23"}),
     # eq2 and eq3 cross the spt_o_plus and spt_o_minus tables at full order,
     # and those read theta/(q;q)_inf and n p(n) at half of it, not at q^151
-    "_p_series": ({"eq1", "eq23", "eq3", "gf_note"}, {"eq1", "eq3", "gf_note"},
-                  {"eq1"}),
+    "_p_series": ({"eq1", "eq23", "eq3", "gf_note", "thm3"},
+                  {"eq1", "eq3", "gf_note", "thm3"}, {"eq1"}),
     # psi(q) enters termwise_eq2's P_0 = (q^2;q^2)_inf^2/psi(q)/(q;q)_inf
     "_psi_series": ({"eq23", "legendre_t4", "termwise_eq2"},
                     {"eq23", "legendre_t4", "termwise_eq2"},
@@ -224,11 +225,12 @@ BUILDER_FAULTS = {
     "lambert_sigma": ({"eq12_c1", "eq12_c5", "eq13", "eq2", "eq3"},
                       {"eq12_c1", "eq12_c5", "eq2", "eq3"},
                       {"eq12_c1", "eq12_c5", "eq2", "eq3"}),
-    "_theta_correction": ({"eq1", "eq2", "gf_note"}, {"eq1", "eq2", "gf_note"},
-                          {"eq1"}),
+    "_theta_correction": ({"eq1", "eq2", "gf_note", "thm3"},
+                          {"eq1", "eq2", "gf_note", "thm3"}, {"eq1"}),
     # the tables compute serves: spt_o is spt(n) at q^(2n), built from
-    # _spt_series at half the order, so q^151 of spt reaches eq1 alone
-    "_spt_series": ({"eq1", "gf_note"}, {"eq1", "gf_note"}, {"eq1"}),
+    # _spt_series at half the order, as thm3 reads it, so q^151 of spt
+    # reaches eq1 alone
+    "_spt_series": ({"eq1", "gf_note", "thm3"}, {"eq1", "gf_note", "thm3"}, {"eq1"}),
     "_spt_o_series": ({"gf_note"}, {"gf_note"}, {"gf_note"}),
     "_spt_o_plus_series": ({"eq2"}, {"eq2"}, {"eq2"}),
     "_spt_o_minus_series": ({"eq3"}, {"eq3"}, {"eq3"}),
@@ -238,16 +240,16 @@ BUILDER_FAULTS = {
 # denominator), both also in termwise_eq2's P_0
 PRODUCT_FAULTS = {
     "euler_series": ((1, 1), ({"eq1", "eq2", "eq23", "eq3", "gf_note", "termwise_eq2",
-                               "thm2"},
-                              {"eq1", "eq3", "gf_note", "termwise_eq2", "thm2"},
+                               "thm2", "thm3"},
+                              {"eq1", "eq3", "gf_note", "termwise_eq2", "thm2", "thm3"},
                               {"eq1", "termwise_eq2"})),
     "even_euler_series": ((2, 2), ({"cong5", "cong7", "cong13", "eq13", "eq2",
                                     "eq23", "eq3", "gf_note", "termwise_eq2",
                                     "thm2", "thm3", "thm4", "thm5"},
                                    {"eq2", "eq23", "eq3", "gf_note", "termwise_eq2",
-                                    "thm2", "thm4", "thm5"},
+                                    "thm2", "thm3", "thm4", "thm5"},
                                    {"eq2", "eq23", "eq3", "gf_note", "termwise_eq2",
-                                    "thm4", "thm5"})),
+                                    "thm3", "thm4", "thm5"})),
 }
 FAULTS.update(
     (f"{name}_q{e}", (_product_fault(*product, e), caught))

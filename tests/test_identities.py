@@ -710,10 +710,12 @@ FAILING_REPORTS = {
     # lhs_gf_note is lhs_eq2 - lhs_eq3, read through this module, so a bump
     # in either reaches gf_note and the congruence at that exponent; thm2
     # reads the even part of lhs_gf_note; eq2 and eq3 report it twice, doubled
-    # against the right side, then against the compute table
+    # against the right side, then against the compute table, and thm3 twice,
+    # against enumeration, then against the spt series
     "lhs_eq2_q8": (_bump_builder("lhs_eq2", 8), {
         "eq2": [(8, 82, 80), (8, 41, 40)], "gf_note": [(8, 11, 10)],
-        "cong5": [(8, 1, 0)], "thm2": [(4, 11, 10)], "thm3": [(4, 41, 10)]}),
+        "cong5": [(8, 1, 0)], "thm2": [(4, 11, 10)],
+        "thm3": [(4, 41, 10), (4, 41, 10)]}),
     "lhs_eq3_q10": (_bump_builder("lhs_eq3", 10), {
         "eq3": [(10, 118, 116), (10, 59, 58)], "gf_note": [(10, 13, 14)],
         "cong7": [(10, 6, 0)], "thm2": [(5, 13, 14)], "thm4": [(5, 59, 0)]}),
@@ -759,6 +761,19 @@ def test_verify_unknown_id():
 def test_verify_bad_order():
     with pytest.raises(ValueError):
         I.verify("eq2", 0)
+
+
+@pytest.mark.parametrize("check_id", I.REGISTRY)
+def test_verify_refuses_orders_above_the_ceiling_before_any_build(check_id, monkeypatch):
+    # the library refuses what the CLI refuses: past MAX_ORDER a check
+    # raises before it builds a quotient or any other series
+    def refuse(*args):
+        raise AssertionError("a series was built above the ceiling")
+
+    monkeypatch.setattr(S, "_quotient", refuse)
+    monkeypatch.setattr(TruncatedSeries, "__init__", refuse)
+    with pytest.raises(ValueError, match=f"ceiling MAX_ORDER = {P.MAX_ORDER}$"):
+        I.verify(check_id, P.MAX_ORDER + 1)
 
 
 @pytest.mark.parametrize("build", [
@@ -831,7 +846,7 @@ def test_capped_check_run_alone_stays_at_desk_scale(check_id, cap, cold_memos,
         built.append(self.order)
 
     monkeypatch.setattr(TruncatedSeries, "__init__", recording)
-    report = I.verify(check_id, cli.MAX_ORDER)
+    report = I.verify(check_id, P.MAX_ORDER)
     assert (report.status, report.order) == ("pass", cap)
     assert max(built, default=0) <= 2 * I.ENUM_CAP + 1
 
@@ -844,7 +859,7 @@ PART_ORDERS = {
     "eq2": lambda N: [min(N, 60), N],
     "eq3": lambda N: [min(N, 60), N],
     "thm2": lambda N: [min(N // 2, 15), N // 2],
-    "thm3": lambda N: [min(N // 2, 30)],
+    "thm3": lambda N: [min(N // 2, 30), N // 2],
     "thm4": lambda N: [N // 2, min(N // 2, 15)],
     "thm5": lambda N: [(N - 1) // 2],
     "eq13": lambda N: [min(N, 30)],
@@ -855,7 +870,7 @@ PART_ORDERS = {
 }
 
 
-@pytest.mark.parametrize("order", [15, 16, 30, 31, 60, 61, 200, cli.MAX_ORDER])
+@pytest.mark.parametrize("order", [15, 16, 30, 31, 60, 61, 200, P.MAX_ORDER])
 def test_each_check_lists_its_part_orders_without_building_a_series(order, monkeypatch):
     built = []
     init = TruncatedSeries.__init__

@@ -1,5 +1,7 @@
 """The package's export list, what it imports, and its memoized functions."""
 
+import gc
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -59,17 +61,78 @@ def test_identity_commands_load_identities_but_not_dataclasses(command):
 
 @pytest.mark.parametrize("argv", [
     ["--all", "--order", "0"],
-    ["--all", "--order", "10001"],  # cli.MAX_ORDER + 1
+    ["--all", "--order", "10001"],  # partitions.MAX_ORDER + 1
     ["--all", "--identity", "eq2", "--order", "10"],
     ["--order", "10"],
 ])
 def test_verify_usage_errors_exit_before_loading_identities(argv):
-    from sptq import cli
+    from sptq import partitions
 
-    assert cli.MAX_ORDER == 10_000
+    assert partitions.MAX_ORDER == 10_000
     imported, messages = _imported_by("verify", *argv, exit_code=2)
     assert "sptq.cli" in imported and "sptq.identities" not in imported
     assert [line.split(":")[0] for line in messages] == ["error"]  # not argparse's usage
+
+
+@pytest.mark.parametrize("module", ["sptq.cli", "sptq.identities"])
+def test_import_loads_neither_typing_nor_pathlib(module):
+    # in a virtual environment whose site hooks preload neither, typing and
+    # pathlib took 7-11 ms and 4-6 ms of the 13-20 ms of import sptq.cli
+    probe = "\n".join([
+        "import sys",
+        "before = set(sys.modules)",
+        f"import {module}",
+        "added = set(sys.modules) - before",
+        "print(*sorted(m for m in added if m.partition('.')[0] in sys.stdlib_module_names))",
+    ])
+    added = set(_python("-S", "-c", probe).stdout.split())
+    assert "math" in added  # the listing sees the stdlib
+    assert added.isdisjoint({"typing", "pathlib"})
+
+
+# the process entry: the code a process exits with and whether the heap was
+# frozen by then, so that finalization's collections skip every live object
+EXIT_PROBE = "\n".join([
+    "import gc, importlib, json, runpy, sys",
+    "entry, sys.argv = sys.argv[1], ['sptq', *sys.argv[2:]]",
+    "try:",
+    "    if entry == '-m':",
+    "        runpy.run_module('sptq', run_name='__main__')",
+    "    else:  # a [project.scripts] target, called as its generated wrapper does",
+    "        module, _, name = entry.partition(':')",
+    "        sys.exit(getattr(importlib.import_module(module), name)())",
+    "    outcome = 'no exit'",
+    "except SystemExit as exc:",
+    "    outcome = exc.code",
+    "print(json.dumps([outcome, gc.get_freeze_count() > 0]), file=sys.stderr)",
+])
+
+
+def _pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        return tomllib.load(fh)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["list"], 0),
+    (["verify", "--all", "--order", "0"], 2),  # sptq's own usage error
+    (["no-such-command"], 2),  # argparse's exit
+], ids=["list", "usage", "argparse"])
+@pytest.mark.parametrize("entry", ["-m", "script"])
+def test_process_entries_freeze_the_heap_on_every_way_out(entry, argv, code):
+    if entry == "script":
+        entry = _pyproject()["project"]["scripts"]["sptq"]
+    run = _python("-c", EXIT_PROBE, entry, *argv)
+    assert json.loads(run.stderr.splitlines()[-1]) == [code, True]
+
+
+def test_cli_main_in_process_freezes_nothing():
+    from sptq import cli
+
+    frozen = gc.get_freeze_count()
+    assert cli.main(["list"]) == 0
+    assert gc.get_freeze_count() == frozen
 
 
 def test_identities_exports_load_on_first_use():
@@ -121,7 +184,4 @@ def test_cold_memos_clears_every_memo_of_the_library(cold_memos):
 
 def test_version_matches_pyproject():
     # the compute cache is keyed on sptq.__version__, which pyproject.toml repeats
-    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with open(pyproject, "rb") as fh:
-        assert tomllib.load(fh)["project"]["version"] == sptq.__version__
+    assert _pyproject()["project"]["version"] == sptq.__version__

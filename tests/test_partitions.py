@@ -8,6 +8,7 @@ from functools import cache
 import pytest
 
 from sptq import partitions as P
+from sptq import series as S
 from sptq.identities import ENUM_CAP, verify_all
 from sptq.series import _m2_series, _spt_o_minus_series, _spt_o_plus_series, qpoch_inf
 
@@ -457,6 +458,22 @@ def test_sequence_errors():
         P.sequence("spt", 0, 3)  # spt starts at 1
     with pytest.raises(ValueError):
         P.sequence("p", 5, 2)  # empty range
+
+
+@pytest.mark.parametrize("name", P.sequence_ids())
+def test_sequence_refuses_a_hi_above_the_ceiling_before_any_build(name, monkeypatch):
+    # the library refuses what `compute` refuses: past MAX_ORDER a table
+    # raises before its builder, or the quotient memo, runs
+    def refuse(*args):
+        raise AssertionError("a series was built above the ceiling")
+
+    monkeypatch.setattr(S, "_quotient", refuse)
+    for builder, _lo in P._SEQUENCES.values():
+        monkeypatch.setattr(S, builder, refuse)
+    lo = P.sequence_domain_min(name)
+    P.check_range(name, lo, P.MAX_ORDER)  # the ceiling itself is served
+    with pytest.raises(ValueError, match=f"ceiling MAX_ORDER = {P.MAX_ORDER}$"):
+        P.sequence(name, lo, P.MAX_ORDER + 1)
 
 
 def test_sequence_registry_is_complete():
