@@ -1,19 +1,25 @@
 """Command-line front end: compute sequences, verify identities, print the
 worked-example table.
 
+``main`` reads the command line through one table of the four commands and
+their flags, ``_COMMANDS``, as argparse read it (see ``_parse``); no command
+imports argparse, gettext or locale.
+
 Exit codes: 0 all good, 1 at least one verification failed, 2 usage error
-(``verify --order`` or ``compute --hi`` above ``partitions.MAX_ORDER``, or
-``verify`` given both ``--all`` and ``--identity``, among them) or an output
-file, or a stdout closed early by its reader, that cannot be written; a
-stderr so closed drops what would go there and changes no exit code.
-Big integers are serialized as decimal strings in JSON output.
+(a refused command line, ``verify --order`` or ``compute --hi`` above
+``partitions.MAX_ORDER``, or ``verify`` given both ``--all`` and
+``--identity``, among them) or an output file, or a stdout closed early by
+its reader, that cannot be written; a stderr so closed drops what would go
+there and changes no exit code.  Big integers are serialized as decimal
+strings in JSON output.
 """
 
-import argparse
 import json
 import os
+import re
 import sys
 import tempfile
+from types import SimpleNamespace
 
 from . import __version__, partitions  # identities only where a command needs it
 
@@ -232,44 +238,132 @@ def _cmd_list(_args) -> int:
     return _emit("\n".join(lines), None, 0)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sptq",
-        description="Exact smallest-part counting sequences and identity checks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# each command: its function, its help and its flags; each flag: the kind of its
+# value (int, str, a tuple of choices, list: a repeatable str, bool: a switch),
+# its default, whether it is required, and its help
+_COMMANDS = {
+    "compute": (_cmd_compute, "tabulate a named sequence", {
+        "--sequence": (str, None, True, "sequence id, as `sptq list` shows them"),
+        "--lo": (int, None, True, "first n"),
+        "--hi": (int, None, True, f"last n, at most MAX_ORDER = {partitions.MAX_ORDER}"),
+        "--format": (("json", "csv", "text"), "json", False, "output format"),
+        "--out": (str, None, False, "write to a file instead of stdout"),
+        "--cache-dir": (str, None, False, "read and write the table's cache here, if given"),
+    }),
+    "verify": (_cmd_verify, "run identity checks", {
+        "--all": (bool, False, False, "run every registered check"),
+        "--identity": (list, None, False, "check id; repeatable"),
+        "--order": (int, 40, False, "truncation order / index bound"),
+        "--report": (str, None, False, "write the JSON report to a file"),
+    }),
+    "examples": (_cmd_examples, "print the worked-example table with agreement flags", {}),
+    "list": (_cmd_list, "list sequence and identity ids", {}),
+}
+_HELP = ("-h", "--help")  # the top level's one flag, and every command's
 
-    p_compute = sub.add_parser("compute", help="tabulate a named sequence")
-    p_compute.add_argument("--sequence", required=True)
-    p_compute.add_argument("--lo", type=int, required=True)
-    p_compute.add_argument("--hi", type=int, required=True)
-    p_compute.add_argument("--format", choices=("json", "csv", "text"),
-                           default="json")
-    p_compute.add_argument("--out", help="write to a file instead of stdout")
-    p_compute.add_argument("--cache-dir",
-                           help="read and write the table's cache here "
-                                "(default: no cache)")
-    p_compute.set_defaults(fn=_cmd_compute)
 
-    p_verify = sub.add_parser("verify", help="run identity checks")
-    p_verify.add_argument("--all", action="store_true")
-    p_verify.add_argument("--identity", action="append",
-                          help="check id; repeatable")
-    p_verify.add_argument("--order", type=int, default=40,
-                          help="truncation order / index bound (default 40)")
-    p_verify.add_argument("--report", help="write the JSON report to a file")
-    p_verify.set_defaults(fn=_cmd_verify)
+class _Refused(Exception):
+    """A refused command line: its command (None: the top level), the message."""
 
-    p_examples = sub.add_parser(
-        "examples", help="print the worked-example table with agreement flags")
-    p_examples.set_defaults(fn=_cmd_examples)
 
-    p_list = sub.add_parser("list", help="list sequence and identity ids")
-    p_list.set_defaults(fn=_cmd_list)
+def _help(command):
+    """The help lines of ``command`` (None: the top level), usage line first."""
+    if command is None:
+        about = "Exact smallest-part counting sequences and identity checks."
+        rows = [(name, text) for name, (_, text, _) in _COMMANDS.items()]
+        usage = ["[-h]", "{" + ",".join(_COMMANDS) + "}", "..."]
+    else:
+        (_, about, flags), usage, rows = _COMMANDS[command], [command, "[-h]"], []
+        for flag, (kind, default, required, text) in flags.items():
+            left = (flag if kind is bool else f"{flag} {{{','.join(kind)}}}" if type(kind) is tuple
+                    else f"{flag} {flag[2:].upper()}")
+            usage.append(left if required else f"[{left}]")
+            rows.append((left, text + (" (required)" if required else
+                                       f" (default: {default})" if default else "")))
+    rows.append(("-h, --help", "print this help and exit"))
+    width = max(len(left) for left, _ in rows)
+    return [" ".join(["usage: sptq", *usage]), "", about, "",
+            *(f"  {left.ljust(width)}  {text}" for left, text in rows)]
 
-    return parser
+
+def _classify(token, command, flags):
+    """How argparse read ``token``: None for a value, else the flag it names in
+    full or by a unique prefix (None: no flag) and the value after its ``=``."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    if token[1] == "-":
+        name, eq, value = token.partition("=")
+        value = value if eq else None
+    else:  # -h; its repeats -hh... ask for help too, and what follows them is a value
+        name, value = token[:2], token[2:].lstrip("h") or None
+    matches = [flag for flag in (*_HELP, *flags) if flag.startswith(name)]
+    if len(matches) > 1 and name not in matches:
+        raise _Refused(command, f"ambiguous option: {name} could match {', '.join(matches)}")
+    if matches:
+        return min(matches, key=len), value  # a full name is its shortest match
+    return None if " " in token or re.match(r"-\d+$|-\d*\.\d+$", token) else (None, None)
+
+
+def _parse(argv, command=None):
+    """Read ``argv`` through _COMMANDS as argparse read it: the top level's
+    flags up to the command's name, then the command's.  Each level classifies
+    its tokens before it reads a value, and leaves over those from a ``--`` on.
+    Return the command and its values by flag, None for them when help was
+    asked for; raise _Refused for every command line that argparse refused."""
+    flags, values, extras, i = _COMMANDS[command][2] if command else {}, {}, [], 0
+    end = argv.index("--") if command and "--" in argv else len(argv)
+    kinds = [_classify(t, command, flags) for t in argv[:end]] + [(None, None)] * (len(argv) - end)
+    while i < len(argv):
+        token, kind, i = argv[i], kinds[i], i + 1
+        if kind is None and command is None:  # the command's name: it reads the rest
+            if token not in _COMMANDS:
+                raise _Refused(None, f"argument command: invalid choice: {token!r}")
+            parsed = _parse(argv[i:], token)
+            if extras and parsed[1] is not None:
+                raise _Refused(None, f"unrecognized arguments: {' '.join(extras)}")
+            return parsed
+        if kind is None or kind[0] is None:
+            extras.append(token)
+        elif kind[0] in _HELP or flags[kind[0]][0] is bool:
+            if kind[1] is not None:
+                raise _Refused(command, f"argument {kind[0]}: ignored explicit argument {kind[1]!r}")
+            if kind[0] in _HELP:
+                return command, None
+            values[kind[0]] = True
+        else:
+            (flag, value), form = kind, flags[kind[0]][0]
+            if value is None:
+                if i == len(argv) or kinds[i] is not None:
+                    raise _Refused(command, f"argument {flag}: expected one argument")
+                value, i = argv[i], i + 1
+            try:
+                value = int(value) if form is int else value
+            except ValueError:
+                raise _Refused(command, f"argument {flag}: invalid int value: {value!r}") from None
+            if type(form) is tuple and value not in form:
+                raise _Refused(command, f"argument {flag}: invalid choice: {value!r}")
+            values[flag] = [*values.get(flag, ()), value] if form is list else value
+    missing = [flag for flag, entry in flags.items() if entry[2] and flag not in values]
+    if command is None or missing:
+        raise _Refused(command, "the following arguments are required: "
+                                f"{', '.join(missing) or 'command'}")
+    if extras:
+        raise _Refused(command, f"unrecognized arguments: {' '.join(extras)}")
+    return command, values
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    return args.fn(args)
+    """Run the command ``argv`` (by default ``sys.argv[1:]``) names and return
+    its exit code: 2 for a refused command line, after its usage line."""
+    try:
+        command, values = _parse(sys.argv[1:] if argv is None else list(argv))
+    except _Refused as exc:
+        command, message = exc.args
+        _print(_help(command)[0])
+        _print(f"sptq{' ' + command if command else ''}: error: {message}")
+        return 2
+    if values is None:
+        return _emit("\n".join(_help(command)), None, 0)
+    fn, _, flags = _COMMANDS[command]
+    return fn(SimpleNamespace(**{flag[2:].replace("-", "_"): values.get(flag, entry[1])
+                                 for flag, entry in flags.items()}))

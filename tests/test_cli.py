@@ -635,3 +635,144 @@ def test_list_shows_registries():
     for name in ("p", "sigma", "spt", "spt_o_plus", "spt_o_minus",
                  "spt_o", "n2", "m2", "t4"):
         assert name in r.stdout
+
+
+# ----------------------------------------------------------------------
+# the command line's grammar: each spelling below reads as its canonical
+# argv, and each refusal exits 2 with a usage line and one error line
+# ----------------------------------------------------------------------
+
+COMPUTE_P = ["compute", "--sequence", "p", "--lo", "3", "--hi", "12"]
+SPELLINGS = [  # (argv, the canonical argv whose exit code and stdout it gives)
+    pytest.param(["compute", "--sequence=p", "--lo=3", "--hi=12", "--format=csv"],
+                 COMPUTE_P + ["--format", "csv"], id="equals"),
+    pytest.param(["compute", "--seq", "p", "--l", "3", "--hi", "12", "--fo", "text"],
+                 COMPUTE_P + ["--format", "text"], id="prefixes"),
+    pytest.param(["compute", "--seq=p", "--lo=3", "--hi", "12", "--f=csv"],
+                 COMPUTE_P + ["--format", "csv"], id="prefix-equals"),
+    pytest.param(["compute", "--hi", "12", "--format", "csv", "--lo", "3", "--sequence", "p"],
+                 COMPUTE_P + ["--format", "csv"], id="any-order"),
+    pytest.param(["compute", "--sequence", "p", "--lo", "0_3", "--hi", "1_2"], COMPUTE_P,
+                 id="underscored-ints"),
+    pytest.param(["compute", "--sequence", "p", "--lo", "+3", "--hi", " 12 "], COMPUTE_P,
+                 id="signed-and-spaced-ints"),
+    pytest.param(COMPUTE_P + ["--format", "json"], COMPUTE_P, id="format-default"),
+    pytest.param(COMPUTE_P + ["--out="], COMPUTE_P, id="empty-out-is-stdout"),
+    pytest.param(COMPUTE_P + ["--format", "text", "--format", "csv"],
+                 COMPUTE_P + ["--format", "csv"], id="last-format-wins"),
+    pytest.param(["compute", "--sequence", "p", "--lo", "-3", "--hi", "4"],
+                 ["compute", "--sequence", "p", "--lo=-3", "--hi", "4"], id="negative-int"),
+    pytest.param(["verify", "--identity", "thm5", "--ident=eq23", "--i", "thm5", "--order", "9"],
+                 ["verify", "--identity", "thm5", "--identity", "eq23", "--order", "9"],
+                 id="repeated-identity"),
+    pytest.param(["verify", "--all", "--order", "50", "--ord", "12"],
+                 ["verify", "--all", "--order", "12"], id="last-order-wins"),
+    pytest.param(["verify", "--a", "--all", "--order=1_2"], ["verify", "--all", "--order", "12"],
+                 id="all-prefix-and-repeat"),
+    pytest.param(["verify", "--all"], ["verify", "--all", "--order", "40"], id="order-default"),
+    pytest.param(["verify", "--all", "--order", "-3"], ["verify", "--all", "--order=-3"],
+                 id="negative-order"),
+    pytest.param(["verify", "--identity="], ["verify", "--identity", ""], id="empty-identity"),
+]
+
+
+def _in_process(argv, capsys):
+    """cli.main(argv) run here: its exit code, stdout and stderr, with the
+    elapsed times of a verify report taken out."""
+    from sptq import cli
+
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    if argv[0] == "verify" and code != 2:
+        reports = json.loads(out)
+        for report in reports:
+            del report["elapsed_ms"]
+        out = reports
+        err = [line.rsplit(",", 1)[0] for line in err.splitlines()]  # no timings
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv, canonical", SPELLINGS)
+def test_each_accepted_spelling_reads_as_its_canonical_argv(argv, canonical, capsys):
+    assert _in_process(argv, capsys) == _in_process(canonical, capsys)
+
+
+REFUSALS = [  # (argv, a word its error line must contain)
+    pytest.param([], "command", id="no-command"),
+    pytest.param(["nope"], "nope", id="unknown-command"),
+    pytest.param(["--", "list"], "--", id="separator-as-command"),
+    pytest.param(["list", "--bogus"], "--bogus", id="unrecognised-flag"),
+    pytest.param(["--bogus", "list"], "--bogus", id="unrecognised-top-flag"),
+    pytest.param(["list", "extra"], "extra", id="stray-word"),
+    pytest.param(["list", "--"], "--", id="stray-separator"),
+    pytest.param(COMPUTE_P + ["--", "--format", "csv"], "--", id="flags-after-separator"),
+    pytest.param(["compute", "--sequence", "p", "--lo", "3", "--hi"], "--hi", id="missing-value"),
+    pytest.param(["compute", "--sequence", "-x", "--lo", "3", "--hi", "4"], "--sequence",
+                 id="flag-like-value"),
+    pytest.param(["compute", "--sequence", "p", "--lo", "-1_0", "--hi", "4"], "--lo",
+                 id="flag-like-negative"),
+    pytest.param(["compute", "--sequence", "p", "--lo", "x", "--hi", "4"], "--lo", id="bad-int"),
+    pytest.param(["compute", "--sequence", "p", "--lo", "1.0", "--hi", "4"], "--lo",
+                 id="float-int"),
+    pytest.param(COMPUTE_P + ["--format", "xml"], "--format", id="bad-format"),
+    pytest.param(["compute", "--lo", "3", "--hi", "4"], "--sequence", id="missing-sequence"),
+    pytest.param(["compute", "--sequence", "p", "--hi", "4"], "--lo", id="missing-lo"),
+    pytest.param(["compute", "--sequence", "p", "--lo", "3"], "--hi", id="missing-hi"),
+    pytest.param(["verify", "--all=1"], "--all", id="switch-given-value"),
+    pytest.param(["verify", "--all", "1"], "1", id="switch-followed-by-value"),
+    pytest.param(COMPUTE_P + ["--h", "20"], "--h", id="ambiguous-prefix"),
+    pytest.param(["compute", "-h", "--h"], "--h", id="ambiguous-before-help"),
+    pytest.param(["compute", "--lo", "x", "-h"], "--lo", id="bad-int-before-help"),
+    pytest.param(["verify", "--help=x"], "--help", id="help-given-value"),
+    pytest.param(["-hx"], "-h", id="short-help-given-value"),
+    pytest.param(["verify", "--all", "--order", "x"], "--order", id="bad-order"),
+]
+
+
+def _assert_refused(code, out, err, word):
+    lines = err.splitlines()
+    errors = [line for line in lines if "error:" in line]
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert lines[0].startswith("usage: sptq")
+    assert len(errors) == 1 and errors[0].startswith("sptq") and word in errors[0]
+
+
+@pytest.mark.parametrize("argv, word", REFUSALS)
+def test_each_refusal_exits_two_with_a_usage_and_an_error_line(argv, word):
+    r = run_cli(*argv)
+    _assert_refused(r.returncode, r.stdout, r.stderr, word)
+
+
+@pytest.mark.parametrize("argv, word", REFUSALS)
+def test_cli_main_returns_two_for_each_refusal(argv, word, capsys):
+    from sptq import cli
+
+    code = cli.main(argv)
+    _assert_refused(code, *capsys.readouterr(), word)
+
+
+COMMAND_FLAGS = {
+    None: ["-h", "--help", "compute", "verify", "examples", "list"],
+    "compute": ["-h", "--help", "--sequence", "--lo", "--hi", "--format", "--out",
+                "--cache-dir"],
+    "verify": ["-h", "--help", "--all", "--identity", "--order", "--report"],
+    "examples": ["-h", "--help"],
+    "list": ["-h", "--help"],
+}
+HELP_ARGVS = [
+    ["-h"], ["--help"], ["--he"], ["-hh"], ["--bogus", "-h"], ["-h", "nope"],
+    ["compute", "-h"], ["compute", "--help", "--lo", "x"], ["compute", "--bogus", "-h"],
+    ["compute", "--lo", "3", "-h"], ["verify", "--h"], ["verify", "--all", "-h"],
+    ["examples", "-h"], ["list", "--help"],
+]
+
+
+@pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+def test_help_exits_zero_and_names_every_flag(argv):
+    r = run_cli(*argv)
+    assert (r.returncode, r.stderr) == (0, "")
+    command = argv[0] if argv[0] in COMMAND_FLAGS else None
+    assert r.stdout.startswith(f"usage: sptq {command or ''}".rstrip())
+    words = r.stdout.replace(",", " ").replace("[", " ").replace("]", " ").split()
+    assert set(COMMAND_FLAGS[command]) <= set(words)

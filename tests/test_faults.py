@@ -278,6 +278,76 @@ FAULTS.update(
 )
 
 
+# ----------------------------------------------------------------------
+# every reported order is an order compared: each row bumps a coefficient
+# at (or, for a check of a longer period, near) q^ORDER, the top of what a
+# check that reports ORDER compares
+# ----------------------------------------------------------------------
+
+
+def _alpha_term_fault(exponent):
+    """Bump q^exponent of every alpha_n term a Bailey pair multiplies in."""
+
+    def plant(monkeypatch):
+        real = I.BaileyPair.times_alpha
+        monkeypatch.setattr(I.BaileyPair, "times_alpha",
+                            lambda pair, n, s: _bumped(real(pair, n, s), exponent))
+
+    return plant
+
+
+# the failing sets of each builder bumped at q^(ORDER - 1) and at q^ORDER
+TOP_EXPONENTS = (ORDER - 1, ORDER)
+TOP_BUILDER_FAULTS = {
+    "lhs_eq1": ({"eq1"}, {"eq1"}),
+    "lhs_eq2": ({"eq2", "gf_note", "thm5"}, {"eq2", "gf_note", "thm2", "thm3"}),
+    "lhs_eq3": ({"eq23", "eq3", "gf_note", "thm5"}, {"eq3", "gf_note", "thm2", "thm4"}),
+    "lhs_gf_note": ({"gf_note"}, {"gf_note", "thm2"}),
+    "_n2_series": ({"eq1"}, {"eq1"}),
+    "_m2_series": ({"eq1"}, {"eq1"}),
+    "_t4_series": ({"legendre_t4"}, {"legendre_t4"}),
+    "rhs_eq23": ({"eq23"}, set()),  # eq23 compares odd exponents alone
+    "_p_series": ({"eq1"}, {"eq1"}),
+    # termwise_eq2 reads psi(q) shifted by each summand's n >= 1
+    "_psi_series": ({"legendre_t4", "termwise_eq2"}, {"legendre_t4"}),
+    "lambert_sigma": ({"eq12_c1", "eq12_c5", "eq2", "eq3"},
+                      {"eq12_c1", "eq12_c5", "eq2", "eq3"}),
+    "_theta_correction": ({"eq1"}, {"eq1"}),
+    "_spt_series": ({"eq1"}, {"eq1"}),
+    "_spt_o_series": ({"gf_note"}, {"gf_note"}),
+    "_spt_o_plus_series": ({"eq2"}, {"eq2"}),
+    "_spt_o_minus_series": ({"eq3"}, {"eq3"}),
+}
+# a bump of (q^2;q^2)_inf at q^ORDER reaches its quotients past ORDER only
+TOP_PRODUCT_FAULTS = {
+    "euler_series": ((1, 1), ({"eq1", "termwise_eq2"}, {"eq1"})),
+    "even_euler_series": ((2, 2), ({"termwise_eq2", "thm3", "thm4"}, set())),
+}
+# name -> (the index bumped, the planter, the failing set)
+TOP_FAULTS = {
+    **{f"{name.lstrip('_')}_q{e}": (e, _builder_fault(name, e), caught)
+       for name, sets in TOP_BUILDER_FAULTS.items()
+       for e, caught in zip(TOP_EXPONENTS, sets)},
+    **{f"{name}_q{e}": (e, _product_fault(*product, e), caught)
+       for name, (product, sets) in TOP_PRODUCT_FAULTS.items()
+       for e, caught in zip(TOP_EXPONENTS, sets)},
+    # the top exponent 2 (step k + offset) <= ORDER that cong<step> reads
+    "lhs_gf_note_q198": (198, _builder_fault("lhs_gf_note", 198), {"cong5", "gf_note", "thm2"}),
+    "lhs_gf_note_q192": (192, _builder_fault("lhs_gf_note", 192), {"cong7", "gf_note", "thm2"}),
+    "lhs_gf_note_q194": (194, _builder_fault("lhs_gf_note", 194), {"cong13", "gf_note", "thm2"}),
+    # sigma_doubling reads sigma(2n) for n <= ORDER
+    f"sigma_n{2 * ORDER}": (ORDER, _value_fault("sigma", 2 * ORDER), {"sigma_doubling"}),
+    f"alpha_terms_q{ORDER}": (ORDER, _alpha_term_fault(ORDER),
+                              {"bailey_c1", "bailey_c5", "eq12_c1", "eq12_c5"}),
+    f"walk5_q{ORDER}": (ORDER, _summand_fault(5, ORDER, sums=False), {"termwise_eq2"}),
+}
+FAULTS.update((name, (plant, caught)) for name, (_, plant, caught) in TOP_FAULTS.items())
+# a check's period: 2 where it compares an even or an odd part, 2 step for
+# cong<step>, which reads every (2 step)-th coefficient, else 1
+PERIODS = {"thm2": 2, "thm3": 2, "thm4": 2, "thm5": 2, "eq23": 2,
+           "cong5": 10, "cong7": 14, "cong13": 26}
+
+
 @pytest.fixture
 def cold_identities():
     """Empty the per-order memos of ``series`` and ``identities`` before and
@@ -301,6 +371,16 @@ def test_fault_is_caught_by_exactly_these_checks(fault, cold_identities, monkeyp
     plant(monkeypatch)
     failing = {r.id for r in I.verify_all(ORDER) if r.status == "fail"}
     assert failing == caught_by
+
+
+def test_every_uncapped_check_compares_within_one_period_of_its_order():
+    # a check that reports ORDER fails on some bump within one period of
+    # q^ORDER, by the failing sets that the rows above pin
+    uncapped = {r.id for r in I.verify_all(ORDER) if r.order == ORDER}
+    reached = {check_id for index, _, caught in TOP_FAULTS.values() for check_id in caught
+               if ORDER - PERIODS.get(check_id, 1) < index}
+    assert len(uncapped) == 19
+    assert uncapped - reached == set()
 
 
 def test_every_check_catches_some_fault():

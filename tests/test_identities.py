@@ -6,6 +6,7 @@ being tested never see those oracles while computing.
 
 import dataclasses
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -23,6 +24,7 @@ from sptq.series import (
     zero,
 )
 
+from test_faults import _bumped  # adds 1 at one exponent of a series
 from test_faults import statistics_fault  # the one planter of per-size faults
 
 SPT_O_PLUS = [1, 3, 5, 9, 12, 21, 25, 40, 50, 72, 86, 128, 145, 205]
@@ -885,6 +887,40 @@ def test_each_check_lists_its_part_orders_without_building_a_series(order, monke
     assert built == []
     assert listed == {check_id: PART_ORDERS.get(check_id, lambda N: [N])(order)
                       for check_id in I.REGISTRY}
+
+
+def _one_side_bumped(parts, target, side, exponent):
+    """``parts``, with 1 added at q^exponent to side ``side`` (1: lhs, 2: rhs)
+    of the ``target``-th part, where that side knows the coefficient."""
+    for index, part in enumerate(parts):
+        if index == target:
+            part = list(part)
+            build = part[side]
+            part[side] = lambda: _bumped(build(), exponent)
+        yield tuple(part)
+
+
+@pytest.mark.parametrize("order", [15, 31, 200])
+def test_a_bump_at_either_end_of_any_series_part_fails_its_check(order, monkeypatch):
+    # coefficient 0 and the part's own order, on each side of each part that
+    # compares two series: a part that stopped short of its declared order,
+    # or skipped its constant term, would let one of these pass
+    missed, tried = [], 0
+    for check_id, check in list(I.REGISTRY.items()):
+        for target, (n, _, rhs, *_) in enumerate(check.run.parts(order)):
+            if rhs is None:  # a composite that lists its own mismatches
+                continue
+            for side, exponent in [(1, 0), (1, n), (2, 0), (2, n)]:
+                bumped = partial(_one_side_bumped, target=target, side=side, exponent=exponent)
+                run = I._runner(lambda o, bumped=bumped, parts=check.run.parts: bumped(parts(o)))
+                monkeypatch.setitem(I.REGISTRY, check_id, I.IdentityCheck(
+                    check_id, check.description, check.kind, run))
+                tried += 1
+                if I.verify(check_id, order).status == "pass":
+                    missed.append((check_id, target, side, exponent))
+        monkeypatch.setitem(I.REGISTRY, check_id, check)
+    assert tried == 100  # 25 series parts, four bumps each
+    assert missed == []
 
 
 def test_the_runner_applies_the_one_rule_to_each_part_in_turn():

@@ -87,7 +87,25 @@ def test_import_loads_neither_typing_nor_pathlib(module):
     ])
     added = set(_python("-S", "-c", probe).stdout.split())
     assert "math" in added  # the listing sees the stdlib
-    assert added.isdisjoint({"typing", "pathlib"})
+    assert added.isdisjoint({"typing", "pathlib", *PARSER_MODULES})
+
+
+# under python -S on a shared 2-vCPU machine, argparse took 6-7 ms of
+# import sptq.cli, gettext and re (which json loads anyway) included, and
+# the locale that gettext loads on its first message lookup 1 ms more; the
+# command line is read through a table in sptq.cli instead
+PARSER_MODULES = ("argparse", "gettext", "locale")
+
+
+@pytest.mark.parametrize("command, exit_code", [
+    (("compute", "--sequence", "spt", "--lo", "1", "--hi", "20"), 0),
+    (("verify", "--all", "--order", "20"), 0),
+    (("verify", "--all", "--order", "x"), 2),  # a refusal of the command line
+], ids=["compute", "verify", "refusal"])
+def test_commands_load_no_argument_parser(command, exit_code):
+    imported, _ = _imported_by(*command, exit_code=exit_code)
+    assert "sptq.cli" in imported
+    assert imported.isdisjoint(PARSER_MODULES)
 
 
 # the process entry: the code a process exits with and whether the heap was
@@ -117,8 +135,8 @@ def _pyproject():
 @pytest.mark.parametrize("argv, code", [
     (["list"], 0),
     (["verify", "--all", "--order", "0"], 2),  # sptq's own usage error
-    (["no-such-command"], 2),  # argparse's exit
-], ids=["list", "usage", "argparse"])
+    (["no-such-command"], 2),  # a refusal of the command line
+], ids=["list", "usage", "parser"])
 @pytest.mark.parametrize("entry", ["-m", "script"])
 def test_process_entries_freeze_the_heap_on_every_way_out(entry, argv, code):
     if entry == "script":
