@@ -54,6 +54,5 @@ __all__ = [
     "odd_condition", "p", "rank", "sequence", "sigma", "spt", "spt_o",
     "spt_o_minus", "spt_o_plus", "t4",
     "BaileyPair", "IdentityCheck", "IdentityReport", "Mismatch", "REGISTRY",
-    "bailey_pair", "check_bailey_relation", "check_congruence", "check_eq12",
-    "verify", "verify_all",
+    "bailey_pair", "check_bailey_relation", "verify", "verify_all",
 ]

@@ -15,9 +15,11 @@ partitions of ENUM_CAP, and M2 from one pass that counts the crank moments of
 every n, so each check crosses two representations.
 
 Each check yields its parts: an order and two thunks building the series it
-compares to that order, or one thunk listing a composite's mismatches.  One
-runner applies the one rule, ``_series_mismatches``: two coefficients differ
-or, given a modulus, are incongruent modulo it.  Per-n statistics stop at
+compares to that order, with a modulus for a congruence, or one thunk listing
+the mismatches of a composite (bailey_c1, bailey_c5, termwise_eq2: the first
+difference per n).  One runner applies the one rule, ``_series_mismatches``:
+two coefficients differ or, given a modulus, are incongruent modulo it; a
+congruence's index is the k of its description.  Per-n statistics stop at
 desk scale whatever the request: eq13, eq14, m2_is_2np and spt_half_diff
 declare a cap, at which they run and which they report; eq1-eq3 and thm2-thm4
 report the requested order and cap only their per-n parts, at 2 ENUM_CAP,
@@ -63,22 +65,17 @@ class IdentityCheck(_FrozenSlots):
     __slots__ = ("id", "description", "kind", "run")
 
 
-def _sequence_mismatches(indices: Iterable[int], lhs, rhs, modulus=0) -> list[Mismatch]:
-    """The one mismatch rule: one Mismatch per index n where the ints lhs(n)
-    and rhs(n) differ or, given a modulus, are incongruent modulo it."""
-    indices = tuple(indices)
-    values = zip(indices, map(lhs, indices), map(rhs, indices))
-    return [Mismatch(n, a, b) for n, a, b in values
-            if ((a - b) % modulus if modulus else a != b)]
-
-
 def _series_mismatches(order: int, lhs: TruncatedSeries, rhs: TruncatedSeries,
                        modulus: int = 0) -> list[Mismatch]:
-    """The one rule over the coefficients 0..order of two series, each known
-    that far (else IndexError): none, at C speed, when the prefixes are equal."""
+    """The one mismatch rule: one Mismatch per exponent 0..order where the two
+    coefficients differ or, given a modulus, are incongruent modulo it.  Each
+    series must be known that far (else IndexError); equal prefixes give none,
+    at C speed."""
     if min(lhs.order, rhs.order) >= order and lhs.coeffs[: order + 1] == rhs.coeffs[: order + 1]:
         return []
-    return _sequence_mismatches(range(order + 1), lhs.coeff, rhs.coeff, modulus)
+    values = ((n, lhs.coeff(n), rhs.coeff(n)) for n in range(order + 1))
+    return [Mismatch(n, a, b) for n, a, b in values
+            if ((a - b) % modulus if modulus else a != b)]
 
 
 def _first_difference(index: int, lhs, rhs) -> list[Mismatch]:
@@ -302,11 +299,6 @@ def eq12_rhs(pair: BaileyPair, order: int) -> TruncatedSeries:
     return total
 
 
-def check_eq12(pair: BaileyPair, order: int) -> list[Mismatch]:
-    """The differentiated-lemma identity for one pair, coefficientwise."""
-    return _series_mismatches(order, eq12_lhs(pair, order), eq12_rhs(pair, order))
-
-
 def _termwise_mismatches(order: int) -> list[Mismatch]:
     """Each differentiated-lemma summand q^(n + beta_exponent(n)) T_n, T_n
     from ``_upward_walk``, equals the literal quotient summand q^n P_n/(1-q^n)^2
@@ -328,18 +320,8 @@ def _termwise_mismatches(order: int) -> list[Mismatch]:
 
 
 # ----------------------------------------------------------------------
-# congruences
+# parity
 # ----------------------------------------------------------------------
-
-
-def check_congruence(
-    values: Callable[[int], int], step: int, offset: int, modulus: int, k_max: int
-) -> list[Mismatch]:
-    """Check values(step*k + offset) == 0 (mod modulus) for k = 0..k_max."""
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    args = (step * k + offset for k in range(k_max + 1))
-    return _sequence_mismatches(args, lambda a: values(a) % modulus, lambda a: 0)
 
 
 def even_parity_report(order: int) -> tuple[int, int]:
@@ -537,10 +519,12 @@ def _eq12_parts(label, order):
 
 
 def _cong_parts(step, offset, modulus, order):
-    """spt_o(2(step k + offset)) == 0 (mod modulus) for 2(step k + offset) <= order."""
-    k_max = (order // 2 - offset) // step
-    yield order, lambda: check_congruence(
-        lhs_gf_note(order).coeff, 2 * step, 2 * offset, modulus, k_max), None
+    """spt_o(2(step k + offset)) == 0 (mod modulus) for k = 0..k_max, the
+    largest k with 2(step k + offset) <= order; no part below order 2 offset."""
+    if order >= 2 * offset:
+        k_max = (order - 2 * offset) // (2 * step)
+        yield (k_max, lambda: lhs_gf_note(order).extract(2 * offset, 2 * step),
+               lambda: series.zero(k_max), modulus)
 
 
 _check("bailey_c1", "series-equality",

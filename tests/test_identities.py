@@ -359,8 +359,9 @@ def test_bailey_relation_running_beta_is_the_pair_beta(label, monkeypatch):
 
 
 def test_eq12_holds_for_both_pairs():
-    assert I.check_eq12(I.bailey_pair("C1"), 40) == []
-    assert I.check_eq12(I.bailey_pair("C5"), 40) == []
+    for label in ("C1", "C5"):
+        pair = I.bailey_pair(label)
+        assert I.eq12_lhs(pair, 40) == I.eq12_rhs(pair, 40)
 
 
 def direct_eq12_sum(pair, order):
@@ -432,7 +433,7 @@ def test_bailey_checks_catch_a_perturbed_alpha():
     relation = I.check_bailey_relation(bad, 4, 20)
     assert relation and all(m.lhs != m.rhs for m in relation)
     assert relation[0].index == 2  # beta_n first sees alpha_2 at n = 2
-    assert I.check_eq12(bad, 20)
+    assert I.eq12_lhs(bad, 20) != I.eq12_rhs(bad, 20)
 
 
 def test_eq12_lowest_term():
@@ -636,19 +637,20 @@ def test_only_the_lambert_quotient_inverts(cold_memos, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# congruence helper
+# congruences
 # ----------------------------------------------------------------------
 
 
-def test_check_congruence_reports_failures():
-    mm = I.check_congruence(lambda x: x, 10, 8, 5, 3)
-    # 10k+8 = 8,18,28,38; mod 5 -> 3,3,3,3
-    assert len(mm) == 4
-    assert mm[0] == I.Mismatch(8, 3, 0)
-
-
-def test_check_congruence_empty_range():
-    assert I.check_congruence(lambda x: 1, 5, 4, 5, -1) == []
+def test_a_congruence_lists_a_part_from_its_first_exponent_on():
+    # below 2 offset no k is in range: no part, a pass at the order asked;
+    # at order 8 cong5 compares spt_o(8) alone, k = 0
+    for check_id in ("cong5", "cong7", "cong13"):
+        assert list(I.REGISTRY[check_id].run.parts(7)) == []
+        report = I.verify(check_id, 7)
+        assert (report.status, report.order) == ("pass", 7)
+    [(k_max, lhs, rhs, modulus)] = I.REGISTRY["cong5"].run.parts(8)
+    assert (k_max, lhs().coeffs, rhs().coeffs, modulus) == (0, (10,), (0,), 5)
+    assert list(I.REGISTRY["cong7"].run.parts(8)) == []
 
 
 def test_congruence_first_cases():
@@ -710,19 +712,20 @@ def _bump_builder(name, exponent):
 # 120; every check not named here passes
 FAILING_REPORTS = {
     # lhs_gf_note is lhs_eq2 - lhs_eq3, read through this module, so a bump
-    # in either reaches gf_note and the congruence at that exponent; thm2
-    # reads the even part of lhs_gf_note; eq2 and eq3 report it twice, doubled
-    # against the right side, then against the compute table, and thm3 twice,
-    # against enumeration, then against the spt series
+    # in either reaches gf_note and the congruence at that exponent, which
+    # reports its k and the bumped coefficient; thm2 reads the even part of
+    # lhs_gf_note; eq2 and eq3 report it twice, doubled against the right
+    # side, then against the compute table, and thm3 twice, against
+    # enumeration, then against the spt series
     "lhs_eq2_q8": (_bump_builder("lhs_eq2", 8), {
         "eq2": [(8, 82, 80), (8, 41, 40)], "gf_note": [(8, 11, 10)],
-        "cong5": [(8, 1, 0)], "thm2": [(4, 11, 10)],
+        "cong5": [(0, 11, 0)], "thm2": [(4, 11, 10)],
         "thm3": [(4, 41, 10), (4, 41, 10)]}),
     "lhs_eq3_q10": (_bump_builder("lhs_eq3", 10), {
         "eq3": [(10, 118, 116), (10, 59, 58)], "gf_note": [(10, 13, 14)],
-        "cong7": [(10, 6, 0)], "thm2": [(5, 13, 14)], "thm4": [(5, 59, 0)]}),
+        "cong7": [(0, 13, 0)], "thm2": [(5, 13, 14)], "thm4": [(5, 59, 0)]}),
     "lhs_gf_note_q18": (_bump_builder("lhs_gf_note", 18), {
-        "gf_note": [(18, 81, 80)], "cong5": [(18, 1, 0)], "thm2": [(9, 81, 80)]}),
+        "gf_note": [(18, 81, 80)], "cong5": [(1, 81, 0)], "thm2": [(9, 81, 80)]}),
     "statistics_n12_odd_s4": (statistics_fault(12, 3, 4), {
         "thm4": [(9, 431, 0)], "thm2": [(6, 27, 26), (9, 79, 80)],
         "eq13": [(12, 258, 256)], "eq14": [(6, 258, 256)]}),
@@ -792,8 +795,6 @@ def test_builders_reject_order_zero(build):
 @pytest.mark.parametrize("call, error, message", [
     (lambda: I.check_bailey_relation(I.bailey_pair("C1"), -1, 10), ValueError,
      "n_max must be >= 0"),
-    (lambda: I.check_congruence(P.spt, 1, 0, 1, 5), ValueError,
-     "modulus must be >= 2"),
     (lambda: one(5).times_one_minus(0), ValueError, "exponent must be >= 1"),
     (lambda: one(5).divided_by_one_minus(0), ValueError, "exponent must be >= 1"),
     (lambda: zero(-1), ValueError, "truncation order must be >= 0"),
@@ -804,7 +805,7 @@ def test_builders_reject_order_zero(build):
     (lambda: one(5) + 1, TypeError, "unsupported operand"),
     (lambda: one(5) - 1, TypeError, "unsupported operand"),
     (lambda: one(5) * "x", TypeError, "multiply"),
-], ids=["bailey_n_max", "congruence_modulus", "times_one_minus",
+], ids=["bailey_n_max", "times_one_minus",
         "divided_by_one_minus", "check_order", "monomial_exponent",
         "qpoch_fin_start", "qpoch_fin_count", "geom_sq_part", "add_int",
         "sub_int", "mul_str"])
@@ -855,7 +856,8 @@ def test_capped_check_run_alone_stays_at_desk_scale(check_id, cap, cold_memos,
 
 # the order of each part of each check at the requested order N, as the
 # README's "Per-n partition statistics" paragraph states them: per-n parts
-# stop at 60 (eq2, eq3), 30 or 15; a check not listed has one part at N
+# stop at 60 (eq2, eq3), 30 or 15; a congruence's one part ends at its last
+# k; a check not listed has one part at N
 PART_ORDERS = {
     "eq1": lambda N: [N, N, min(N, 30), N],
     "eq2": lambda N: [min(N, 60), N],
@@ -869,6 +871,10 @@ PART_ORDERS = {
     "eq23": lambda N: [(N - 1) // 2],
     "m2_is_2np": lambda N: [min(N, 30)],
     "spt_half_diff": lambda N: [min(N, 30)],
+    # the last k of spt_o(2(step k + offset)), (N - 2 offset) // (2 step)
+    "cong5": lambda N: [(N - 8) // 10],
+    "cong7": lambda N: [(N - 10) // 14],
+    "cong13": lambda N: [(N - 12) // 26],
 }
 
 
@@ -919,7 +925,7 @@ def test_a_bump_at_either_end_of_any_series_part_fails_its_check(order, monkeypa
                 if I.verify(check_id, order).status == "pass":
                     missed.append((check_id, target, side, exponent))
         monkeypatch.setitem(I.REGISTRY, check_id, check)
-    assert tried == 100  # 25 series parts, four bumps each
+    assert tried == 112  # 28 series parts, four bumps each
     assert missed == []
 
 
@@ -933,9 +939,8 @@ def test_the_runner_applies_the_one_rule_to_each_part_in_turn():
         (3, lambda: longer, lambda: a),  # of different lengths, compared to q^3
         (4, lambda: composite, None),  # a thunk that lists its own mismatches
     ]
-    want = (I._sequence_mismatches(range(5), a.coeff, b.coeff)
-            + I._sequence_mismatches(range(4), longer.coeff, a.coeff) + composite)
-    assert I._sequence_mismatches(range(5), a.coeff, b.coeff, 3) == []
+    want = I._series_mismatches(4, a, b) + I._series_mismatches(3, longer, a) + composite
+    assert I._series_mismatches(4, a, b, 3) == []
     assert [m.index for m in want] == [2, 4, 3, 7]
     assert I._runner(lambda order: parts)(4) == (4, want)
     # the cap sets the order the parts are asked for and the order reported
