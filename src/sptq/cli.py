@@ -208,7 +208,6 @@ _EXAMPLE_ROWS = (
 
 
 def _cmd_examples(_args) -> int:
-    from . import identities
     rows = []
     for label, fn, n, quoted in _EXAMPLE_ROWS:
         computed = fn(n)
@@ -221,9 +220,10 @@ def _cmd_examples(_args) -> int:
     lines = [f"{'quantity'.ljust(width)}  computed  note"]
     lines += [f"{label.ljust(width)}  {str(computed).ljust(8)}  {note}"
               for label, computed, note in rows]
-    hits, total = identities.even_parity_report(60)
+    evens = partitions.sequence("spt_o_plus", 2, 60)[::2]  # spt_o_plus(2n), n = 1..30
+    hits = sum(1 for v in evens if v % 2 == 0)
     lines += ["", f"finite-range observation: spt_o_plus(2n) is even for {hits} of "
-              f"the first {total} values of n (no limit claimed)"]
+              f"the first {len(evens)} values of n (no limit claimed)"]
     return _emit("\n".join(lines), None, 0)
 
 

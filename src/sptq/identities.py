@@ -320,21 +320,6 @@ def _termwise_mismatches(order: int) -> list[Mismatch]:
 
 
 # ----------------------------------------------------------------------
-# parity
-# ----------------------------------------------------------------------
-
-
-def even_parity_report(order: int) -> tuple[int, int]:
-    """(count of n <= order//2 with spt_o_plus(2n) even, count of n checked).
-
-    A finite-range observation only; nothing is asserted about a limit.
-    """
-    s = lhs_eq2(order)
-    hits = sum(1 for n in range(1, order // 2 + 1) if s.coeffs[2 * n] % 2 == 0)
-    return hits, order // 2
-
-
-# ----------------------------------------------------------------------
 # the check registry: each check adds itself to REGISTRY where it is
 # defined, through ``_check``, so ``verify --all`` and ``list`` run in
 # definition order

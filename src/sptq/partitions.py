@@ -12,13 +12,13 @@ Tables are another matter: ``sequence`` reads every one of the nine off
 its product side in ``series``, built once at order hi, and leaves the
 per-n functions to the checks and tests that pin those series.
 
-Each per-n statistic of n reads one table, ``_tables(top)`` with top =
-max(n, ENUM_CAP), through ``_statistics(n)``: one walk over the partitions of
-top lists spt and N2 of every size up to top, and one pass each over all sizes
-counts the bare crank moment and, per smallest part s, the odd-condition
-count, which spt_o_plus totals.  A pair counted by spt_o_minus(n) is a
-partition pi with smallest part s plus the staircase (s-1, ..., 1), which s
-fixes, so spt_o_minus(n) sums over s the count at s of row n - s(s-1)/2.
+Each per-n statistic of n reads one field of row n of one table,
+``_tables(top)`` with top = max(n, ENUM_CAP), through ``_statistics(n)``: one
+walk over the partitions of top lists spt and N2 of every size up to top, and
+one pass each over all sizes counts the bare crank moment and the finished
+spt_o_plus and spt_o_minus.  A pair counted by spt_o_minus(n) is a partition
+pi with smallest part s plus the staircase (s-1, ..., 1), which s fixes, so
+that pass adds its count at s into spt_o_minus s(s-1)/2 sizes up.
 
 Partitions are plain weakly decreasing tuples of positive ints; n = 0 has
 exactly the empty partition.  Enumeration order is lexicographically
@@ -35,7 +35,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Iterator
 from functools import lru_cache
-from operator import neg
+from operator import add, neg
 
 from . import series
 
@@ -207,24 +207,29 @@ def _crank_moments(top: int) -> list[int]:
     return total
 
 
-def _odd_smallest_parts(top: int) -> list[tuple[int, ...]]:
-    """Indexed by m = 0..top, then by smallest part s = 0..m, the smallest-part
-    count over the odd-condition partitions of m: sum_k k R_s(m - ks), the q^m
+def _odd_smallest_parts(top: int) -> tuple[list[int], list[int]]:
+    """spt_o_plus(m) and spt_o_minus(m) for m = 0..top, the q^m coefficients
+    of the eq. (2) and (3) sums in product form, so no check may compare
+    ``lhs_eq2`` or ``lhs_eq3`` with them.  The smallest parts s over the
+    odd-condition partitions of m count sum_k k R_s(m - ks), the q^m
     coefficient of R_s q^s/(1-q^s)^2, where ``rest`` = R_s counts the
     partitions into parts in (s, 2s] or even parts > 2s.  R_1 allows the even
-    parts; R_(s+1) is R_s without s + 1, with 2s + 1."""
+    parts; R_(s+1) is R_s without s + 1, with 2s + 1.  That column adds into
+    spt_o_plus from m = s on and, joined to the staircase (s-1, ..., 1), into
+    spt_o_minus from m = s(s+1)/2 on."""
     rest = [1] + [0] * top
     for part in range(2, top + 1, 2):
         series._over_one_minus_into(rest, part)
-    columns = [[0] * (top + 1)]  # indexed by s, then by m
+    plus, minus = [0] * (top + 1), [0] * (top + 1)
     for s in range(1, top + 1):
         column = [0] * s + rest[: top + 1 - s]
         series._over_one_minus_into(column, s)
         series._over_one_minus_into(column, s)
-        columns.append(column)
+        plus[s:] = map(add, plus[s:], column[s:])
+        minus[s * (s + 1) // 2 :] = map(add, minus[s * (s + 1) // 2 :], column[s:])
         series._times_one_minus_into(rest, s + 1)
         series._over_one_minus_into(rest, 2 * s + 1)
-    return [tuple(column[m] for column in columns[: m + 1]) for m in range(top + 1)]
+    return plus, minus
 
 
 @lru_cache(maxsize=None)
@@ -241,20 +246,20 @@ def _tables(top: int) -> tuple:
         count[t], rank1[t], rank2[t] = count[t] + 1, rank1[t] + r, rank2[t] + r * r
         if t < len(pi):
             above[t] += pi.count(pi[-t - 1])
-    cranks, odd = _crank_moments(top), _odd_smallest_parts(top)
+    cranks, (plus, minus) = _crank_moments(top), _odd_smallest_parts(top)
     tables = [None] * (top + 1)
     c = ct = s1 = s2 = 0  # over t >= r: count, t count, rank, rank^2
     for r in range(top, -1, -1):  # the t = r term of the spt sum is 0
         c, ct, s1, s2 = c + count[r], ct + r * count[r], s1 + rank1[r], s2 + rank2[r]
         if r < top:  # m = top - r
             tables[top - r] = (ct - r * c + above[r], s2 + 2 * r * s1 + r * r * c,
-                               cranks[top - r], odd[top - r])
+                               cranks[top - r], plus[top - r], minus[top - r])
     return tuple(tables)
 
 
 def _statistics(n: int) -> tuple:
-    """_tables(max(n, ENUM_CAP)), whose row m is spt(m), N2(m), the bare crank
-    moment of m (1 at m = 1) and the odd-condition counts by smallest part;
+    """_tables(max(n, ENUM_CAP)), whose row m holds the finished spt(m), N2(m),
+    bare crank moment of m (1 at m = 1), spt_o_plus(m) and spt_o_minus(m);
     ValueError at once unless 1 <= n <= STATISTICS_CAP."""
     if not 1 <= n <= STATISTICS_CAP:
         raise ValueError(f"n must be >= 1 and <= STATISTICS_CAP = {STATISTICS_CAP}")
@@ -283,16 +288,14 @@ def m2(n: int) -> int:
 
 def spt_o_plus(n: int) -> int:
     """Smallest-part count over partitions of n satisfying the odd condition."""
-    return sum(_statistics(n)[n][3])
+    return _statistics(n)[n][3]
 
 
 def spt_o_minus(n: int) -> int:
     """Smallest-part count over pairs (pi, delta_s) of total size n, where
     pi satisfies the odd condition, s is its smallest part and delta_s is
     the staircase (s-1, ..., 1) of size s(s-1)/2."""
-    tables = _statistics(n)
-    return sum(tables[n - s * (s - 1) // 2][3][s]
-               for s in range(1, n + 1) if s * (s + 1) // 2 <= n)
+    return _statistics(n)[n][4]
 
 
 def spt_o(n: int) -> int:

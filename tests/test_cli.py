@@ -627,6 +627,18 @@ def test_examples_agreeing_rows():
     assert any("spt_o_minus(5)" in line for line in agreeing)
 
 
+def test_examples_parity_line_counts_the_even_coefficients_of_eq2():
+    # the line reads the product side ``compute`` serves; the left side of
+    # eq. (2) counts the same spt_o_plus(2n), n = 1..30, another way
+    from sptq import identities
+
+    lhs = identities.lhs_eq2(60).coeffs
+    hits = sum(1 for n in range(1, 31) if lhs[2 * n] % 2 == 0)
+    line = run_cli("examples").stdout.splitlines()[-1]
+    assert line == (f"finite-range observation: spt_o_plus(2n) is even for {hits} "
+                    "of the first 30 values of n (no limit claimed)")
+
+
 def test_list_shows_registries():
     r = run_cli("list")
     assert r.returncode == 0

@@ -59,21 +59,23 @@ def _summand_fault(n_bad, exponent, sums=True):
 def statistics_fault(n_bad, field, smallest=1):
     """Add 1 to one per-size statistic of n_bad: spt, N2 or the bare crank
     moment (field 0, 1 or 2), or (field 3) the odd-condition smallest-part
-    count at smallest part ``smallest``.  The bump goes into row n_bad of
-    every table ``partitions._statistics`` returns, so every per-n reader
-    sees it, spt_o_minus included."""
+    count at smallest part s = ``smallest``, 1 <= s <= n_bad.  That count,
+    joined to the staircase (s-1, ..., 1), is also counted in spt_o_minus of
+    n_bad + s(s-1)/2, so field 3 of row n_bad goes up with field 4 of that
+    row, where the table holds it.  The bumps go into every table
+    ``partitions._statistics`` returns, so every per-n reader sees them."""
+    bumps = [(n_bad, field)]
+    if field == 3:
+        bumps.append((n_bad + smallest * (smallest - 1) // 2, 4))
 
     def plant(monkeypatch):
         real = P._statistics
 
         def statistics(n):
             tables = list(real(n))
-            row = list(tables[n_bad])
-            if field == 3:
-                row[3] = tuple(c + (s == smallest) for s, c in enumerate(row[3]))
-            else:
-                row[field] += 1
-            tables[n_bad] = tuple(row)
+            for m, f in bumps:
+                if m < len(tables):
+                    tables[m] = tuple(v + (i == f) for i, v in enumerate(tables[m]))
             return tuple(tables)
 
         monkeypatch.setattr(P, "_statistics", statistics)

@@ -1004,15 +1004,3 @@ def test_report_caps_mismatches_at_20(monkeypatch):
     assert report.status == "fail"
     assert report.mismatch_total == 50
     assert len(report.mismatches) == 20
-
-
-def test_even_parity_report():
-    hits, total = I.even_parity_report(40)
-    assert total == 20
-    assert 0 <= hits <= total
-    # parity matches the enumeration for the range we can afford
-    expected = sum(1 for n in range(1, 16) if P.spt_o_plus(2 * n) % 2 == 0)
-    got = sum(
-        1 for n in range(1, 16) if I.lhs_eq2(40).coeff(2 * n) % 2 == 0
-    )
-    assert got == expected

@@ -17,7 +17,7 @@ def test_every_export_resolves_once():
     assert missing == []
 
 
-# ``sptq.identities`` is what only ``verify``, ``list`` and ``examples`` need,
+# ``sptq.identities`` is what only ``verify`` and ``list`` need,
 # and no command needs ``dataclasses`` with its ``inspect``; with both,
 # ``import sptq.cli`` took about twice as long
 UNUSED_BY_COMMANDS = ("dataclasses", "inspect")
@@ -49,8 +49,15 @@ def test_compute_loads_neither_identities_nor_dataclasses(tmp_path):
     assert imported.isdisjoint(LAZY_MODULES)
 
 
-@pytest.mark.parametrize("command", [("verify", "--all", "--order", "20"),
-                                     ("list",), ("examples",)])
+def test_examples_loads_neither_identities_nor_dataclasses():
+    # like compute, examples reads only ``partitions``: its rows off the
+    # per-size tables, its parity line off the table compute serves
+    imported, _ = _imported_by("examples")
+    assert "sptq.partitions" in imported
+    assert imported.isdisjoint(LAZY_MODULES)
+
+
+@pytest.mark.parametrize("command", [("verify", "--all", "--order", "20"), ("list",)])
 def test_identity_commands_load_identities_but_not_dataclasses(command):
     # the four value classes of ``identities`` take ``series._FrozenSlots``,
     # which imports ``dataclasses`` only when something reads its fields

@@ -2,6 +2,7 @@
 values (independently recomputed with an ascending-composition enumerator
 before being frozen here) and against their structural invariants."""
 
+import tracemalloc
 from collections import Counter
 from functools import cache
 
@@ -247,16 +248,13 @@ def test_statistics_per_size_match_the_listing_sums():
     # listed; the literal sums over a listing pin them, past ENUM_CAP so the
     # DPs are not fitted to the sizes the checks use
     for n in range(1, ENUM_CAP + 7):
-        smallest = rank_sq = crank_sq = 0
-        odd = [0] * (n + 1)
+        smallest = rank_sq = 0
         for pi in P.enumerate_partitions(n):
-            count = pi.count(pi[-1])
-            smallest += count
+            smallest += pi.count(pi[-1])
             rank_sq += P.rank(pi) ** 2
-            crank_sq += P.crank(pi) ** 2
-            if P.odd_condition(pi):
-                odd[pi[-1]] += count
-        assert P._statistics(n)[n] == (smallest, rank_sq, crank_sq, tuple(odd))
+        crank_sq, odd = _listing_sums(n)
+        assert P._statistics(n)[n] == (smallest, rank_sq, crank_sq, sum(odd),
+                                       _literal_minus(n))
         # a value does not depend on the size of the table it is read from
         assert P._tables(ENUM_CAP + 8)[n] == P._statistics(n)[n]
 
@@ -273,27 +271,45 @@ def _listing_sums(m):
     return crank_sq, tuple(odd)
 
 
+def _literal_minus(m):
+    """spt_o_minus(m) over the pairs (pi, delta_s) the listing gives: pi an
+    odd-condition partition of m - s(s-1)/2 with smallest part s."""
+    return sum(_listing_sums(m - s * (s - 1) // 2)[1][s]
+               for s in range(1, m + 1) if s * (s + 1) // 2 <= m)
+
+
 @pytest.mark.parametrize("top", [1, 2, 3, 12, ENUM_CAP + 6])
 def test_each_all_size_pass_matches_the_listing_sums(top):
     # each pass alone, not through ``_tables``; tops 1 and 2 reach omega = 1
     # and s = top at once
-    cranks, odd = P._crank_moments(top), P._odd_smallest_parts(top)
-    assert len(cranks) == len(odd) == top + 1
+    cranks, (plus, minus) = P._crank_moments(top), P._odd_smallest_parts(top)
+    assert len(cranks) == len(plus) == len(minus) == top + 1
     for m in range(1, top + 1):
-        assert (cranks[m], odd[m]) == _listing_sums(m)
+        crank_sq, odd = _listing_sums(m)
+        assert (cranks[m], plus[m], minus[m]) == (crank_sq, sum(odd), _literal_minus(m))
 
 
 def test_all_size_passes_match_the_product_sides():
     # past any listing: the crank column is M2(n) = 2 n p(n) but at the bare
-    # n = 1, the odd counts total spt_o_plus by eq. (2) and their staircase
-    # sums give spt_o_minus by eq. (3), product sides built without them
+    # n = 1, and the odd-condition pass gives spt_o_plus by eq. (2) and
+    # spt_o_minus by eq. (3), product sides built without it
     top = 150
-    cranks, odd = P._crank_moments(top), P._odd_smallest_parts(top)
+    cranks, (plus, minus) = P._crank_moments(top), P._odd_smallest_parts(top)
     assert cranks[1] == 1 and cranks[2:] == list(_m2_series(top).coeffs[2:])
-    assert [sum(row) for row in odd[1:]] == list(_spt_o_plus_series(top).coeffs[1:])
-    minus = [sum(odd[n - s * (s - 1) // 2][s] for s in range(1, n + 1)
-                 if s * (s + 1) // 2 <= n) for n in range(1, top + 1)]
-    assert minus == list(_spt_o_minus_series(top).coeffs[1:])
+    assert plus[1:] == list(_spt_o_plus_series(top).coeffs[1:])
+    assert minus[1:] == list(_spt_o_minus_series(top).coeffs[1:])
+
+
+def test_odd_condition_pass_keeps_no_table_by_smallest_part():
+    # O(top) memory: a table of the counts by size and smallest part would
+    # peak at about 16 MB here
+    tracemalloc.start()
+    try:
+        P._odd_smallest_parts(1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_removing_ones_reaches_every_smaller_partition_once():
@@ -348,13 +364,20 @@ def test_enumerated_statistics_walk_each_size_once(cold_memos, monkeypatch):
 
 
 def test_spt_o_minus_past_enum_cap_reads_the_one_table_of_its_n(cold_memos):
-    # each row spt_o_minus(n) sums, n - s(s-1)/2 for s = 1, 2, ..., lies in
-    # the table of n, so a cold call builds that table and no smaller one
+    # spt_o_minus(n) reads row n alone, so a cold call builds the table of n
+    # and no smaller one
     want = _spt_o_minus_series(40).coeffs
     for n in range(ENUM_CAP + 1, 41):
         P._tables.cache_clear()
         assert P.spt_o_minus(n) == want[n]
         assert P._tables.cache_info().misses == 1
+
+
+def test_odd_condition_statistics_past_enum_cap_match_the_compute_tables():
+    # n = 31..40 read the tables of their own size, above the one of ENUM_CAP
+    for name, statistic in (("spt_o_plus", P.spt_o_plus), ("spt_o_minus", P.spt_o_minus)):
+        assert [statistic(n) for n in range(ENUM_CAP + 1, 41)] == list(
+            P.sequence(name, ENUM_CAP + 1, 40))
 
 
 def test_t4():
