@@ -155,7 +155,7 @@ def _report_payload(report) -> dict:
         "order": report.order,
         "status": report.status,
         "mismatches": [
-            {"k": m.index, "lhs": str(m.lhs), "rhs": str(m.rhs)}
+            {"part": m.part, "k": m.index, "lhs": str(m.lhs), "rhs": str(m.rhs)}
             for m in report.mismatches
         ],
         "mismatch_total": report.mismatch_total,

@@ -14,21 +14,20 @@ three of spt_o); those of eqs. (2)/(3) take N2 from one listing, of the
 partitions of ENUM_CAP, and M2 from one pass that counts the crank moments of
 every n, so each check crosses two representations.
 
-Each check yields its parts: an order and two thunks building the series it
-compares to that order, with a modulus for a congruence, or one thunk listing
-the mismatches of a composite (bailey_c1, bailey_c5, termwise_eq2: the first
-difference per n).  One runner applies the one rule, ``_series_mismatches``:
-two coefficients differ or, given a modulus, are incongruent modulo it; a
-congruence's index is the k of its description.  Per-n statistics stop at
-desk scale whatever the request: eq13, eq14, m2_is_2np and spt_half_diff
-declare a cap, at which they run and which they report; eq1-eq3 and thm2-thm4
-report the requested order and cap only their per-n parts, at 2 ENUM_CAP,
-ENUM_CAP or half of it.
+Each check yields its parts: a label, an order and two thunks building the
+series compared to that order, with a modulus for a congruence (the Bailey
+relations and termwise_eq2 yield one part per n, from one shared build).  One
+runner applies the one rule, ``_series_mismatches``: two coefficients differ
+or, given a modulus, are incongruent modulo it; a congruence's index is its k.
+Per-n statistics stop at desk scale whatever the request: eq13, eq14,
+m2_is_2np and spt_half_diff declare a cap, at which they run and which they
+report; eq1-eq3 and thm2-thm5 report the requested order and cap only their
+per-n parts, at 2 ENUM_CAP, ENUM_CAP or half of it.
 """
 
 import time
 from collections.abc import Callable, Iterable, Iterator
-from functools import partial
+from functools import cache, partial
 
 from . import partitions, series
 from .partitions import ENUM_CAP  # largest n any per-n table is asked for
@@ -44,9 +43,9 @@ BAILEY_N = 8  # bailey_c1/bailey_c5 check the relation for n = 0..BAILEY_N
 
 
 class Mismatch(_FrozenSlots):
-    """One disagreeing position: exponent (or sequence index), both values."""
+    """One disagreeing position: its part's label, exponent (or sequence index), both values."""
 
-    __slots__ = ("index", "lhs", "rhs")
+    __slots__ = ("part", "index", "lhs", "rhs")
 
 
 class IdentityReport(_FrozenSlots):
@@ -65,24 +64,16 @@ class IdentityCheck(_FrozenSlots):
     __slots__ = ("id", "description", "kind", "run")
 
 
-def _series_mismatches(order: int, lhs: TruncatedSeries, rhs: TruncatedSeries,
+def _series_mismatches(part: str, order: int, lhs: TruncatedSeries, rhs: TruncatedSeries,
                        modulus: int = 0) -> list[Mismatch]:
-    """The one mismatch rule: one Mismatch per exponent 0..order where the two
-    coefficients differ or, given a modulus, are incongruent modulo it.  Each
-    series must be known that far (else IndexError); equal prefixes give none,
-    at C speed."""
+    """The one rule: a Mismatch of ``part`` at each exponent 0..order where the
+    coefficients differ or, given a modulus, are incongruent modulo it; each
+    series must know them (else IndexError), and equal prefixes give none at C speed."""
     if min(lhs.order, rhs.order) >= order and lhs.coeffs[: order + 1] == rhs.coeffs[: order + 1]:
         return []
     values = ((n, lhs.coeff(n), rhs.coeff(n)) for n in range(order + 1))
-    return [Mismatch(n, a, b) for n, a, b in values
+    return [Mismatch(part, n, a, b) for n, a, b in values
             if ((a - b) % modulus if modulus else a != b)]
-
-
-def _first_difference(index: int, lhs, rhs) -> list[Mismatch]:
-    """[] when the two series agree to the lower order; otherwise one Mismatch
-    at ``index`` holding the first differing coefficient of each side."""
-    mismatches = _series_mismatches(min(lhs.order, rhs.order), lhs, rhs)
-    return [Mismatch(index, m.lhs, m.rhs) for m in mismatches[:1]]
 
 
 # ----------------------------------------------------------------------
@@ -259,13 +250,11 @@ def bailey_pair(label: str) -> BaileyPair:
     return _BAILEY_PAIRS[label]
 
 
-def check_bailey_relation(pair: BaileyPair, n_max: int, order: int) -> list[Mismatch]:
-    """Verify beta_n = sum_{r=0..n} alpha_r / ((q;q)_{n+r} (q;q)_{n-r}).
-
-    Only even r add a term (odd-index alphas vanish), each by
-    ``times_alpha``; beta_n is a running quotient too.  A mismatch entry
-    records the failing n and the first differing coefficient of each side.
-    """
+def check_bailey_relation(pair: BaileyPair, n_max: int, order: int) -> list[tuple]:
+    """(beta_n, sum_{r=0..n} alpha_r / ((q;q)_{n+r} (q;q)_{n-r})) for n = 0..n_max,
+    the two sides of the Bailey relation, to ``order``.  Only even r add a term
+    (odd-index alphas vanish), each by ``times_alpha``; beta_n is a running
+    quotient too."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     square = base = series.one(order)  # 1/(q;q)_n^2 and 1/((q;q)_n (q;q^2)_n)
@@ -279,7 +268,7 @@ def check_bailey_relation(pair: BaileyPair, n_max: int, order: int) -> list[Mism
             quotient = quotient.times_one_minus(n - r + 1).divided_by_one_minus(n + r)
             if r % 2 == 0:
                 acc = acc + pair.times_alpha(r, quotient)
-        out += _first_difference(n, base.shifted(pair.beta_exponent(n)), acc)
+        out.append((base.shifted(pair.beta_exponent(n)), acc))
     return out
 
 
@@ -299,14 +288,14 @@ def eq12_rhs(pair: BaileyPair, order: int) -> TruncatedSeries:
     return total
 
 
-def _termwise_mismatches(order: int) -> list[Mismatch]:
-    """Each differentiated-lemma summand q^(n + beta_exponent(n)) T_n, T_n
-    from ``_upward_walk``, equals the literal quotient summand q^n P_n/(1-q^n)^2
-    shifted by the stated 0 (C1) or n(n-1)/2 (C5), so a wrong beta_exponent
-    shows.  P_n = (q^2;q^2)_inf (q^(2n+1);q^2)_inf/(q^(n+1);q)_inf = P_(n-1)
-    (1-q^n)/(1-q^(2n-1)) steps up with the walk from P_0, the series 1 built
-    as (q^2;q^2)_inf^2/psi(q)/(q;q)_inf by Gauss's psi(q) = (q^2;q^2)_inf/
-    (q;q^2)_inf, so that the check guards all three products."""
+def _termwise_sides(order: int) -> list[tuple]:
+    """The pairs, C1's then C5's, of each differentiated-lemma summand q^(n +
+    beta_exponent(n)) T_n, T_n from ``_upward_walk``, and the literal quotient
+    summand q^n P_n/(1-q^n)^2 shifted by the stated 0 (C1) or n(n-1)/2 (C5), so
+    a wrong beta_exponent shows.  P_n = (q^2;q^2)_inf (q^(2n+1);q^2)_inf/
+    (q^(n+1);q)_inf = P_(n-1) (1-q^n)/(1-q^(2n-1)) steps up with the walk from
+    P_0, the series 1 built as (q^2;q^2)_inf^2/psi(q)/(q;q)_inf by Gauss's psi(q)
+    = (q^2;q^2)_inf/(q;q^2)_inf, so that the check guards all three products."""
     even = series.qpoch_inf(2, 2, order)
     product = even * even / series._psi_series(order) / series.qpoch_inf(1, 1, order)
     c1, c5 = [], []
@@ -315,7 +304,7 @@ def _termwise_mismatches(order: int) -> list[Mismatch]:
         summand = product.divided_by_one_minus(n).divided_by_one_minus(n).shifted(n)
         for out, label, shift in ((c1, "C1", 0), (c5, "C5", n * (n - 1) // 2)):
             lhs = (0,) * bailey_pair(label).summand_exponent(n) + term.coeffs
-            out += _first_difference(n, TruncatedSeries(lhs), summand.shifted(shift))
+            out.append((TruncatedSeries(lhs), summand.shifted(shift)))
     return c1 + c5
 
 
@@ -329,16 +318,15 @@ REGISTRY: dict[str, IdentityCheck] = {}
 
 
 def _runner(parts: Callable[[int], Iterable[tuple]], cap: int | None = None):
-    """``run`` for the check whose parts ``parts(order)`` yields: each (order,
-    lhs, rhs[, modulus]), lhs and rhs thunks that build series, or (order, a
-    thunk listing mismatches, None).  ``run(order)`` compares the parts at
-    min(order, cap) in turn by the one rule, ``_series_mismatches``, and
-    reports that order; ``run.parts(order)`` lists them alike, building no series."""
+    """``run`` for the check whose parts ``parts(order)`` yields, each (label,
+    order, lhs, rhs[, modulus]) with thunks lhs and rhs that build series:
+    ``run(order)`` compares them at min(order, cap) by ``_series_mismatches``
+    and reports that order; ``run.parts(order)`` lists them, building no series."""
 
     def run(order):
         mismatches = []
-        for n, lhs, rhs, *modulus in run.parts(order):
-            mismatches += lhs() if rhs is None else _series_mismatches(n, lhs(), rhs(), *modulus)
+        for label, n, lhs, rhs, *modulus in run.parts(order):
+            mismatches += _series_mismatches(label, n, lhs(), rhs(), *modulus)
         return min(order, cap or order), mismatches
 
     run.parts = lambda order: parts(min(order, cap or order))
@@ -361,13 +349,13 @@ def _check(check_id: str, kind: str, description: str, cap: int | None = None):
         "+ 2*pentagonal theta correction/(q;q)_inf, undoubled vs the spt table; "
         "sub-checks: the correction carries -N2(n)/2 (desk scale), M2 table = 2n p(n)")
 def _eq1_parts(order):
-    yield order, lambda: 2 * lhs_eq1(order), lambda: rhs_eq1_doubled(order)
-    yield order, lambda: lhs_eq1(order), lambda: series._spt_series(order)
+    yield "doubled", order, lambda: 2 * lhs_eq1(order), lambda: rhs_eq1_doubled(order)
+    yield "table", order, lambda: lhs_eq1(order), lambda: series._spt_series(order)
     # N2 against enumeration at desk scale (the theta correction over (q;q)_inf
     # carries -N2(n)/2), M2 against 2 n p(n) by the recurrence at full order
     sub = min(order, ENUM_CAP)
-    yield sub, lambda: series._n2_series(sub), lambda: _enumerated_series(partitions.n2, sub)
-    yield order, lambda: series._m2_series(order), lambda: TruncatedSeries(
+    yield "n2", sub, lambda: series._n2_series(sub), lambda: _enumerated_series(partitions.n2, sub)
+    yield "m2", order, lambda: series._m2_series(order), lambda: TruncatedSeries(
         2 * n * c for n, c in enumerate(partitions._partition_counts(order)))
 
 
@@ -377,8 +365,8 @@ def _eq1_parts(order):
         f"to order {2 * ENUM_CAP} (N2 enumerated), undoubled vs the spt_o_plus table")
 def _eq2_parts(order):
     used = min(order, 2 * ENUM_CAP)
-    yield used, lambda: 2 * lhs_eq2(used), lambda: rhs_eq2_doubled(used)
-    yield order, lambda: lhs_eq2(order), lambda: series._spt_o_plus_series(order)
+    yield "doubled", used, lambda: 2 * lhs_eq2(used), lambda: rhs_eq2_doubled(used)
+    yield "table", order, lambda: lhs_eq2(order), lambda: series._spt_o_plus_series(order)
 
 
 @_check("eq3", "series-equality",
@@ -386,14 +374,14 @@ def _eq2_parts(order):
         f"M2(n) q^(2n) to order {2 * ENUM_CAP}, undoubled vs the spt_o_minus table")
 def _eq3_parts(order):
     used = min(order, 2 * ENUM_CAP)
-    yield used, lambda: 2 * lhs_eq3(used), lambda: rhs_eq3_doubled(used)
-    yield order, lambda: lhs_eq3(order), lambda: series._spt_o_minus_series(order)
+    yield "doubled", used, lambda: 2 * lhs_eq3(used), lambda: rhs_eq3_doubled(used)
+    yield "table", order, lambda: lhs_eq3(order), lambda: series._spt_o_minus_series(order)
 
 
 @_check("gf_note", "series-equality",
         "spt_o gf lhs_eq2 - lhs_eq3 vs the spt_o table: spt(n) at q^(2n), 0 at odd q^k")
 def _gf_note_parts(order):
-    yield order, lambda: lhs_gf_note(order), lambda: series._spt_o_series(order)
+    yield "table", order, lambda: lhs_gf_note(order), lambda: series._spt_o_series(order)
 
 
 @_check("thm2", "sequence-equality",
@@ -401,9 +389,10 @@ def _gf_note_parts(order):
         "and by series (even part of lhs_eq2 - lhs_eq3 vs the spt series)")
 def _thm2_parts(order):
     counted = min(ENUM_CAP // 2, order // 2)
-    yield (counted, lambda: _enumerated_series(lambda n: partitions.spt_o(2 * n), counted),
+    yield ("counted", counted,
+           lambda: _enumerated_series(lambda n: partitions.spt_o(2 * n), counted),
            lambda: _enumerated_series(partitions.spt, counted))
-    yield order // 2, lambda: lhs_gf_note(order).extract(0, 2), lambda: lhs_eq1(order)
+    yield "series", order // 2, lambda: lhs_gf_note(order).extract(0, 2), lambda: lhs_eq1(order)
 
 
 @_check("thm3", "congruence",
@@ -411,9 +400,9 @@ def _thm2_parts(order):
         f"for n <= {ENUM_CAP} and vs the spt series")
 def _thm3_parts(order):
     counted = min(order // 2, ENUM_CAP)
-    yield (counted, lambda: lhs_eq2(order).extract(0, 2),
+    yield ("counted", counted, lambda: lhs_eq2(order).extract(0, 2),
            lambda: _enumerated_series(partitions.spt, counted), 2)
-    yield (order // 2, lambda: lhs_eq2(order).extract(0, 2),
+    yield ("series", order // 2, lambda: lhs_eq2(order).extract(0, 2),
            lambda: series._spt_series(order // 2), 2)
 
 
@@ -422,24 +411,29 @@ def _thm3_parts(order):
         f"counting route for n <= {ENUM_CAP // 2}")
 def _thm4_parts(order):
     counted = min(ENUM_CAP // 2, order // 2)
-    yield order // 2, lambda: lhs_eq3(order).extract(0, 2), lambda: series.zero(order // 2), 2
-    yield (counted, lambda: _enumerated_series(lambda n: partitions.spt_o_minus(2 * n), counted),
+    yield ("series", order // 2, lambda: lhs_eq3(order).extract(0, 2),
+           lambda: series.zero(order // 2), 2)
+    yield ("counted", counted,
+           lambda: _enumerated_series(lambda n: partitions.spt_o_minus(2 * n), counted),
            lambda: series.zero(counted), 2)
 
 
 @_check("thm5", "series-equality",
-        "odd-exponent coefficients of lhs_eq2 and lhs_eq3 agree "
-        "(spt_o_plus(2n+1) = spt_o_minus(2n+1))")
+        "spt_o_plus(2n+1) = spt_o_minus(2n+1): odd-exponent coefficients of "
+        f"lhs_eq2 and lhs_eq3 agree, and by counting for 2n+1 <= {ENUM_CAP}")
 def _thm5_parts(order):
-    yield ((order - 1) // 2, lambda: lhs_eq2(order).extract(1, 2),
+    odd = range(1, min(order, ENUM_CAP) + 1, 2)  # 2n+1 from n = 0, where both are 1
+    yield ("series", (order - 1) // 2, lambda: lhs_eq2(order).extract(1, 2),
            lambda: lhs_eq3(order).extract(1, 2))
+    yield ("counted", len(odd) - 1, lambda: TruncatedSeries(map(partitions.spt_o_plus, odd)),
+           lambda: TruncatedSeries(map(partitions.spt_o_minus, odd)))
 
 
 @_check("eq13", "series-equality",
         "doubled spt_o_plus gf from the counting DP vs 2*(sigma series)/"
         "(q^2;q^2)_inf - sum N2(n) q^(2n) (desk scale)", cap=ENUM_CAP)
 def _eq13_parts(order):
-    yield (order, lambda: 2 * _enumerated_series(partitions.spt_o_plus, order),
+    yield ("counted", order, lambda: 2 * _enumerated_series(partitions.spt_o_plus, order),
            lambda: rhs_eq2_doubled(order))
 
 
@@ -453,28 +447,29 @@ def _eq14_parts(order):
         )
         return 2 * conv - partitions.n2(n)
 
-    yield (order, lambda: _enumerated_series(lambda n: 2 * partitions.spt_o_plus(2 * n), order),
+    yield ("counted", order,
+           lambda: _enumerated_series(lambda n: 2 * partitions.spt_o_plus(2 * n), order),
            lambda: _enumerated_series(rhs, order))
 
 
 @_check("eq23", "series-equality",
         "odd part of lhs_eq3 vs q (q^4;q^4)_inf^3/(q^2;q^4)_inf^5")
 def _eq23_parts(order):
-    yield ((order - 1) // 2, lambda: lhs_eq3(order).extract(1, 2),
+    yield ("odd", (order - 1) // 2, lambda: lhs_eq3(order).extract(1, 2),
            lambda: rhs_eq23(order).extract(1, 2))
 
 
 @_check("m2_is_2np", "sequence-equality",
         f"M2(n) = 2 n p(n) (n capped at {ENUM_CAP})", cap=ENUM_CAP)
 def _m2_is_2np_parts(order):
-    yield (order, lambda: _enumerated_series(partitions.m2, order),
+    yield ("counted", order, lambda: _enumerated_series(partitions.m2, order),
            lambda: _enumerated_series(lambda n: 2 * n * partitions.p(n), order))
 
 
 @_check("spt_half_diff", "sequence-equality",
         f"2 spt(n) = M2(n) - N2(n) (n capped at {ENUM_CAP})", cap=ENUM_CAP)
 def _spt_half_diff_parts(order):
-    yield (order, lambda: _enumerated_series(lambda n: 2 * partitions.spt(n), order),
+    yield ("counted", order, lambda: _enumerated_series(lambda n: 2 * partitions.spt(n), order),
            lambda: _enumerated_series(lambda n: partitions.m2(n) - partitions.n2(n), order))
 
 
@@ -484,22 +479,31 @@ def _sigma_doubling_parts(order):
     def rhs(n):
         return 3 * partitions.sigma(n) - (0 if n % 2 else 2 * partitions.sigma(n // 2))
 
-    yield (order, lambda: _enumerated_series(lambda n: partitions.sigma(2 * n), order),
+    yield ("sigma", order, lambda: _enumerated_series(lambda n: partitions.sigma(2 * n), order),
            lambda: _enumerated_series(rhs, order))
 
 
 @_check("legendre_t4", "sequence-equality", "sigma(2n+1) = t4(n)")
 def _legendre_t4_parts(order):
-    yield (order, lambda: TruncatedSeries(partitions.sigma(2 * n + 1) for n in range(order + 1)),
+    yield ("t4", order,
+           lambda: TruncatedSeries(partitions.sigma(2 * n + 1) for n in range(order + 1)),
            lambda: series._t4_series(order))
 
 
+def _shared_parts(labels, order, sides):
+    """One part per label at ``order``: the i-th pair of ``sides()``, built once for all."""
+    sides = cache(sides)
+    for i, label in enumerate(labels):
+        yield label, order, lambda i=i: sides()[i][0], lambda i=i: sides()[i][1]
+
+
 def _bailey_parts(label, order):
-    yield order, lambda: check_bailey_relation(bailey_pair(label), BAILEY_N, order), None
+    yield from _shared_parts([f"n={n}" for n in range(BAILEY_N + 1)], order,
+                             lambda: check_bailey_relation(bailey_pair(label), BAILEY_N, order))
 
 
 def _eq12_parts(label, order):
-    yield (order, lambda: eq12_lhs(bailey_pair(label), order),
+    yield ("lemma", order, lambda: eq12_lhs(bailey_pair(label), order),
            lambda: eq12_rhs(bailey_pair(label), order))
 
 
@@ -508,7 +512,7 @@ def _cong_parts(step, offset, modulus, order):
     largest k with 2(step k + offset) <= order; no part below order 2 offset."""
     if order >= 2 * offset:
         k_max = (order - 2 * offset) // (2 * step)
-        yield (k_max, lambda: lhs_gf_note(order).extract(2 * offset, 2 * step),
+        yield ("series", k_max, lambda: lhs_gf_note(order).extract(2 * offset, 2 * step),
                lambda: series.zero(k_max), modulus)
 
 
@@ -534,7 +538,9 @@ _check("cong13", "congruence",
         "summandwise: differentiated-lemma terms over (q^2;q^2)_inf equal "
         f"the matching quotient summands (C1<->eq2, C5<->eq3), n <= {TERMWISE_N}")
 def _termwise_parts(order):
-    yield order, lambda: _termwise_mismatches(order), None
+    ns = range(1, min(TERMWISE_N, order) + 1)
+    yield from _shared_parts([f"{pair}/n={n}" for pair in ("C1", "C5") for n in ns], order,
+                             partial(_termwise_sides, order))
 
 
 def verify(check_id: str, order: int) -> IdentityReport:

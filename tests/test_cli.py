@@ -520,7 +520,7 @@ def test_verify_exit_code_one_on_failed_check(monkeypatch, capsys):
     from sptq import cli, identities
 
     def run(order):
-        return order, [identities.Mismatch(1, 2, 3)]
+        return order, [identities.Mismatch("table", 1, 2, 3)]
 
     fake = identities.IdentityCheck("fake", "always fails",
                                     "sequence-equality", run)
@@ -529,7 +529,7 @@ def test_verify_exit_code_one_on_failed_check(monkeypatch, capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload[0]["status"] == "fail"
-    assert payload[0]["mismatches"] == [{"k": 1, "lhs": "2", "rhs": "3"}]
+    assert payload[0]["mismatches"] == [{"part": "table", "k": 1, "lhs": "2", "rhs": "3"}]
 
 
 # ----------------------------------------------------------------------
@@ -562,7 +562,7 @@ COMPUTE_DIGESTS = {  # --format csv over COMPUTE_RANGES, else --lo 1 --hi 400
 }
 COMPUTE_RANGES = {"p": (0, 1500), "sigma": (0, 5000), "t4": (0, 600)}
 LISTING_DIGESTS = {
-    "list": "e140a1d0af6810ccb6ae3ac1d6814a26a1e3dba879dee83b350e8c2b62851def",
+    "list": "9f3386f659cda8d3ead9a67ee719f857f3337e0dbd5ae49a1f213118c8c9d565",
     "examples": "4cdbc3374d140280c0495e13747c91fac23fe514088cae777c5761d321cf28f8",
 }
 

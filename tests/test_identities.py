@@ -24,6 +24,7 @@ from sptq.series import (
     zero,
 )
 
+from test_faults import _bailey_fault  # swaps in a pair with one exponent off
 from test_faults import _bumped  # adds 1 at one exponent of a series
 from test_faults import statistics_fault  # the one planter of per-size faults
 
@@ -314,23 +315,29 @@ def test_bailey_pair_unknown_label():
         I.bailey_pair("C9")
 
 
+def relation_holds(label, n_max, order):
+    """True when each of the n_max + 1 (beta_n, alpha sum) pairs is equal."""
+    sides = I.check_bailey_relation(I.bailey_pair(label), n_max, order)
+    return len(sides) == n_max + 1 and all(beta == total for beta, total in sides)
+
+
 def test_bailey_relation_n0():
-    assert I.check_bailey_relation(I.bailey_pair("C1"), 0, 10) == []
+    assert I.check_bailey_relation(I.bailey_pair("C1"), 0, 10) == [(one(10), one(10))]
 
 
 def test_bailey_relation_holds():
-    assert I.check_bailey_relation(I.bailey_pair("C1"), 6, 30) == []
-    assert I.check_bailey_relation(I.bailey_pair("C5"), 6, 30) == []
+    assert relation_holds("C1", 6, 30)
+    assert relation_holds("C5", 6, 30)
 
 
-def test_bailey_relation_steps_one_quotient_per_n(monkeypatch):
-    # per n, 1/(q;q)_n^2 takes two divisions and each r one more plus one
-    # multiplication by (1 - q^k); the running beta_n two more.  Odd alphas
-    # vanish, so only the 16 (n, r) with even r >= 2 add a term, each by two
-    # shifts, and each beta_n is shifted once: 41 shifts and no series product
+BAILEY_STEPS = ("divided_by_one_minus", "times_one_minus", "shifted", "__mul__")
+
+
+@pytest.fixture
+def bailey_steps(monkeypatch):
+    """Count each call of the ``BAILEY_STEPS`` methods of a series."""
     calls = Counter()
-    names = ("divided_by_one_minus", "times_one_minus", "shifted", "__mul__")
-    for name in names:
+    for name in BAILEY_STEPS:
         real = getattr(TruncatedSeries, name)
 
         def counting(self, *args, name=name, real=real):
@@ -338,24 +345,32 @@ def test_bailey_relation_steps_one_quotient_per_n(monkeypatch):
             return real(self, *args)
 
         monkeypatch.setattr(TruncatedSeries, name, counting)
-    assert I.check_bailey_relation(I.bailey_pair("C1"), 8, 60) == []
-    assert [calls[name] for name in names] == [68, 36, 41, 0]
+    return calls
+
+
+def test_bailey_relation_steps_one_quotient_per_n(bailey_steps):
+    # per n, 1/(q;q)_n^2 takes two divisions and each r one more plus one
+    # multiplication by (1 - q^k); the running beta_n two more.  Odd alphas
+    # vanish, so only the 16 (n, r) with even r >= 2 add a term, each by two
+    # shifts, and each beta_n is shifted once: 41 shifts and no series product
+    assert relation_holds("C1", 8, 60)
+    assert [bailey_steps[name] for name in BAILEY_STEPS] == [68, 36, 41, 0]
+
+
+def test_a_bailey_check_builds_its_sides_once_for_all_its_parts(bailey_steps):
+    # the nine parts of bailey_c1 share one build: the check makes the steps
+    # of one direct call, not one per part
+    assert I.verify("bailey_c1", 60).status == "pass"
+    assert [bailey_steps[name] for name in BAILEY_STEPS] == [68, 36, 41, 0]
 
 
 @pytest.mark.parametrize("label", ["C1", "C5"])
-def test_bailey_relation_running_beta_is_the_pair_beta(label, monkeypatch):
+def test_bailey_relation_running_beta_is_the_pair_beta(label):
     # the beta_n the relation compares, kept as a running quotient, equals
     # the dense inverse built from scratch for each n
-    pair, compared = I.bailey_pair(label), []
-    first_difference = I._first_difference
-
-    def recording(n, lhs, rhs):
-        compared.append((n, lhs))
-        return first_difference(n, lhs, rhs)
-
-    monkeypatch.setattr(I, "_first_difference", recording)
-    assert I.check_bailey_relation(pair, I.BAILEY_N, 60) == []
-    assert compared == [(n, dense_beta(pair, n, 60)) for n in range(I.BAILEY_N + 1)]
+    pair = I.bailey_pair(label)
+    betas = [beta for beta, _ in I.check_bailey_relation(pair, I.BAILEY_N, 60)]
+    assert betas == [dense_beta(pair, n, 60) for n in range(I.BAILEY_N + 1)]
 
 
 def test_eq12_holds_for_both_pairs():
@@ -430,9 +445,9 @@ def test_an_unregistered_pair_reads_the_entry_of_its_equal():
 
 def test_bailey_checks_catch_a_perturbed_alpha():
     bad = I.BaileyPair("C1+1", lambda m: m * (3 * m - 1) + 1, lambda n: 0)
-    relation = I.check_bailey_relation(bad, 4, 20)
-    assert relation and all(m.lhs != m.rhs for m in relation)
-    assert relation[0].index == 2  # beta_n first sees alpha_2 at n = 2
+    failing = [n for n, (beta, total) in enumerate(I.check_bailey_relation(bad, 4, 20))
+               if beta != total]
+    assert failing == [2, 3, 4]  # beta_n first sees alpha_2 at n = 2
     assert I.eq12_lhs(bad, 20) != I.eq12_rhs(bad, 20)
 
 
@@ -457,8 +472,16 @@ def test_alpha_sum_is_the_moment_component():
         assert got == TruncatedSeries(tuple(want))
 
 
+def termwise_holds(order):
+    """True when each of the 2 min(TERMWISE_N, order) summand pairs agrees to
+    ``order``: the summand side is known further, by its shift."""
+    sides = I._termwise_sides(order)
+    return (len(sides) == 2 * min(I.TERMWISE_N, order)
+            and all(lhs.truncate(order) == rhs for lhs, rhs in sides))
+
+
 def test_termwise_identity():
-    assert I._termwise_mismatches(30) == []
+    assert termwise_holds(30)
 
 
 # each left-side Horner sum by its first four exponents and its summand
@@ -546,8 +569,10 @@ def test_a_check_run_alone_builds_only_the_sums_it_reads(
 def test_termwise_catches_a_wrong_beta_exponent(cold_memos, monkeypatch):
     bad = I.BaileyPair("C5", lambda m: m * (m - 1), lambda n: n * (n - 1) // 2 + 1)
     monkeypatch.setitem(I._BAILEY_PAIRS, "C5", bad)
-    mismatches = I._termwise_mismatches(40)
-    assert mismatches and mismatches[0].index == 1
+    failing = [label for label, n, lhs, rhs in I.REGISTRY["termwise_eq2"].run.parts(40)
+               if I._series_mismatches(label, n, lhs(), rhs())]
+    # C5's summand n starts at q^(n(n+1)/2), within the order 40 up to n = 8
+    assert failing == [f"C5/n={n}" for n in range(1, 9)]
 
 
 def test_termwise_steps_do_not_grow_with_the_order(monkeypatch):
@@ -566,7 +591,7 @@ def test_termwise_steps_do_not_grow_with_the_order(monkeypatch):
 
         monkeypatch.setattr(TruncatedSeries, name, counting)
     for order in (200, 2000):
-        assert I._termwise_mismatches(order) == []
+        assert termwise_holds(order)
     assert steps == {200: 8 * I.TERMWISE_N - 2, 2000: 8 * I.TERMWISE_N - 2}
 
 
@@ -648,8 +673,8 @@ def test_a_congruence_lists_a_part_from_its_first_exponent_on():
         assert list(I.REGISTRY[check_id].run.parts(7)) == []
         report = I.verify(check_id, 7)
         assert (report.status, report.order) == ("pass", 7)
-    [(k_max, lhs, rhs, modulus)] = I.REGISTRY["cong5"].run.parts(8)
-    assert (k_max, lhs().coeffs, rhs().coeffs, modulus) == (0, (10,), (0,), 5)
+    [(label, k_max, lhs, rhs, modulus)] = I.REGISTRY["cong5"].run.parts(8)
+    assert (label, k_max, lhs().coeffs, rhs().coeffs, modulus) == ("series", 0, (10,), (0,), 5)
     assert list(I.REGISTRY["cong7"].run.parts(8)) == []
 
 
@@ -688,7 +713,7 @@ def test_legendre_t4_reports_a_wrong_t4_coefficient(monkeypatch):
 
     monkeypatch.setattr(S, "_t4_series", off_at_17)
     report = I.verify("legendre_t4", 40)
-    assert report.mismatches == (I.Mismatch(17, P.sigma(35), P.t4(17) + 1),)
+    assert report.mismatches == (I.Mismatch("t4", 17, P.sigma(35), P.t4(17) + 1),)
     assert report.mismatch_total == 1
 
 
@@ -708,8 +733,8 @@ def _bump_builder(name, exponent):
     return plant
 
 
-# (index, lhs, rhs) of every reported mismatch, per failing check, at order
-# 120; every check not named here passes
+# (part, index, lhs, rhs) of every reported mismatch, per failing check, at
+# order 120; every check not named here passes
 FAILING_REPORTS = {
     # lhs_gf_note is lhs_eq2 - lhs_eq3, read through this module, so a bump
     # in either reaches gf_note and the congruence at that exponent, which
@@ -718,17 +743,21 @@ FAILING_REPORTS = {
     # side, then against the compute table, and thm3 twice, against
     # enumeration, then against the spt series
     "lhs_eq2_q8": (_bump_builder("lhs_eq2", 8), {
-        "eq2": [(8, 82, 80), (8, 41, 40)], "gf_note": [(8, 11, 10)],
-        "cong5": [(0, 11, 0)], "thm2": [(4, 11, 10)],
-        "thm3": [(4, 41, 10), (4, 41, 10)]}),
+        "eq2": [("doubled", 8, 82, 80), ("table", 8, 41, 40)],
+        "gf_note": [("table", 8, 11, 10)], "cong5": [("series", 0, 11, 0)],
+        "thm2": [("series", 4, 11, 10)],
+        "thm3": [("counted", 4, 41, 10), ("series", 4, 41, 10)]}),
     "lhs_eq3_q10": (_bump_builder("lhs_eq3", 10), {
-        "eq3": [(10, 118, 116), (10, 59, 58)], "gf_note": [(10, 13, 14)],
-        "cong7": [(0, 13, 0)], "thm2": [(5, 13, 14)], "thm4": [(5, 59, 0)]}),
+        "eq3": [("doubled", 10, 118, 116), ("table", 10, 59, 58)],
+        "gf_note": [("table", 10, 13, 14)], "cong7": [("series", 0, 13, 0)],
+        "thm2": [("series", 5, 13, 14)], "thm4": [("series", 5, 59, 0)]}),
     "lhs_gf_note_q18": (_bump_builder("lhs_gf_note", 18), {
-        "gf_note": [(18, 81, 80)], "cong5": [(1, 81, 0)], "thm2": [(9, 81, 80)]}),
+        "gf_note": [("table", 18, 81, 80)], "cong5": [("series", 1, 81, 0)],
+        "thm2": [("series", 9, 81, 80)]}),
     "statistics_n12_odd_s4": (statistics_fault(12, 3, 4), {
-        "thm4": [(9, 431, 0)], "thm2": [(6, 27, 26), (9, 79, 80)],
-        "eq13": [(12, 258, 256)], "eq14": [(6, 258, 256)]}),
+        "thm4": [("counted", 9, 431, 0)],
+        "thm2": [("counted", 6, 27, 26), ("counted", 9, 79, 80)],
+        "eq13": [("counted", 12, 258, 256)], "eq14": [("counted", 6, 258, 256)]}),
 }
 
 
@@ -739,7 +768,7 @@ def test_failing_reports_keep_their_values(fault, cold_memos, monkeypatch):
     plant(monkeypatch)
     reports = {r.id: r for r in I.verify_all(120)}
     got = {
-        check_id: [(m.index, m.lhs, m.rhs) for m in r.mismatches]
+        check_id: [(m.part, m.index, m.lhs, m.rhs) for m in r.mismatches]
         for check_id, r in reports.items()
         if r.status == "fail"
     }
@@ -747,15 +776,23 @@ def test_failing_reports_keep_their_values(fault, cold_memos, monkeypatch):
     assert reports["eq2"].order == 120
 
 
-def test_bailey_relation_reports_the_first_differing_coefficients():
-    c1, c5 = I.bailey_pair("C1"), I.bailey_pair("C5")
-    late_beta = dataclasses.replace(
-        c5, beta_exponent=lambda n: c5.beta_exponent(n) + (n == 3))
-    late_alpha = dataclasses.replace(
-        c1, alpha_exponent=lambda m: c1.alpha_exponent(m) + 1)
-    assert I.check_bailey_relation(late_beta, I.BAILEY_N, 120) == [I.Mismatch(3, 0, 1)]
-    assert I.check_bailey_relation(late_alpha, I.BAILEY_N, 120) == [
-        I.Mismatch(n, 4, 5) for n in range(2, I.BAILEY_N + 1)]
+def test_bailey_relation_reports_the_first_differing_coefficients(monkeypatch):
+    # beta_3 of C5 one exponent late fails part n=3 alone, first at q^3; an
+    # alpha_2m one exponent late fails every n >= 2, where alpha_2 enters,
+    # each part first with 4 against 5
+    _bailey_fault("C5", "beta_exponent", 3)(monkeypatch)
+    report = I.verify("bailey_c5", 120)
+    _, mismatches = I.REGISTRY["bailey_c5"].run(120)
+    assert report.mismatches[0] == I.Mismatch("n=3", 3, 0, 1)
+    assert report.mismatch_total == len(mismatches) > 20
+    assert {m.part for m in mismatches} == {"n=3"}
+    c1 = I.bailey_pair("C1")
+    monkeypatch.setitem(I._BAILEY_PAIRS, "C1", dataclasses.replace(
+        c1, alpha_exponent=lambda m: c1.alpha_exponent(m) + 1))
+    first = {}
+    for m in I.REGISTRY["bailey_c1"].run(120)[1]:
+        first.setdefault(m.part, (m.lhs, m.rhs))
+    assert first == {f"n={n}": (4, 5) for n in range(2, I.BAILEY_N + 1)}
 
 
 def test_verify_unknown_id():
@@ -865,7 +902,7 @@ PART_ORDERS = {
     "thm2": lambda N: [min(N // 2, 15), N // 2],
     "thm3": lambda N: [min(N // 2, 30), N // 2],
     "thm4": lambda N: [N // 2, min(N // 2, 15)],
-    "thm5": lambda N: [(N - 1) // 2],
+    "thm5": lambda N: [(N - 1) // 2, min((N - 1) // 2, (I.ENUM_CAP - 1) // 2)],
     "eq13": lambda N: [min(N, 30)],
     "eq14": lambda N: [min(N, 15)],
     "eq23": lambda N: [(N - 1) // 2],
@@ -875,6 +912,10 @@ PART_ORDERS = {
     "cong5": lambda N: [(N - 8) // 10],
     "cong7": lambda N: [(N - 10) // 14],
     "cong13": lambda N: [(N - 12) // 26],
+    # one part per n = 0..BAILEY_N, and per pair and n = 1..min(TERMWISE_N, N)
+    "bailey_c1": lambda N: [N] * (I.BAILEY_N + 1),
+    "bailey_c5": lambda N: [N] * (I.BAILEY_N + 1),
+    "termwise_eq2": lambda N: [N] * (2 * min(I.TERMWISE_N, N)),
 }
 
 
@@ -888,15 +929,17 @@ def test_each_check_lists_its_part_orders_without_building_a_series(order, monke
         built.append(self.order)
 
     monkeypatch.setattr(TruncatedSeries, "__init__", recording)
-    listed = {check_id: [part[0] for part in check.run.parts(order)]
-              for check_id, check in I.REGISTRY.items()}
+    listed = {check_id: list(check.run.parts(order)) for check_id, check in I.REGISTRY.items()}
     assert built == []
-    assert listed == {check_id: PART_ORDERS.get(check_id, lambda N: [N])(order)
-                      for check_id in I.REGISTRY}
+    assert {check_id: [part[1] for part in parts] for check_id, parts in listed.items()} == {
+        check_id: PART_ORDERS.get(check_id, lambda N: [N])(order) for check_id in I.REGISTRY}
+    for parts in listed.values():  # a label names one part of its check
+        labels = [part[0] for part in parts]
+        assert len(set(labels)) == len(labels)
 
 
 def _one_side_bumped(parts, target, side, exponent):
-    """``parts``, with 1 added at q^exponent to side ``side`` (1: lhs, 2: rhs)
+    """``parts``, with 1 added at q^exponent to side ``side`` (2: lhs, 3: rhs)
     of the ``target``-th part, where that side knows the coefficient."""
     for index, part in enumerate(parts):
         if index == target:
@@ -908,40 +951,37 @@ def _one_side_bumped(parts, target, side, exponent):
 
 @pytest.mark.parametrize("order", [15, 31, 200])
 def test_a_bump_at_either_end_of_any_series_part_fails_its_check(order, monkeypatch):
-    # coefficient 0 and the part's own order, on each side of each part that
-    # compares two series: a part that stopped short of its declared order,
-    # or skipped its constant term, would let one of these pass
+    # coefficient 0 and the part's own order, on each side of each part: a
+    # part that stopped short of its declared order, or skipped its constant
+    # term, would let one of these pass
     missed, tried = [], 0
     for check_id, check in list(I.REGISTRY.items()):
-        for target, (n, _, rhs, *_) in enumerate(check.run.parts(order)):
-            if rhs is None:  # a composite that lists its own mismatches
-                continue
-            for side, exponent in [(1, 0), (1, n), (2, 0), (2, n)]:
+        for target, (label, n, *_) in enumerate(check.run.parts(order)):
+            for side, exponent in [(2, 0), (2, n), (3, 0), (3, n)]:
                 bumped = partial(_one_side_bumped, target=target, side=side, exponent=exponent)
                 run = I._runner(lambda o, bumped=bumped, parts=check.run.parts: bumped(parts(o)))
                 monkeypatch.setitem(I.REGISTRY, check_id, I.IdentityCheck(
                     check_id, check.description, check.kind, run))
                 tried += 1
                 if I.verify(check_id, order).status == "pass":
-                    missed.append((check_id, target, side, exponent))
+                    missed.append((check_id, label, side, exponent))
         monkeypatch.setitem(I.REGISTRY, check_id, check)
-    assert tried == 112  # 28 series parts, four bumps each
+    assert tried == 284  # 71 parts, four bumps each
     assert missed == []
 
 
 def test_the_runner_applies_the_one_rule_to_each_part_in_turn():
     a, b = TruncatedSeries((0, 1, 2, 3, 4)), TruncatedSeries((0, 1, 5, 3, 7))
-    longer, composite = TruncatedSeries((0, 1, 2, 9, 4, 5)), [I.Mismatch(7, 1, 2)]
+    longer = TruncatedSeries((0, 1, 2, 9, 4, 5))
     parts = [
-        (4, lambda: a, lambda: a),  # equal
-        (4, lambda: a, lambda: b, 3),  # unequal but congruent modulo 3
-        (4, lambda: a, lambda: b),  # differing at q^2 and q^4
-        (3, lambda: longer, lambda: a),  # of different lengths, compared to q^3
-        (4, lambda: composite, None),  # a thunk that lists its own mismatches
+        ("equal", 4, lambda: a, lambda: a),
+        ("congruent", 4, lambda: a, lambda: b, 3),  # unequal but congruent modulo 3
+        ("unequal", 4, lambda: a, lambda: b),  # differing at q^2 and q^4
+        ("longer", 3, lambda: longer, lambda: a),  # of different lengths, compared to q^3
     ]
-    want = I._series_mismatches(4, a, b) + I._series_mismatches(3, longer, a) + composite
-    assert I._series_mismatches(4, a, b, 3) == []
-    assert [m.index for m in want] == [2, 4, 3, 7]
+    want = I._series_mismatches("unequal", 4, a, b) + I._series_mismatches("longer", 3, longer, a)
+    assert I._series_mismatches("congruent", 4, a, b, 3) == []
+    assert [(m.part, m.index) for m in want] == [("unequal", 2), ("unequal", 4), ("longer", 3)]
     assert I._runner(lambda order: parts)(4) == (4, want)
     # the cap sets the order the parts are asked for and the order reported
     asked = []
@@ -949,7 +989,7 @@ def test_the_runner_applies_the_one_rule_to_each_part_in_turn():
     assert (capped(10), capped(2), asked) == ((3, []), (2, []), [3, 2])
     # a side that stops short of its part's order is an error, not a pass
     with pytest.raises(IndexError):
-        I._runner(lambda order: [(5, lambda: a, lambda: a)])(5)
+        I._runner(lambda order: [("short", 5, lambda: a, lambda: a)])(5)
 
 
 def test_verify_all_runs_everything_in_order():
@@ -996,7 +1036,7 @@ def test_gf_note_even_part_is_spt_and_odd_part_vanishes():
 
 def test_report_caps_mismatches_at_20(monkeypatch):
     def run(order):
-        return order, [I.Mismatch(k, 1, 0) for k in range(50)]
+        return order, [I.Mismatch("fake", k, 1, 0) for k in range(50)]
 
     fake = I.IdentityCheck("fake", "always fails", "sequence-equality", run)
     monkeypatch.setitem(I.REGISTRY, "fake", fake)

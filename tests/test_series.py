@@ -94,12 +94,13 @@ def test_series_is_immutable():
 VALUE_CLASSES = {
     "TruncatedSeries": (TruncatedSeries, ((1, 2, 3),), ((1, 2, 4),),
                         "TruncatedSeries([1, 2, 3] order=2)"),
-    "Mismatch": (I.Mismatch, (1, 2, 3), (1, 2, 4), "Mismatch(index=1, lhs=2, rhs=3)"),
+    "Mismatch": (I.Mismatch, ("n=1", 1, 2, 3), ("n=1", 1, 2, 4),
+                 "Mismatch(part='n=1', index=1, lhs=2, rhs=3)"),
     "IdentityReport": (
-        I.IdentityReport, ("eq1", 5, 1, (I.Mismatch(1, 2, 3),), 0.5),
+        I.IdentityReport, ("eq1", 5, 1, (I.Mismatch("table", 1, 2, 3),), 0.5),
         ("eq1", 5, 0, (), 0.5),
         "IdentityReport(id='eq1', order=5, mismatch_total=1, "
-        "mismatches=(Mismatch(index=1, lhs=2, rhs=3),), elapsed=0.5)"),
+        "mismatches=(Mismatch(part='table', index=1, lhs=2, rhs=3),), elapsed=0.5)"),
     "IdentityCheck": (
         I.IdentityCheck, ("eq1", "a check", "congruence", abs),
         ("eq1", "a check", "congruence", len),
@@ -157,8 +158,9 @@ def test_value_classes_serve_the_dataclasses_functions(name):
 
 
 def test_asdict_recurses_into_a_report_s_mismatches():
-    report = I.IdentityReport("eq1", 5, 1, (I.Mismatch(1, 2, 3),), 0.5)
-    assert dataclasses.asdict(report)["mismatches"] == ({"index": 1, "lhs": 2, "rhs": 3},)
+    report = I.IdentityReport("eq1", 5, 1, (I.Mismatch("table", 1, 2, 3),), 0.5)
+    assert dataclasses.asdict(report)["mismatches"] == (
+        {"part": "table", "index": 1, "lhs": 2, "rhs": 3},)
 
 
 def test_dataclass_fields_are_built_on_first_read_once_per_class():
